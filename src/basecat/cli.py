@@ -252,19 +252,34 @@ def _fill_global_defaults(args: argparse.Namespace) -> None:
     defaults = {
         "format": "human",
         "seed": 7,
-        "budget": int(os.environ.get("BASECAT_BUDGET", DEFAULT_BUDGET)),
         "allow_unfaithful": False,
     }
     for key, value in defaults.items():
         if not hasattr(args, key):
             setattr(args, key, value)
+    if hasattr(args, "budget"):
+        args.budget = _positive_budget(args.budget, "--budget")
+    elif "BASECAT_BUDGET" in os.environ:
+        args.budget = _positive_budget(os.environ["BASECAT_BUDGET"], "BASECAT_BUDGET")
+    else:
+        args.budget = DEFAULT_BUDGET
+
+
+def _positive_budget(text: str, source: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise UsageError(f"{source} must be a positive integer, got {text!r}")
+    return budget
 
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("human", "machine"))
     common.add_argument("--seed", type=int)
-    common.add_argument("--budget", type=int)
+    common.add_argument("--budget")
     common.add_argument("--allow-unfaithful", action="store_true")
 
     top = argparse.ArgumentParser(
@@ -323,8 +338,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    _fill_global_defaults(args)
     try:
+        _fill_global_defaults(args)
         report = args.run(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

@@ -1,6 +1,14 @@
 """Categories built out of a functor: graphs, category actions, the strict
 Grothendieck construction and transformation groupoids.
 
+The graph, the left and right actions (abstract and concrete) and the
+right action over a self-dual base are all one construction, the category
+of elements of a fibre over each base object: the concrete versions spread
+an object over the elements of its underlying set, the abstract versions
+are the same category with one-element fibres, and the right actions are
+read over the opposite base. Composition is looked up among the element
+morphisms, so no variant carries composition code of its own.
+
 Every constructed object or morphism is named by the canonical string of
 its pair label, e.g. ``(X,x1)`` or ``(f_op,y)``, so that claims of the
 form "these two constructions yield the same category" can be tested as
@@ -18,8 +26,8 @@ markers, which is how the duality statements are checked byte for byte.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     Arrow,
@@ -29,6 +37,7 @@ from .core import (
     compose_functors,
     identity_functor,
     identity_id,
+    is_opposite,
     op_functor,
     op_name,
     opposite,
@@ -77,14 +86,11 @@ class ConstructedCategory:
 
 def _disambiguate(proposals: list[tuple[str, str]]) -> list[str]:
     """Append ``@tiebreak`` inside colliding pair ids; unique ids unchanged."""
-    counts = Counter(p for p, _ in proposals)
-    out = []
-    for p, tiebreak in proposals:
-        if counts[p] > 1:
-            out.append(p[:-1] + "@" + tiebreak + ")")
-        else:
-            out.append(p)
-    return out
+    ids = [p for p, _ in proposals]
+    if len(set(ids)) < len(ids):
+        counts = Counter(ids)
+        ids = [p[:-1] + "@" + t + ")" if counts[p] > 1 else p for p, t in proposals]
+    return ids
 
 
 class _Builder:
@@ -108,6 +114,7 @@ class _Builder:
         ident: str,
         label: tuple[str, ...],
         over: str,
+        identity_key: tuple,
         identity_label: tuple[str, ...] | None = None,
     ) -> str:
         self.objects.append(ident)
@@ -117,6 +124,7 @@ class _Builder:
         self.arrow_labels[ident_arrow] = identity_label or tuple(
             identity_id(part) for part in label
         )
+        self.arrow_keys[ident_arrow] = identity_key
         self.proj_mor[ident_arrow] = self.base.identity[over]
         return ident
 
@@ -127,17 +135,12 @@ class _Builder:
         dom: str,
         cod: str,
         over: str,
-        key: tuple | None = None,
-    ) -> str:
+        key: tuple,
+    ) -> None:
         self.arrows.append((ident, dom, cod))
         self.arrow_labels[ident] = label
         self.proj_mor[ident] = over
-        if key is not None:
-            self.arrow_keys[ident] = key
-        return ident
-
-    def identity_key(self, obj: str, key: tuple) -> None:
-        self.arrow_keys[identity_id(obj)] = key
+        self.arrow_keys[ident] = key
 
     def build(
         self,
@@ -160,37 +163,128 @@ class _Builder:
         )
 
 
+def _category_of_elements(
+    name: str,
+    provenance: str,
+    c: FinCat,
+    fibre: Mapping[str, Sequence[str]],
+    above: Sequence[tuple[Arrow, str, str, str, str]],
+    opposite_base: FinCat | None = None,
+    element_keys: bool = True,
+    cleavage: bool = False,
+    opcleavage: bool = False,
+) -> ConstructedCategory:
+    """The category of elements of ``fibre`` over ``c``.
+
+    Objects are the pairs (X, x) with x in ``fibre[X]``. Each element
+    morphism (f, x, y, label, tiebreak) above a non-identity arrow f of ``c``
+    becomes the morphism (f, label): (dom f, x) -> (cod f, y), with
+    colliding ids tiebroken. Composites are looked up, never computed: the
+    composite of the element morphisms above f and g is the element
+    morphism above g∘f between the outer endpoints (an identity when g∘f
+    is one). Over ``opposite_base``, the opposite of ``c``, every morphism
+    is op-tagged and reversed, and so is composition. Keys are (f, x), or
+    (f,) without ``element_keys``; a requested (op)cleavage chooses the
+    element morphism at each codomain (domain) object.
+    """
+    flip = opposite_base is not None
+    b = _Builder(name, opposite_base or c, provenance)
+    obj: dict[tuple[str, str], str] = {}
+    # element morphisms above each arrow of c, as (x, y, id)
+    ms: dict[str, list[tuple[str, str, str]]] = {}
+    for X in c.objects:
+        ident = c.identity[X]
+        ms[ident] = []
+        for x in fibre[X]:
+            key = (ident, x) if element_keys else (ident,)
+            obj[X, x] = b.add_object(pair_id(X, x), (X, x), X, key)
+            ms[ident].append((x, x, identity_id(obj[X, x])))
+
+    tags = [op_name(a.name) if flip else a.name for a, *_ in above]
+    names = _disambiguate(
+        [(pair_id(t, label), tiebreak) for t, (_, _, _, label, tiebreak) in zip(tags, above)]
+    )
+    starting: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for ident, t, (a, x, y, label, _) in zip(names, tags, above):
+        f, dom, cod = a.name, obj[a.dom, x], obj[a.cod, y]
+        if flip:
+            dom, cod = cod, dom
+        b.add_arrow(ident, (t, label), dom, cod, t, key=(f, x) if element_keys else (f,))
+        ms.setdefault(f, []).append((x, y, ident))
+        starting.setdefault((f, x), []).append((y, ident))
+
+    at = {(f, x, y): m for f, lst in ms.items() for x, y, m in lst}
+    for (g, f), h in c.compose.items():
+        if c.is_identity(g) or c.is_identity(f):
+            continue
+        for x, z, gf in ms.get(h, ()):
+            for y, first in starting.get((f, x), ()):
+                second = at.get((g, y, z))
+                if second is not None:
+                    b.table[(first, second) if flip else (second, first)] = gf
+
+    lifts, oplifts = {}, {}
+    if cleavage or opcleavage:
+        for u in c.arrows:
+            for x, y, m in ms.get(u.name, ()):
+                lifts[u.name, obj[u.cod, y]] = m
+                oplifts[u.name, obj[u.dom, x]] = m
+    return b.build(
+        Cleavage(lifts) if cleavage else None,
+        OpCleavage(oplifts) if opcleavage else None,
+    )
+
+
+def _one_element_fibres(
+    name: str,
+    provenance: str,
+    c: FinCat,
+    obj: Callable[[str], str],
+    label: Callable[[Arrow], str],
+    **options,
+) -> ConstructedCategory:
+    """The abstract constructions: a single element ``obj(X)`` over each X."""
+    return _category_of_elements(
+        name,
+        provenance,
+        c,
+        {x: (obj(x),) for x in c.objects},
+        [(a, obj(a.dom), obj(a.cod), label(a), obj(a.dom)) for a in c.non_identity_arrows()],
+        element_keys=False,
+        **options,
+    )
+
+
+def _acted_on(
+    fun: FinFunctor, concrete: ConcreteStructure
+) -> tuple[dict[str, tuple[str, ...]], list[tuple[Arrow, str, str]]]:
+    """The underlying set of the image of each source object, and
+    (f, x, image of x) for each non-identity arrow f and x over dom f."""
+    if concrete.over != fun.target:
+        raise SourceTargetMismatch("concrete structure is not over the functor's target")
+    fibre = {x: concrete.elements(fun.obj(x)) for x in fun.source.objects}
+    images = []
+    for a in fun.source.non_identity_arrows():
+        fn = concrete.action[fun.mor(a.name)].mapping
+        images.extend((a, x, fn[x]) for x in fibre[a.dom])
+    return fibre, images
+
+
 def graph_category(fun: FinFunctor) -> ConstructedCategory:
     """Pair every object and morphism of the source with its image.
 
     The result is a subcategory of source x target whose first projection
     is bijective on objects and morphisms.
     """
-    c, d = fun.source, fun.target
-    b = _Builder(f"graph_{fun.name}", c, "graph")
-    obj = {x: pair_id(x, fun.obj(x)) for x in c.objects}
-    for x in c.objects:
-        b.add_object(obj[x], (x, fun.obj(x)), x)
-        b.identity_key(obj[x], (c.identity[x],))
-    name_of = {}
-    for a in c.arrows:
-        if c.is_identity(a.name):
-            name_of[a.name] = identity_id(obj[a.dom])
-            continue
-        ident = pair_id(a.name, fun.mor(a.name))
-        name_of[a.name] = ident
-        b.add_arrow(ident, (a.name, fun.mor(a.name)), obj[a.dom], obj[a.cod], a.name, key=(a.name,))
-    for (g, f), h in c.compose.items():
-        if c.is_identity(g) or c.is_identity(f):
-            continue
-        b.table[(name_of[g], name_of[f])] = name_of[h]
-    lifts = {
-        (u.name, obj[u.cod]): name_of[u.name] for u in c.arrows
-    }
-    oplifts = {
-        (u.name, obj[u.dom]): name_of[u.name] for u in c.arrows
-    }
-    return b.build(cleavage=Cleavage(lifts), opcleavage=OpCleavage(oplifts))
+    return _one_element_fibres(
+        f"graph_{fun.name}",
+        "graph",
+        fun.source,
+        fun.obj,
+        lambda a: fun.mor(a.name),
+        cleavage=True,
+        opcleavage=True,
+    )
 
 
 def concrete_graph_category(
@@ -202,54 +296,15 @@ def concrete_graph_category(
     of X; above a morphism f sit the restrictions of its function, one per
     element of the domain carrier.
     """
-    c = fun.source
-    if concrete.over != fun.target:
-        raise SourceTargetMismatch("concrete structure is not over the functor's target")
-    b = _Builder(f"cgraph_{fun.name}", c, "concrete-graph")
-
-    def fibre(x: str) -> tuple[str, ...]:
-        return concrete.elements(fun.obj(x))
-
-    def act(m: str) -> FinFn:
-        return concrete.action[fun.mor(m)]
-
-    obj = {}
-    for x in c.objects:
-        for e in fibre(x):
-            obj[(x, e)] = pair_id(x, e)
-            b.add_object(obj[(x, e)], (x, e), x)
-            b.identity_key(obj[(x, e)], (c.identity[x], e))
-    name_of = {}
-    for a in c.arrows:
-        if c.is_identity(a.name):
-            for e in fibre(a.dom):
-                name_of[(a.name, e)] = identity_id(obj[(a.dom, e)])
-            continue
-        img = fun.mor(a.name)
-        for e in fibre(a.dom):
-            out = act(a.name).mapping[e]
-            ident = pair_id(a.name, f"{img}|{e}")
-            name_of[(a.name, e)] = ident
-            b.add_arrow(
-                ident,
-                (a.name, f"{img}|{e}"),
-                obj[(a.dom, e)],
-                obj[(a.cod, out)],
-                a.name,
-                key=(a.name, e),
-            )
-    for (g, f), h in c.compose.items():
-        if c.is_identity(g) or c.is_identity(f):
-            continue
-        for e in fibre(c.dom(f)):
-            mid = act(f).mapping[e]
-            b.table[(name_of[(g, mid)], name_of[(f, e)])] = name_of[(h, e)]
-    oplifts = {
-        (u.name, obj[(u.dom, e)]): name_of[(u.name, e)]
-        for u in c.arrows
-        for e in fibre(u.dom)
-    }
-    return b.build(opcleavage=OpCleavage(oplifts))
+    fibre, images = _acted_on(fun, concrete)
+    return _category_of_elements(
+        f"cgraph_{fun.name}",
+        "concrete-graph",
+        fun.source,
+        fibre,
+        [(a, x, y, f"{fun.mor(a.name)}|{x}", x) for a, x, y in images],
+        opcleavage=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -282,6 +337,21 @@ def trivial_categorify(cat: FinCat) -> TrivialCategorification:
     return TrivialCategorification(fibres, functors)
 
 
+def _family_over_opposite(
+    c: FinCat, fibre: dict[str, FinCat], along: Callable[[Arrow], Mapping[str, str]]
+) -> IndexedFamily:
+    """Discrete fibres over the opposite of ``c``: the pull functor of the
+    opposite of a: X -> Y maps the objects of the fibre over X by
+    ``along(a)``."""
+    pull = {}
+    for a in c.arrows:
+        key = a.name if c.is_identity(a.name) else op_name(a.name)
+        pull[key] = validate_functor(
+            f"pull_{key}", fibre[a.dom], fibre[a.cod], along(a), {}
+        )
+    return validate_family(opposite(c), fibre, pull)
+
+
 def family_from_functor(fun: FinFunctor) -> IndexedFamily:
     """Trivially categorified fibres over the opposite of the source.
 
@@ -289,47 +359,23 @@ def family_from_functor(fun: FinFunctor) -> IndexedFamily:
     fibre over X to the one-object fibre over Y, the way the image of f
     does.
     """
-    c = fun.source
-    base = opposite(c)
     triv = trivial_categorify(fun.target)
-    fibre = {x: triv.fibres[fun.obj(x)] for x in c.objects}
-    pull = {}
-    for a in c.arrows:
-        key = a.name if c.is_identity(a.name) else op_name(a.name)
-        pull[key] = validate_functor(
-            f"pull_{key}",
-            fibre[a.dom],
-            fibre[a.cod],
-            {fun.obj(a.dom): fun.obj(a.cod)},
-            {},
-        )
-    return validate_family(base, fibre, pull)
+    return _family_over_opposite(
+        fun.source,
+        {x: triv.fibres[fun.obj(x)] for x in fun.source.objects},
+        lambda a: {fun.obj(a.dom): fun.obj(a.cod)},
+    )
 
 
 def discrete_family(fun: FinFunctor, concrete: ConcreteStructure) -> IndexedFamily:
     """Underlying sets as discrete fibres over the opposite of the source."""
-    c = fun.source
-    if concrete.over != fun.target:
-        raise SourceTargetMismatch("concrete structure is not over the functor's target")
-    base = opposite(c)
     fibre = {
-        x: validate_category(
-            f"disc_{x}", list(concrete.elements(fun.obj(x))), []
-        )
-        for x in c.objects
+        x: validate_category(f"disc_{x}", list(elements), [])
+        for x, elements in _acted_on(fun, concrete)[0].items()
     }
-    pull = {}
-    for a in c.arrows:
-        key = a.name if c.is_identity(a.name) else op_name(a.name)
-        fn = concrete.action[fun.mor(a.name)]
-        pull[key] = validate_functor(
-            f"pull_{key}",
-            fibre[a.dom],
-            fibre[a.cod],
-            dict(fn.mapping),
-            {},
-        )
-    return validate_family(base, fibre, pull)
+    return _family_over_opposite(
+        fun.source, fibre, lambda a: dict(concrete.action[fun.mor(a.name)].mapping)
+    )
 
 
 def grothendieck_strict(fam: IndexedFamily) -> ConstructedCategory:
@@ -345,14 +391,8 @@ def grothendieck_strict(fam: IndexedFamily) -> ConstructedCategory:
     obj = {}
     for i in base.objects:
         for x in fam.fibre[i].objects:
-            obj[(i, x)] = pair_id(i, x)
-            b.add_object(
-                obj[(i, x)],
-                (i, x),
-                i,
-                identity_label=(base.identity[i], fam.fibre[i].identity[x]),
-            )
-            b.identity_key(obj[(i, x)], (base.identity[i], fam.fibre[i].identity[x], x))
+            label = (base.identity[i], fam.fibre[i].identity[x])
+            obj[(i, x)] = b.add_object(pair_id(i, x), (i, x), i, label + (x,), label)
 
     proposals = []
     entries = []
@@ -408,28 +448,15 @@ def abstract_left_action(fun: FinFunctor) -> ConstructedCategory:
     Morphisms are pairs (f, id over the image of the codomain); the second
     components stay identities, so the whole structure is the base's.
     """
-    c = fun.source
-    b = _Builder(f"lact_{fun.name}", c, "left-action")
-    obj = {x: pair_id(x, fun.obj(x)) for x in c.objects}
-    for x in c.objects:
-        b.add_object(obj[x], (x, fun.obj(x)), x)
-        b.identity_key(obj[x], (c.identity[x],))
-    name_of = {}
-    for a in c.arrows:
-        if c.is_identity(a.name):
-            name_of[a.name] = identity_id(obj[a.dom])
-            continue
-        label = identity_id(fun.obj(a.cod))
-        ident = pair_id(a.name, label)
-        name_of[a.name] = ident
-        b.add_arrow(ident, (a.name, label), obj[a.dom], obj[a.cod], a.name, key=(a.name,))
-    for (g, f), h in c.compose.items():
-        if c.is_identity(g) or c.is_identity(f):
-            continue
-        b.table[(name_of[g], name_of[f])] = name_of[h]
-    lifts = {(u.name, obj[u.cod]): name_of[u.name] for u in c.arrows}
-    oplifts = {(u.name, obj[u.dom]): name_of[u.name] for u in c.arrows}
-    return b.build(cleavage=Cleavage(lifts), opcleavage=OpCleavage(oplifts))
+    return _one_element_fibres(
+        f"lact_{fun.name}",
+        "left-action",
+        fun.source,
+        fun.obj,
+        lambda a: identity_id(fun.obj(a.cod)),
+        cleavage=True,
+        opcleavage=True,
+    )
 
 
 def abstract_right_action(fun: FinFunctor) -> ConstructedCategory:
@@ -439,29 +466,14 @@ def abstract_right_action(fun: FinFunctor) -> ConstructedCategory:
     the pair on Y to the pair on X; erasing op markers from the opposite
     of this category reproduces the left action literally.
     """
-    c = fun.source
-    base = opposite(c)
-    b = _Builder(f"ract_{fun.name}", base, "right-action")
-    obj = {x: pair_id(x, fun.obj(x)) for x in c.objects}
-    for x in c.objects:
-        b.add_object(obj[x], (x, fun.obj(x)), x)
-        b.identity_key(obj[x], (c.identity[x],))
-    name_of = {}
-    for a in c.arrows:
-        if c.is_identity(a.name):
-            name_of[a.name] = identity_id(obj[a.dom])
-            continue
-        label = identity_id(fun.obj(a.cod))
-        ident = pair_id(op_name(a.name), label)
-        name_of[a.name] = ident
-        b.add_arrow(
-            ident, (op_name(a.name), label), obj[a.cod], obj[a.dom], op_name(a.name), key=(a.name,)
-        )
-    for (g, f), h in c.compose.items():
-        if c.is_identity(g) or c.is_identity(f):
-            continue
-        b.table[(name_of[f], name_of[g])] = name_of[h]
-    return b.build()
+    return _one_element_fibres(
+        f"ract_{fun.name}",
+        "right-action",
+        fun.source,
+        fun.obj,
+        lambda a: identity_id(fun.obj(a.cod)),
+        opposite_base=opposite(fun.source),
+    )
 
 
 def concrete_left_action(
@@ -473,61 +485,15 @@ def concrete_left_action(
     (f, y): (X, x) -> (Y, y) with y the image of x; the label carries the
     image, so colliding labels are tiebroken by the domain element.
     """
-    c = fun.source
-    if concrete.over != fun.target:
-        raise SourceTargetMismatch("concrete structure is not over the functor's target")
-    b = _Builder(f"clact_{fun.name}", c, "concrete-left-action")
-
-    def fibre(x: str) -> tuple[str, ...]:
-        return concrete.elements(fun.obj(x))
-
-    def act(m: str, e: str) -> str:
-        return concrete.action[fun.mor(m)].mapping[e]
-
-    obj = {}
-    for x in c.objects:
-        for e in fibre(x):
-            obj[(x, e)] = pair_id(x, e)
-            b.add_object(obj[(x, e)], (x, e), x)
-            b.identity_key(obj[(x, e)], (c.identity[x], e))
-
-    proposals = []
-    entries = []
-    for a in c.arrows:
-        if c.is_identity(a.name):
-            continue
-        for e in fibre(a.dom):
-            out = act(a.name, e)
-            proposals.append((pair_id(a.name, out), e))
-            entries.append((a.name, e, out))
-    names = _disambiguate(proposals)
-    name_of = {}
-    for a in c.arrows:
-        if c.is_identity(a.name):
-            for e in fibre(a.dom):
-                name_of[(a.name, e)] = identity_id(obj[(a.dom, e)])
-    for ident, (f, e, out) in zip(names, entries):
-        name_of[(f, e)] = ident
-        b.add_arrow(
-            ident,
-            (f, out),
-            obj[(c.dom(f), e)],
-            obj[(c.cod(f), out)],
-            f,
-            key=(f, e),
-        )
-    for (g, f), h in c.compose.items():
-        if c.is_identity(g) or c.is_identity(f):
-            continue
-        for e in fibre(c.dom(f)):
-            mid = act(f, e)
-            b.table[(name_of[(g, mid)], name_of[(f, e)])] = name_of[(h, e)]
-    oplifts = {
-        (u.name, obj[(u.dom, e)]): name_of[(u.name, e)]
-        for u in c.arrows
-        for e in fibre(u.dom)
-    }
-    return b.build(opcleavage=OpCleavage(oplifts))
+    fibre, images = _acted_on(fun, concrete)
+    return _category_of_elements(
+        f"clact_{fun.name}",
+        "concrete-left-action",
+        fun.source,
+        fibre,
+        [(a, x, y, y, x) for a, x, y in images],
+        opcleavage=True,
+    )
 
 
 def concrete_right_action(
@@ -539,79 +505,47 @@ def concrete_right_action(
     (f_op, y): (Y, y) -> (X, x) with y the image of x. The opposite of
     this category erases to the concrete left action byte for byte.
     """
-    c = fun.source
-    if concrete.over != fun.target:
-        raise SourceTargetMismatch("concrete structure is not over the functor's target")
-    base = opposite(c)
-    b = _Builder(f"cract_{fun.name}", base, "concrete-right-action")
+    fibre, images = _acted_on(fun, concrete)
+    return _category_of_elements(
+        f"cract_{fun.name}",
+        "concrete-right-action",
+        fun.source,
+        fibre,
+        [(a, x, y, y, x) for a, x, y in images],
+        opposite_base=opposite(fun.source),
+    )
 
-    def fibre(x: str) -> tuple[str, ...]:
-        return concrete.elements(fun.obj(x))
 
-    def act(m: str, e: str) -> str:
-        return concrete.action[fun.mor(m)].mapping[e]
-
-    obj = {}
-    for x in c.objects:
-        for e in fibre(x):
-            obj[(x, e)] = pair_id(x, e)
-            b.add_object(obj[(x, e)], (x, e), x)
-            b.identity_key(obj[(x, e)], (c.identity[x], e))
-
-    proposals = []
-    entries = []
-    for a in c.arrows:
-        if c.is_identity(a.name):
-            continue
-        for e in fibre(a.dom):
-            out = act(a.name, e)
-            proposals.append((pair_id(op_name(a.name), out), e))
-            entries.append((a.name, e, out))
-    names = _disambiguate(proposals)
-    name_of = {}
-    for a in c.arrows:
-        if c.is_identity(a.name):
-            for e in fibre(a.dom):
-                name_of[(a.name, e)] = identity_id(obj[(a.dom, e)])
-    for ident, (f, e, out) in zip(names, entries):
-        name_of[(f, e)] = ident
-        b.add_arrow(
-            ident,
-            (op_name(f), out),
-            obj[(c.cod(f), out)],
-            obj[(c.dom(f), e)],
-            op_name(f),
-            key=(f, e),
-        )
-    for (g, f), h in c.compose.items():
-        if c.is_identity(g) or c.is_identity(f):
-            continue
-        for e in fibre(c.dom(f)):
-            mid = act(f, e)
-            b.table[(name_of[(f, e)], name_of[(g, mid)])] = name_of[(h, e)]
-    return b.build()
+def _relabelling(
+    name: str,
+    a: FinCat,
+    b: FinCat,
+    obj_map: Mapping[str, str],
+    mor_map: Mapping[str, str],
+    back_name: str | None = None,
+) -> IsoWitness:
+    """Validate a bijective relabelling of ``a`` as ``b`` and its inverse."""
+    forward = validate_functor(name, a, b, obj_map, mor_map)
+    backward = validate_functor(
+        back_name or name + "_back",
+        b,
+        a,
+        {v: k for k, v in obj_map.items()},
+        {v: k for k, v in mor_map.items()},
+    )
+    return validate_witness(forward, backward)
 
 
 def inverse_witness(cat: FinCat) -> IsoWitness:
     """Self-duality of a groupoid: send each morphism to its tagged inverse."""
-    op = opposite(cat)
     mor_map = {}
     for a in cat.arrows:
         inv = cat.inverse_of(a.name)
         if inv is None:
             raise NoSelfDualWitness(f"morphism {a.name!r} has no inverse")
         mor_map[a.name] = inv if cat.is_identity(inv) else op_name(inv)
-    forward = validate_functor(
-        f"selfdual_{cat.name}", cat, op, {o: o for o in cat.objects}, mor_map
-    )
-    backward = validate_functor(
-        f"selfdual_{cat.name}_back",
-        op,
-        cat,
-        {o: o for o in cat.objects},
-        {v: k for k, v in mor_map.items()},
-    )
-    return validate_witness(forward, backward)
+    objects = {o: o for o in cat.objects}
+    return _relabelling(f"selfdual_{cat.name}", cat, opposite(cat), objects, mor_map)
 
 
 def contravariant_via_witness(fun: FinFunctor, witness: IsoWitness) -> FinFunctor:
@@ -622,16 +556,10 @@ def contravariant_via_witness(fun: FinFunctor, witness: IsoWitness) -> FinFuncto
     g |-> phi of the inverse of g.
     """
     c = fun.source
-    if witness.forward.source != c or witness.forward.target != opposite(c):
+    if witness.forward.source != c or not is_opposite(witness.forward.target, c):
         raise NoSelfDualWitness("witness is not between the source and its opposite")
     composite = compose_functors(fun, op_functor(witness.forward))
-    return FinFunctor(
-        f"{fun.name}_contra",
-        composite.source,
-        composite.target,
-        composite.obj_map,
-        composite.mor_map,
-    )
+    return replace(composite, name=f"{fun.name}_contra")
 
 
 def right_action_selfdual(
@@ -652,87 +580,32 @@ def right_action_selfdual(
         validate_witness(witness.forward, witness.backward)
     except ValidationError as exc:
         raise NoSelfDualWitness(str(exc)) from exc
-    if witness.forward.target != opposite(c):
+    if not is_opposite(witness.forward.target, c):
         raise NoSelfDualWitness("witness does not target the opposite category")
-    if fbar.source != opposite(c):
+    if fbar.source != witness.forward.target:
         raise NoSelfDualWitness(
             "contravariant data must be presented on the opposite of the base"
         )
 
-    def against(a: Arrow) -> str:
-        # image of the op-tagged version of a under fbar
-        tag = a.name if c.is_identity(a.name) else op_name(a.name)
-        return fbar.mor(tag)
-
     if concrete is None:
-        b = _Builder(f"sdract_{fbar.name}", c, "selfdual-right-action")
-        obj = {x: pair_id(x, fbar.obj(x)) for x in c.objects}
-        for x in c.objects:
-            b.add_object(obj[x], (x, fbar.obj(x)), x)
-            b.identity_key(obj[x], (c.identity[x],))
-        name_of = {}
-        for a in c.arrows:
-            if c.is_identity(a.name):
-                name_of[a.name] = identity_id(obj[a.dom])
-                continue
-            label = identity_id(fbar.obj(a.dom))
-            ident = pair_id(a.name, label)
-            name_of[a.name] = ident
-            b.add_arrow(ident, (a.name, label), obj[a.dom], obj[a.cod], a.name, key=(a.name,))
-        for (g, f), h in c.compose.items():
-            if c.is_identity(g) or c.is_identity(f):
-                continue
-            b.table[(name_of[g], name_of[f])] = name_of[h]
-        return b.build()
+        return _one_element_fibres(
+            f"sdract_{fbar.name}",
+            "selfdual-right-action",
+            c,
+            fbar.obj,
+            lambda a: identity_id(fbar.obj(a.dom)),
+        )
 
     if concrete.over != fbar.target:
         raise SourceTargetMismatch("concrete structure is not over the contravariant target")
-    b = _Builder(f"sdcract_{fbar.name}", c, "selfdual-concrete-right-action")
-
-    def fibre(x: str) -> tuple[str, ...]:
-        return concrete.elements(fbar.obj(x))
-
-    obj = {}
-    for x in c.objects:
-        for e in fibre(x):
-            obj[(x, e)] = pair_id(x, e)
-            b.add_object(obj[(x, e)], (x, e), x)
-            b.identity_key(obj[(x, e)], (c.identity[x], e))
-
-    proposals = []
-    entries = []
-    for a in c.arrows:
-        if c.is_identity(a.name):
-            continue
-        back = concrete.action[against(a)]
-        for y in fibre(a.cod):
-            x = back.mapping[y]
-            proposals.append((pair_id(a.name, x), y))
-            entries.append((a.name, y, x))
-    names = _disambiguate(proposals)
-    name_of = {}
-    for a in c.arrows:
-        if c.is_identity(a.name):
-            for e in fibre(a.dom):
-                name_of[(a.name, e)] = identity_id(obj[(a.dom, e)])
-    for ident, (f, y, x) in zip(names, entries):
-        name_of[(f, y)] = ident
-        b.add_arrow(
-            ident,
-            (f, x),
-            obj[(c.dom(f), x)],
-            obj[(c.cod(f), y)],
-            f,
-            key=(f, x),
-        )
-    for (g, f), h in c.compose.items():
-        if c.is_identity(g) or c.is_identity(f):
-            continue
-        back_g = concrete.action[against(c.arrow(g))]
-        for z in fibre(c.cod(g)):
-            y = back_g.mapping[z]
-            b.table[(name_of[(g, z)], name_of[(f, y)])] = name_of[(h, z)]
-    return b.build()
+    fibre = {x: concrete.elements(fbar.obj(x)) for x in c.objects}
+    carried = []
+    for a in c.non_identity_arrows():
+        back = concrete.action[fbar.mor(op_name(a.name))].mapping
+        carried.extend((a, back[y], y, back[y], y) for y in fibre[a.cod])
+    return _category_of_elements(
+        f"sdcract_{fbar.name}", "selfdual-concrete-right-action", c, fibre, carried
+    )
 
 
 @dataclass(frozen=True)
@@ -772,8 +645,7 @@ def transformation_groupoid(act: GroupAction) -> ConstructedCategory:
     grp = act.group
     b = _Builder(f"tg_{grp.name}", grp, "transformation-groupoid")
     for x in act.carrier.elements:
-        b.add_object(x, (x,), act.star)
-        b.identity_key(x, (grp.identity[act.star], x))
+        b.add_object(x, (x,), act.star, (grp.identity[act.star], x))
     name_of = {}
     for g in grp.arrows:
         if grp.is_identity(g.name):
@@ -813,21 +685,14 @@ def verify_prop4(act: GroupAction) -> IsoWitness:
     selfdual = right_action_selfdual(fbar, witness, concrete=concrete)
 
     by_key = {k: ident for ident, k in selfdual.arrow_keys.items()}
-    obj_map = {x: pair_id(act.star, x) for x in act.carrier.elements}
-    mor_map = {}
-    for ident, key in groupoid.arrow_keys.items():
-        mor_map[ident] = by_key[key]
-    forward = validate_functor(
-        "tg_to_selfdual", groupoid.cat, selfdual.cat, obj_map, mor_map
-    )
-    backward = validate_functor(
-        "selfdual_to_tg",
-        selfdual.cat,
+    return _relabelling(
+        "tg_to_selfdual",
         groupoid.cat,
-        {v: k for k, v in obj_map.items()},
-        {v: k for k, v in mor_map.items()},
+        selfdual.cat,
+        {x: pair_id(act.star, x) for x in act.carrier.elements},
+        {ident: by_key[key] for ident, key in groupoid.arrow_keys.items()},
+        back_name="selfdual_to_tg",
     )
-    return validate_witness(forward, backward)
 
 
 def _witness_via_keys(
@@ -835,17 +700,8 @@ def _witness_via_keys(
 ) -> IsoWitness:
     """Isomorphism matching two constructions by their canonical keys."""
     by_key = {k: ident for ident, k in b.arrow_keys.items()}
-    obj_map = {o: o for o in a.cat.objects}
     mor_map = {ident: by_key[key] for ident, key in a.arrow_keys.items()}
-    forward = validate_functor(name, a.cat, b.cat, obj_map, mor_map)
-    backward = validate_functor(
-        name + "_back",
-        b.cat,
-        a.cat,
-        obj_map,
-        {v: k for k, v in mor_map.items()},
-    )
-    return validate_witness(forward, backward)
+    return _relabelling(name, a.cat, b.cat, {o: o for o in a.cat.objects}, mor_map)
 
 
 def _commutes_with_projections(
@@ -888,15 +744,7 @@ def verify_main_prop(
         mor_map = {a.name: by_key[(a.name,)] for a in c.arrows if (a.name,) in by_key}
         for x in c.objects:
             mor_map[c.identity[x]] = built.cat.identity[obj_map[x]]
-        forward = validate_functor(name, c, built.cat, obj_map, mor_map)
-        backward = validate_functor(
-            name + "_back",
-            built.cat,
-            c,
-            {v: k for k, v in obj_map.items()},
-            {v: k for k, v in mor_map.items()},
-        )
-        return validate_witness(forward, backward)
+        return _relabelling(name, c, built.cat, obj_map, mor_map)
 
     for claim, built in (("base~graph", graph), ("base~left-action", left)):
         try:
@@ -909,11 +757,11 @@ def verify_main_prop(
         except ValidationError as exc:
             report.add(claim, False, str(exc))
 
+    fbar = None
     if self_dual is not None:
         try:
             fbar = contravariant_via_witness(fun, self_dual)
-            sd = right_action_selfdual(fbar, self_dual)
-            w = projection_witness(sd, "base~selfdual-right")
+            projection_witness(right_action_selfdual(fbar, self_dual), "base~selfdual-right")
             report.add("base~selfdual-right", True, "witness validated")
         except ValidationError as exc:
             report.add("base~selfdual-right", False, str(exc))
@@ -923,8 +771,7 @@ def verify_main_prop(
         cleft = concrete_left_action(fun, concrete)
         cright = concrete_right_action(fun, concrete)
         trio = [("cgraph~cleft", cgraph, cleft)]
-        if self_dual is not None:
-            fbar = contravariant_via_witness(fun, self_dual)
+        if fbar is not None:
             csd = right_action_selfdual(fbar, self_dual, concrete=concrete)
             trio.append(("cgraph~selfdual", cgraph, csd))
             trio.append(("cleft~selfdual", cleft, csd))

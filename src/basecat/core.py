@@ -245,6 +245,9 @@ def validate_category(
             if table[(h.name, gf)] != table[(table[(h.name, g)], f)]:
                 raise AssociativityViolation(h.name, g, f)
 
+    # Checked last, so that input breaking a law still reports that law.
+    if len(identity) > len(objects):
+        raise UnknownObject(next(o for o in identity if o not in seen_obj))
     return FinCat(name, objects, all_arrows, identity, table)
 
 
@@ -273,7 +276,7 @@ def validate_functor(
     """Check the three functor laws exhaustively.
 
     Images of identity morphisms may be omitted; they are completed from
-    the object map.
+    the object map. Keys that name nothing in the source are rejected.
     """
     obj_map = dict(obj_map)
     mor_map = dict(mor_map)
@@ -305,6 +308,11 @@ def validate_functor(
         if target.compose[(mor_map[g], mor_map[f])] != mor_map[h]:
             raise CompositionNotPreserved(g, f)
 
+    # Checked last, so that input breaking a law still reports that law.
+    if len(obj_map) > len(source.objects):
+        raise UnknownObject(next(x for x in obj_map if x not in source.objects))
+    if len(mor_map) > len(source.arrows):
+        raise UnknownMorphism(next(m for m in mor_map if not source.has_arrow(m)))
     return FinFunctor(name, source, target, obj_map, mor_map)
 
 
@@ -356,21 +364,32 @@ def validate_witness(forward: FinFunctor, backward: FinFunctor) -> IsoWitness:
     return IsoWitness(forward, backward)
 
 
+def _opposite_presentation(cat: FinCat) -> FinCat:
+    """The opposite's fields, unvalidated; validation would change none."""
+    names = {
+        a.name: (a.name if cat.is_identity(a.name) else op_name(a.name))
+        for a in cat.arrows
+    }
+    arrows = tuple(Arrow(names[a.name], a.cod, a.dom) for a in cat.arrows)
+    identity = {o: names[m] for o, m in cat.identity.items()}
+    table = {
+        (names[f], names[g]): names[h] for (g, f), h in cat.compose.items()
+    }
+    return FinCat(op_name(cat.name), cat.objects, arrows, identity, table)
+
+
 def opposite(cat: FinCat) -> FinCat:
     """Reverse every morphism; non-identities are tagged with the op marker.
 
     Tagging twice cancels, so the operation is involutive on the nose.
     """
-    names = {
-        a.name: (a.name if cat.is_identity(a.name) else op_name(a.name))
-        for a in cat.arrows
-    }
-    arrows = [Arrow(names[a.name], a.cod, a.dom) for a in cat.arrows]
-    identity = {o: names[m] for o, m in cat.identity.items()}
-    table = {
-        (names[f], names[g]): names[h] for (g, f), h in cat.compose.items()
-    }
-    return validate_category(op_name(cat.name), cat.objects, arrows, table, identity)
+    op = _opposite_presentation(cat)
+    return validate_category(op.name, op.objects, op.arrows, op.compose, op.identity)
+
+
+def is_opposite(candidate: FinCat, cat: FinCat) -> bool:
+    """``candidate == opposite(cat)``, without validating the opposite again."""
+    return candidate == _opposite_presentation(cat)
 
 
 def op_functor(fun: FinFunctor) -> FinFunctor:

@@ -5,7 +5,9 @@ cartesian when each qualifying (g, w) factorization admits exactly one
 mediating morphism, and a functor is a fibration when a cartesian lift
 exists for every (base morphism, object above its codomain) pair. When a
 base factorization u∘w = P(g) holds for several w, each w is checked
-independently.
+independently. Each dual check (opcartesian, opfibration, split
+opcleavage) is the forward scan read in the opposite direction: one scan
+per notion takes an ``op`` flag, fixed once per call.
 
 "Vertical" means the projection sends the morphism to an identity, so
 fibres are computable sub-presentations.
@@ -59,218 +61,199 @@ class OpCleavage:
 
 
 @dataclass(frozen=True)
-class CounterexampleCartesian:
+class _Refutation:
+    """A falsy verdict, so that ``if verdict:`` reads "the property holds"."""
+
+    def __bool__(self) -> bool:
+        return False
+
+
+@dataclass(frozen=True)
+class _Factorization(_Refutation):
+    """A factorization of ``g`` through ``f`` over ``w`` whose mediating
+    morphisms number ``mediating_count`` instead of one."""
+
     f: str
     g: str
     w: str
     mediating_count: int
 
-    def __bool__(self) -> bool:
-        return False
+
+class CounterexampleCartesian(_Factorization):
+    """Why ``f`` is not cartesian."""
+
+
+class CounterexampleOpCartesian(_Factorization):
+    """Why ``f`` is not opcartesian."""
 
 
 @dataclass(frozen=True)
-class CounterexampleOpCartesian:
-    f: str
-    g: str
-    w: str
-    mediating_count: int
+class _Unlifted(_Refutation):
+    """No (op)cartesian morphism above ``u`` ends (starts) at ``obj``."""
 
-    def __bool__(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class MissingLift:
     u: str
     obj: str
 
-    def __bool__(self) -> bool:
-        return False
+
+class MissingLift(_Unlifted):
+    """No cartesian lift of ``u`` at ``obj``."""
+
+
+class MissingOpLift(_Unlifted):
+    """No opcartesian lift of ``u`` at ``obj``."""
 
 
 @dataclass(frozen=True)
-class MissingOpLift:
-    u: str
-    obj: str
-
-    def __bool__(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class SplitViolation:
+class _Detailed(_Refutation):
     detail: str
 
-    def __bool__(self) -> bool:
-        return False
+
+class SplitViolation(_Detailed):
+    """A broken identity or composition law of a cleavage."""
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    detail: str
+class Counterexample(_Detailed):
+    """A broken closure property of cartesian morphisms."""
 
-    def __bool__(self) -> bool:
-        return False
+
+def _composable(cat: FinCat, m: str, op: bool) -> list[tuple[str, str, str]]:
+    """(x, far end of x, m∘x) for every x ending where ``m`` starts, read in
+    the opposite category when ``op``: (x, cod x, x∘m) for x starting
+    where ``m`` ends."""
+    if op:
+        end = cat.cod(m)
+        return [(x.name, x.cod, cat.compose[(x.name, m)]) for x in cat.arrows if x.dom == end]
+    end = cat.dom(m)
+    return [(x.name, x.dom, cat.compose[(m, x.name)]) for x in cat.arrows if x.cod == end]
+
+
+def _cartesian_scan(p: FunctorOver, f: str, op: bool) -> bool | _Factorization:
+    """Cartesian scan of ``f``, or the opcartesian one when ``op``: the same
+    scan read in the opposite direction. Each g sharing f's codomain
+    (domain), over u∘w (w∘u) with u = P(f), needs exactly one mediating
+    morphism h over w with f∘h = g (h∘f = g)."""
+    total, over = p.total, p.proj.mor_map
+    fa = total.arrow(f)  # raises UnknownMorphism
+    ws = _composable(p.base, over[f], op)
+    hs = [(h, z, over[h], fh) for h, z, fh in _composable(total, f, op)]
+    if op:
+        outer = [(g.name, g.cod) for g in total.arrows if g.dom == fa.dom]
+    else:
+        outer = [(g.name, g.dom) for g in total.arrows if g.cod == fa.cod]
+    for g, z in outer:
+        pz, pg = p.proj.obj_map[z], over[g]
+        for w, wz, uw in ws:
+            if wz != pz or uw != pg:
+                continue
+            mediating = [h for h, hz, ph, fh in hs if hz == z and ph == w and fh == g]
+            if len(mediating) != 1:
+                found = CounterexampleOpCartesian if op else CounterexampleCartesian
+                return found(f, g, w, len(mediating))
+    return True
 
 
 def is_cartesian(p: FunctorOver, f: str) -> bool | CounterexampleCartesian:
     """Scan every (g, w) factorization through the codomain of ``f``."""
-    total, base = p.total, p.base
-    fa = total.arrow(f)  # raises UnknownMorphism
-    u = p.over(f)
-    i = base.dom(u)
-    for g in total.arrows_into(fa.cod):
-        pg = p.over(g.name)
-        pz = p.obj_over(g.dom)
-        for w in base.arrows:
-            if w.dom != pz or w.cod != i:
-                continue
-            if base.compose[(u, w.name)] != pg:
-                continue
-            mediating = [
-                h.name
-                for h in total.arrows
-                if h.dom == g.dom
-                and h.cod == fa.dom
-                and p.over(h.name) == w.name
-                and total.compose[(f, h.name)] == g.name
-            ]
-            if len(mediating) != 1:
-                return CounterexampleCartesian(f, g.name, w.name, len(mediating))
-    return True
+    return _cartesian_scan(p, f, False)
 
 
 def is_opcartesian(p: FunctorOver, f: str) -> bool | CounterexampleOpCartesian:
     """Exact dual: factorizations h∘f = g over w with w∘u = P(g)."""
-    total, base = p.total, p.base
-    fa = total.arrow(f)
-    u = p.over(f)
-    j = base.cod(u)
-    for g in total.arrows_from(fa.dom):
-        pg = p.over(g.name)
-        pz = p.obj_over(g.cod)
-        for w in base.arrows:
-            if w.dom != j or w.cod != pz:
+    return _cartesian_scan(p, f, True)
+
+
+def _lift_scan(p: FunctorOver, op: bool) -> Cleavage | OpCleavage | _Unlifted:
+    """A cartesian lift of every base morphism at every object above its
+    codomain, or an opcartesian one at every object above its domain when
+    ``op``; the first lift in presentation order wins."""
+    total, over = p.total, p.proj.mor_map
+    ends = [(u.name, u.dom if op else u.cod) for u in p.base.arrows]
+    near = total.arrows_from if op else total.arrows_into
+    lifts: dict[tuple[str, str], str] = {}
+    for y in total.objects:
+        over_y, candidates = p.obj_over(y), near(y)
+        for u, end in ends:
+            if end != over_y:
                 continue
-            if base.compose[(w.name, u)] != pg:
-                continue
-            mediating = [
-                h.name
-                for h in total.arrows
-                if h.dom == fa.cod
-                and h.cod == g.cod
-                and p.over(h.name) == w.name
-                and total.compose[(h.name, f)] == g.name
-            ]
-            if len(mediating) != 1:
-                return CounterexampleOpCartesian(f, g.name, w.name, len(mediating))
-    return True
+            for cand in candidates:
+                if over[cand.name] == u and _cartesian_scan(p, cand.name, op) is True:
+                    lifts[(u, y)] = cand.name
+                    break
+            else:
+                return (MissingOpLift if op else MissingLift)(u, y)
+    return (OpCleavage if op else Cleavage)(lifts)
 
 
 def check_fibration(p: FunctorOver) -> Cleavage | MissingLift:
     """Find a cartesian lift for every base morphism at every object above
     its codomain; the first lift in presentation order wins."""
-    lifts: dict[tuple[str, str], str] = {}
-    for y in p.total.objects:
-        target = p.obj_over(y)
-        for u in p.base.arrows:
-            if u.cod != target:
-                continue
-            found = None
-            for cand in p.total.arrows_into(y):
-                if p.over(cand.name) != u.name:
-                    continue
-                if is_cartesian(p, cand.name) is True:
-                    found = cand.name
-                    break
-            if found is None:
-                return MissingLift(u.name, y)
-            lifts[(u.name, y)] = found
-    return Cleavage(lifts)
+    return _lift_scan(p, False)
 
 
 def check_opfibration(p: FunctorOver) -> OpCleavage | MissingOpLift:
-    lifts: dict[tuple[str, str], str] = {}
-    for x in p.total.objects:
-        source = p.obj_over(x)
-        for u in p.base.arrows:
-            if u.dom != source:
+    """Find an opcartesian lift for every base morphism at every object
+    above its domain; the first lift in presentation order wins."""
+    return _lift_scan(p, True)
+
+
+def _split_scan(p: FunctorOver, lift: dict[tuple[str, str], str], op: bool) -> bool | SplitViolation:
+    """Identity and composition laws of a cleavage, on the nose; of an
+    opcleavage when ``op``, where each pair is lifted from the domain."""
+    total, base = p.total, p.base
+    kind = "op-lift" if op else "lift"
+    for y in total.objects:
+        key = (base.identity[p.obj_over(y)], y)
+        if key not in lift:
+            return SplitViolation(f"no {kind} of the identity at {y!r}")
+        if lift[key] != total.identity[y]:
+            return SplitViolation(f"{kind} of the identity at {y!r} is {lift[key]!r}")
+    for (g, f), gf in base.compose.items():
+        if base.is_identity(g) or base.is_identity(f):
+            continue
+        # lift ``first`` at z, then ``second`` at the far end of that lift
+        first, second, end = (f, g, base.dom(f)) if op else (g, f, base.cod(g))
+        for z in total.objects:
+            if p.obj_over(z) != end:
                 continue
-            found = None
-            for cand in p.total.arrows_from(x):
-                if p.over(cand.name) != u.name:
-                    continue
-                if is_opcartesian(p, cand.name) is True:
-                    found = cand.name
-                    break
-            if found is None:
-                return MissingOpLift(u.name, x)
-            lifts[(u.name, x)] = found
-    return OpCleavage(lifts)
+            near = lift.get((first, z))
+            if near is None:
+                return SplitViolation(f"no {kind} of {first!r} at {z!r}")
+            mid = total.cod(near) if op else total.dom(near)
+            far = lift.get((second, mid))
+            if far is None:
+                return SplitViolation(f"no {kind} of {second!r} at {mid!r}")
+            direct = lift.get((gf, z))
+            if direct is None:
+                return SplitViolation(f"no {kind} of {gf!r} at {z!r}")
+            if total.compose[(far, near) if op else (near, far)] != direct:
+                return SplitViolation(
+                    f"{kind}s of ({g!r}, {f!r}) at {z!r} do not compose to the {kind} of {gf!r}"
+                )
+    return True
 
 
 def check_split(p: FunctorOver, c: Cleavage) -> bool | SplitViolation:
     """Identity and composition conditions for a cleavage, on the nose."""
-    total, base = p.total, p.base
-    for y in total.objects:
-        key = (base.identity[p.obj_over(y)], y)
-        if key not in c.lift:
-            return SplitViolation(f"no lift of the identity at {y!r}")
-        if c.lift[key] != total.identity[y]:
-            return SplitViolation(f"lift of the identity at {y!r} is {c.lift[key]!r}")
-    for (g, f), gf in base.compose.items():
-        if base.is_identity(g) or base.is_identity(f):
-            continue
-        for z in total.objects:
-            if p.obj_over(z) != base.cod(g):
-                continue
-            top = c.lift.get((g, z))
-            if top is None:
-                return SplitViolation(f"no lift of {g!r} at {z!r}")
-            mid = total.dom(top)
-            lower = c.lift.get((f, mid))
-            if lower is None:
-                return SplitViolation(f"no lift of {f!r} at {mid!r}")
-            direct = c.lift.get((gf, z))
-            if direct is None:
-                return SplitViolation(f"no lift of {gf!r} at {z!r}")
-            if total.compose[(top, lower)] != direct:
-                return SplitViolation(
-                    f"lifts of ({g!r}, {f!r}) at {z!r} do not compose to the lift of {gf!r}"
-                )
-    return True
+    return _split_scan(p, c.lift, False)
 
 
 def check_split_op(p: FunctorOver, k: OpCleavage) -> bool | SplitViolation:
-    total, base = p.total, p.base
-    for x in total.objects:
-        key = (base.identity[p.obj_over(x)], x)
-        if key not in k.lift:
-            return SplitViolation(f"no op-lift of the identity at {x!r}")
-        if k.lift[key] != total.identity[x]:
-            return SplitViolation(f"op-lift of the identity at {x!r} is {k.lift[key]!r}")
-    for (g, f), gf in base.compose.items():
-        if base.is_identity(g) or base.is_identity(f):
-            continue
-        for x in total.objects:
-            if p.obj_over(x) != base.dom(f):
-                continue
-            lower = k.lift.get((f, x))
-            if lower is None:
-                return SplitViolation(f"no op-lift of {f!r} at {x!r}")
-            mid = total.cod(lower)
-            top = k.lift.get((g, mid))
-            if top is None:
-                return SplitViolation(f"no op-lift of {g!r} at {mid!r}")
-            direct = k.lift.get((gf, x))
-            if direct is None:
-                return SplitViolation(f"no op-lift of {gf!r} at {x!r}")
-            if total.compose[(top, lower)] != direct:
-                return SplitViolation(
-                    f"op-lifts of ({g!r}, {f!r}) at {x!r} do not compose to the op-lift of {gf!r}"
-                )
-    return True
+    """Identity and composition conditions for an opcleavage, on the nose."""
+    return _split_scan(p, k.lift, True)
+
+
+def _vertical_factors(p: FunctorOver, top: str, outer: str) -> list[str]:
+    """Every vertical h with top∘h = outer."""
+    total = p.total
+    src, tgt = total.dom(outer), total.dom(top)
+    return [
+        h.name
+        for h in total.arrows
+        if h.dom == src
+        and h.cod == tgt
+        and p.is_vertical(h.name)
+        and total.compose[(top, h.name)] == outer
+    ]
 
 
 def factor_vertical_cartesian(
@@ -284,15 +267,7 @@ def factor_vertical_cartesian(
     if key not in c.lift:
         raise NoLiftInCleavage(u, ga.cod)
     f = c.lift[key]
-    fa = total.arrow(f)
-    candidates = [
-        h.name
-        for h in total.arrows
-        if h.dom == ga.dom
-        and h.cod == fa.dom
-        and p.is_vertical(h.name)
-        and total.compose[(f, h.name)] == g
-    ]
+    candidates = _vertical_factors(p, f, g)
     if len(candidates) != 1:
         raise NotSplit(
             f"{len(candidates)} vertical factorizations of {g!r} through {f!r}"
@@ -384,29 +359,18 @@ def recover_indexed(
             continue
         src = fibre[u.cod]
         tgt = fibre[u.dom]
-        obj_map = {}
-        dom_of_lift = {}
-        for y in total.objects:
-            if p.obj_over(y) != u.cod:
-                continue
-            lift = c.lift[(u.name, y)]
-            dom_of_lift[y] = total.dom(lift)
-            obj_map[rl_obj(y)] = rl_obj(dom_of_lift[y])
+        obj_map = {
+            rl_obj(y): rl_obj(total.dom(c.lift[(u.name, y)]))
+            for y in total.objects
+            if p.obj_over(y) == u.cod
+        }
         mor_map = {}
         for a in total.arrows:
             if p.over(a.name) != base.identity[u.cod]:
                 continue
             top = c.lift[(u.name, a.cod)]
             bottom = c.lift[(u.name, a.dom)]
-            outer = total.compose[(a.name, bottom)]
-            carried = [
-                h.name
-                for h in total.arrows
-                if h.dom == dom_of_lift[a.dom]
-                and h.cod == dom_of_lift[a.cod]
-                and p.is_vertical(h.name)
-                and total.compose[(top, h.name)] == outer
-            ]
+            carried = _vertical_factors(p, top, total.compose[(a.name, bottom)])
             if len(carried) != 1:
                 raise NotSplit(
                     f"vertical transport of {a.name!r} along {u.name!r} is not unique"

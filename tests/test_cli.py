@@ -271,6 +271,21 @@ class TestBudget:
         code, _ = run(capsys, "check", "iso", str(path), "K4", "K4b")
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["abc", "-5", "0"])
+    def test_bad_budget_flag_is_a_usage_error(self, capsys, value):
+        assert main(["verify", "prop2", "--budget", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --budget must be a positive integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "0"])
+    def test_bad_budget_variable_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BASECAT_BUDGET", value)
+        assert main(["verify", "prop2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: BASECAT_BUDGET must be a positive integer, got {value!r}\n"
+
 
 class TestExport:
     def test_export_to_stdout_is_pure_dot(self, capsys):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import basecat as bc
 from basecat import errors
-from basecat.corpus import group_category
+from basecat.corpus import build_corpus, group_category
+from basecat.dot import export_dot
+from basecat.dsl import decl_of_category, format_declaration
 from basecat.report import PASS, SKIP
 from basecat.sets import FinFn, FinSetObj
 
@@ -432,3 +436,71 @@ class TestMainProp:
         built = bc.concrete_graph_category(id_two, walking_concrete)
         assert len(built.cat.objects) == 3
         assert len(built.cat.arrows) == 5
+
+
+def _every_construction(corpus):
+    """Each construction the package offers, over one corpus."""
+    for fun in corpus.functors:
+        yield bc.graph_category(fun)
+        yield bc.abstract_left_action(fun)
+        yield bc.abstract_right_action(fun)
+        witness = corpus.selfdual_witness(fun.source)
+        if witness is not None:
+            fbar = bc.contravariant_via_witness(fun, witness)
+            yield bc.right_action_selfdual(fbar, witness)
+    for fun, concrete in corpus.concrete_pairs:
+        yield bc.concrete_graph_category(fun, concrete)
+        yield bc.concrete_left_action(fun, concrete)
+        yield bc.concrete_right_action(fun, concrete)
+        witness = corpus.selfdual_witness(fun.source)
+        if witness is not None:
+            fbar = bc.contravariant_via_witness(fun, witness)
+            yield bc.right_action_selfdual(fbar, witness, concrete=concrete)
+    for act in corpus.actions:
+        yield bc.transformation_groupoid(act)
+    for fam in corpus.families:
+        yield bc.grothendieck_strict(fam)
+
+
+def _fingerprint(built) -> str:
+    """Every observable field of a construction, in presentation order."""
+    cat, proj = built.cat, built.projection
+    lifts = [None if c is None else list(c.lift.items()) for c in (built.cleavage, built.opcleavage)]
+    return repr(
+        (
+            cat.name,
+            cat.objects,
+            cat.arrows,
+            list(cat.identity.items()),
+            list(cat.compose.items()),
+            proj.name,
+            list(proj.obj_map.items()),
+            list(proj.mor_map.items()),
+            built.provenance,
+            list(built.object_labels.items()),
+            list(built.arrow_labels.items()),
+            list(built.arrow_keys.items()),
+            lifts,
+            export_dot(built, True, True),
+            format_declaration(decl_of_category(cat)),
+        )
+    )
+
+
+def test_constructions_are_pinned_byte_for_byte():
+    # Ids, arrow order, labels, keys, cleavages and printed forms of every
+    # construction over corpus seeds 0-9, hashed; any change to a builder's
+    # output changes the digest.
+    digest = hashlib.sha256()
+    builds = tiebroken = selfdual_concrete = 0
+    for seed in range(10):
+        for built in _every_construction(build_corpus(seed=seed)):
+            digest.update(_fingerprint(built).encode())
+            builds += 1
+            tiebroken += sum("@" in a.name for a in built.cat.arrows)
+            selfdual_concrete += built.provenance == "selfdual-concrete-right-action"
+    assert tiebroken > 0 and selfdual_concrete > 0
+    assert (builds, digest.hexdigest()) == (
+        2013,
+        "96d14b70948ef4e0586bf1abbaaaacb80ebba213a00a31d929098c237d1fc78d",
+    )

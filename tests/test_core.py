@@ -94,6 +94,17 @@ class TestValidateCategory:
             )
         assert (exc.value.g, exc.value.f) == ("g", "f")
 
+    def test_identity_entry_for_an_unknown_object(self):
+        # A stray entry would make "f" an identity, and every construction
+        # would silently skip it.
+        with pytest.raises(errors.UnknownObject) as exc:
+            bc.validate_category(
+                "Ghostly", ["X"], [("i", "X", "X"), ("f", "X", "X")],
+                {("i", "i"): "i", ("f", "f"): "f", ("i", "f"): "f", ("f", "i"): "f"},
+                {"X": "i", "Ghost": "f"},
+            )
+        assert exc.value.ident == "Ghost"
+
 
 class TestOpposite:
     def test_walking_arrow_reverses(self, two):
@@ -228,6 +239,12 @@ class TestFunctors:
     def test_unmapped_morphism(self, two):
         with pytest.raises(errors.UnmappedMorphism):
             bc.validate_functor("bad", two, two, {"X": "X", "Y": "Y"}, {})
+
+    def test_stray_map_keys_are_rejected(self, two):
+        with pytest.raises(errors.UnknownObject):
+            bc.validate_functor("bad", two, two, {"X": "X", "Y": "Y", "Z": "X"}, {"f": "f"})
+        with pytest.raises(errors.UnknownMorphism):
+            bc.validate_functor("bad", two, two, {"X": "X", "Y": "Y"}, {"f": "f", "g": "f"})
 
     def test_compose_functors_identity_laws(self, two, z2):
         fun = bc.validate_functor(

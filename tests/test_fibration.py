@@ -6,7 +6,7 @@ import pytest
 
 import basecat as bc
 from basecat import errors
-from basecat.corpus import group_category
+from basecat.corpus import build_corpus, group_category
 from basecat.fibration import (
     Cleavage,
     CounterexampleCartesian,
@@ -251,3 +251,57 @@ class TestRecover:
         edited[("s", "(*,*)")] = "(s,q1)"
         with pytest.raises(errors.NotSplit):
             bc.recover_indexed(over, Cleavage(edited))
+
+
+def _corpus_projections(seed: int):
+    corpus = build_corpus(seed=seed)
+    for fun in corpus.functors:
+        yield bc.graph_category(fun)
+    for fun, concrete in corpus.concrete_pairs:
+        yield bc.concrete_graph_category(fun, concrete)
+    for fam in corpus.families:
+        yield bc.grothendieck_strict(fam)
+    for act in corpus.actions:
+        yield bc.transformation_groupoid(act)
+
+
+def tag(cat, m):
+    """The name of ``m`` in the opposite of ``cat``."""
+    return m if cat.is_identity(m) else bc.op_name(m)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dual_checks_are_the_forward_checks_on_the_opposite(seed):
+    # Oracle: a morphism is opcartesian for p exactly when its op-tagged
+    # version is cartesian for the opposite projection, and the same holds
+    # for (op)fibrations, their first-found lifts and the split laws.
+    seen = set()
+    for built in _corpus_projections(seed):
+        p = built.over()
+        q = bc.FunctorOver(bc.op_functor(p.proj))
+        for a in p.total.arrows:
+            a_op = tag(p.total, a.name)
+            for dual, forward in (
+                (bc.is_opcartesian(p, a.name), bc.is_cartesian(q, a_op)),
+                (bc.is_cartesian(p, a.name), bc.is_opcartesian(q, a_op)),
+            ):
+                assert (dual is True) == (forward is True)
+                if dual is not True:
+                    seen.add("counterexample")
+                    assert (
+                        a_op, tag(p.total, dual.g), tag(p.base, dual.w), dual.mediating_count
+                    ) == (forward.f, forward.g, forward.w, forward.mediating_count)
+        for dual, forward, check_dual, check_forward in (
+            (bc.check_opfibration(p), bc.check_fibration(q), bc.check_split_op, bc.check_split),
+            (bc.check_fibration(p), bc.check_opfibration(q), bc.check_split, bc.check_split_op),
+        ):
+            assert bool(dual) == bool(forward)
+            if not dual:
+                seen.add("missing lift")
+                assert (tag(p.base, dual.u), dual.obj) == (forward.u, forward.obj)
+                continue
+            assert {
+                (tag(p.base, u), x): tag(p.total, m) for (u, x), m in dual.lift.items()
+            } == forward.lift
+            assert (check_dual(p, dual) is True) == (check_forward(q, forward) is True)
+    assert seen == {"counterexample", "missing lift"}
