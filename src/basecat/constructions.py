@@ -420,13 +420,14 @@ def grothendieck_strict(fam: IndexedFamily) -> ConstructedCategory:
         for x in fam.fibre[i].objects:
             id_of[(base.identity[i], fam.fibre[i].identity[x], x)] = identity_id(obj[(i, x)])
 
+    # second factors by (base domain, fibre domain), in presentation order
+    seconds: dict[tuple[str, str], list[tuple[str, str, str, str]]] = {}
+    for u2, v2, y2, m2 in nonidentity:
+        i2 = base.dom(u2)
+        seconds.setdefault((i2, fam.fibre[i2].dom(v2)), []).append((u2, v2, y2, m2))
     for u1, v1, y1, m1 in nonidentity:
         i1 = base.dom(u1)
-        for u2, v2, y2, m2 in nonidentity:
-            if base.cod(u1) != base.dom(u2):
-                continue
-            if y1 != fam.fibre[base.dom(u2)].dom(v2):
-                continue
+        for u2, v2, y2, m2 in seconds.get((base.cod(u1), y1), ()):
             u3 = base.compose[(u2, u1)]
             carried = fam.pull[u1].mor(v2)
             v3 = fam.fibre[i1].compose[(carried, v1)]

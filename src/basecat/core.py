@@ -113,33 +113,67 @@ class FinCat:
     def non_identity_arrows(self) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if not self.is_identity(a.name))
 
+    # Indexes are built on first use, each in presentation order, so every
+    # tuple they return equals the filter over ``arrows`` it replaces.
+
+    @cached_property
+    def _homs(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        return _group(((a.dom, a.cod), a.name) for a in self.arrows)
+
+    @cached_property
+    def _into(self) -> dict[str, tuple[Arrow, ...]]:
+        return _group((a.cod, a) for a in self.arrows)
+
+    @cached_property
+    def _from(self) -> dict[str, tuple[Arrow, ...]]:
+        return _group((a.dom, a) for a in self.arrows)
+
+    @cached_property
+    def after(self) -> dict[str, dict[str, str]]:
+        """Composition rows: ``after[g][f]`` is ``g`` after ``f``."""
+        return _rows(self.arrows, self.compose)
+
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrows if a.dom == x and a.cod == y)
+        return self._homs.get((x, y), ())
 
     def compose2(self, g: str, f: str) -> str:
         return self.compose[(g, f)]
 
     def arrows_into(self, obj: str) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.cod == obj)
+        return self._into.get(obj, ())
 
     def arrows_from(self, obj: str) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.dom == obj)
+        return self._from.get(obj, ())
 
     def inverse_of(self, name: str) -> str | None:
         """Two-sided inverse of a morphism, or None."""
         a = self.arrow(name)
-        for b in self.arrows:
-            if b.dom != a.cod or b.cod != a.dom:
-                continue
+        for b in self.hom(a.cod, a.dom):
             if (
-                self.compose.get((b.name, name)) == self.identity[a.dom]
-                and self.compose.get((name, b.name)) == self.identity[a.cod]
+                self.compose.get((b, name)) == self.identity[a.dom]
+                and self.compose.get((name, b)) == self.identity[a.cod]
             ):
-                return b.name
+                return b
         return None
 
     def is_groupoid(self) -> bool:
         return all(self.inverse_of(a.name) is not None for a in self.arrows)
+
+
+def _group(pairs: Iterable[tuple]) -> dict:
+    """Values grouped by key into tuples, both in first-seen order."""
+    out: dict = {}
+    for key, value in pairs:
+        out.setdefault(key, []).append(value)
+    return {key: tuple(values) for key, values in out.items()}
+
+
+def _rows(arrows: Iterable[Arrow], table: Mapping[tuple[str, str], str]) -> dict[str, dict[str, str]]:
+    """``rows[g][f]`` is ``table[(g, f)]``; every arrow has a row."""
+    rows: dict[str, dict[str, str]] = {a.name: {} for a in arrows}
+    for (g, f), h in table.items():
+        rows[g][f] = h
+    return rows
 
 
 RawArrow = Arrow | tuple[str, str, str]
@@ -175,12 +209,13 @@ def validate_category(
         seen_obj.add(o)
 
     identity = dict(identity) if identity else {}
+    declared_names = {a.name for a in declared}
     synthesised = []
     for o in objects:
         if o not in identity:
             ident = identity_id(o)
             identity[o] = ident
-            if not any(a.name == ident for a in declared):
+            if ident not in declared_names:
                 synthesised.append(Arrow(ident, o, o))
     all_arrows = tuple(synthesised) + tuple(declared)
 
@@ -221,12 +256,19 @@ def validate_category(
         for key, val in forced:
             table.setdefault(key, val)
 
+    # Composable pairs and triples are walked through per-object lists and
+    # per-arrow rows, in presentation order, so the first violation found
+    # is the one a scan over all pairs and triples would find.
+    # Every object has its identity, so every object has both lists.
+    into = _group((a.cod, a.name) for a in all_arrows)
+    outof = _group((a.dom, a.name) for a in all_arrows)
+    rows = _rows(all_arrows, table)
+
     for g in all_arrows:
-        for f in all_arrows:
-            if f.cod != g.dom:
-                continue
-            if (g.name, f.name) not in table:
-                raise MissingComposite(g.name, f.name)
+        row = rows[g.name]
+        for f in into[g.dom]:
+            if f not in row:
+                raise MissingComposite(g.name, f)
 
     for (g, f), h in table.items():
         if by_name[h].dom != by_name[f].dom or by_name[h].cod != by_name[g].cod:
@@ -239,11 +281,10 @@ def validate_category(
             raise UnitLawViolation(a.name)
 
     for (g, f), gf in table.items():
-        for h in all_arrows:
-            if h.dom != by_name[g].cod:
-                continue
-            if table[(h.name, gf)] != table[(table[(h.name, g)], f)]:
-                raise AssociativityViolation(h.name, g, f)
+        for h in outof[by_name[g].cod]:
+            row = rows[h]
+            if row[gf] != rows[row[g]][f]:
+                raise AssociativityViolation(h, g, f)
 
     # Checked last, so that input breaking a law still reports that law.
     if len(identity) > len(objects):
@@ -481,7 +522,9 @@ def normalize(cat: FinCat, name: str | None = None) -> FinCat:
     """Canonical presentation: op markers erased, everything sorted by id.
 
     Two constructions agree "on the nose" exactly when their normalized
-    presentations print identically.
+    presentations print identically. A bijective relabelling of a valid
+    category is valid, so once the relabelling is known to be injective the
+    copy is built without validating it again.
     """
     obj_names = {o: strip_op_marks(o) for o in cat.objects}
     mor_names = {a.name: strip_op_marks(a.name) for a in cat.arrows}
@@ -489,16 +532,16 @@ def normalize(cat: FinCat, name: str | None = None) -> FinCat:
         raise DuplicateId("object ids collide after erasing op markers")
     if len(set(mor_names.values())) != len(mor_names):
         raise DuplicateId("morphism ids collide after erasing op markers")
-    objects = sorted(obj_names[o] for o in cat.objects)
-    arrows = sorted(
+    objects = tuple(sorted(obj_names[o] for o in cat.objects))
+    arrows = tuple(sorted(
         (Arrow(mor_names[a.name], obj_names[a.dom], obj_names[a.cod]) for a in cat.arrows),
         key=lambda a: a.name,
-    )
+    ))
     identity = {obj_names[o]: mor_names[m] for o, m in cat.identity.items()}
     table = {
         (mor_names[g], mor_names[f]): mor_names[h] for (g, f), h in cat.compose.items()
     }
-    return validate_category(name if name is not None else cat.name, objects, arrows, table, identity)
+    return FinCat(name if name is not None else cat.name, objects, arrows, identity, table)
 
 
 def same_presentation(a: FinCat, b: FinCat) -> bool:

@@ -121,10 +121,8 @@ def _composable(cat: FinCat, m: str, op: bool) -> list[tuple[str, str, str]]:
     the opposite category when ``op``: (x, cod x, x∘m) for x starting
     where ``m`` ends."""
     if op:
-        end = cat.cod(m)
-        return [(x.name, x.cod, cat.compose[(x.name, m)]) for x in cat.arrows if x.dom == end]
-    end = cat.dom(m)
-    return [(x.name, x.dom, cat.compose[(m, x.name)]) for x in cat.arrows if x.cod == end]
+        return [(x.name, x.cod, cat.compose[(x.name, m)]) for x in cat.arrows_from(cat.cod(m))]
+    return [(x.name, x.dom, cat.compose[(m, x.name)]) for x in cat.arrows_into(cat.dom(m))]
 
 
 def _cartesian_scan(p: FunctorOver, f: str, op: bool) -> bool | _Factorization:
@@ -137,9 +135,9 @@ def _cartesian_scan(p: FunctorOver, f: str, op: bool) -> bool | _Factorization:
     ws = _composable(p.base, over[f], op)
     hs = [(h, z, over[h], fh) for h, z, fh in _composable(total, f, op)]
     if op:
-        outer = [(g.name, g.cod) for g in total.arrows if g.dom == fa.dom]
+        outer = [(g.name, g.cod) for g in total.arrows_from(fa.dom)]
     else:
-        outer = [(g.name, g.dom) for g in total.arrows if g.cod == fa.cod]
+        outer = [(g.name, g.dom) for g in total.arrows_into(fa.cod)]
     for g, z in outer:
         pz, pg = p.proj.obj_map[z], over[g]
         for w, wz, uw in ws:
@@ -245,14 +243,10 @@ def check_split_op(p: FunctorOver, k: OpCleavage) -> bool | SplitViolation:
 def _vertical_factors(p: FunctorOver, top: str, outer: str) -> list[str]:
     """Every vertical h with top∘h = outer."""
     total = p.total
-    src, tgt = total.dom(outer), total.dom(top)
     return [
-        h.name
-        for h in total.arrows
-        if h.dom == src
-        and h.cod == tgt
-        and p.is_vertical(h.name)
-        and total.compose[(top, h.name)] == outer
+        h
+        for h in total.hom(total.dom(outer), total.dom(top))
+        if p.is_vertical(h) and total.compose[(top, h)] == outer
     ]
 
 

@@ -119,14 +119,16 @@ class _Search:
 
     def consistent(self, new: str, assign: dict[str, str]) -> bool:
         # Check every composite whose factors are both assigned already.
-        c, d = self.c, self.d
-        for other in assign:
-            for g, f in ((new, other), (other, new)):
-                h = c.compose.get((g, f))
-                if h is None or h not in assign:
-                    continue
-                if d.compose[(assign[g], assign[f])] != assign[h]:
-                    return False
+        c_after, d_after = self.c.after, self.d.after
+        new_row, new_img = c_after[new], assign[new]
+        d_new_row = d_after[new_img]
+        for other, img in assign.items():
+            h = new_row.get(other)
+            if h is not None and h in assign and d_new_row[img] != assign[h]:
+                return False
+            h = c_after[other].get(new)
+            if h is not None and h in assign and d_after[img][new_img] != assign[h]:
+                return False
         return True
 
 

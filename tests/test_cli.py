@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import basecat
 
 from basecat.cli import main
 from basecat.corpus import fixtures_dir
@@ -218,6 +226,16 @@ class TestVerify:
         _, second = run(capsys, "--format", "machine", "verify", "prop4", "--seed", "3")
         assert first == second
 
+    def test_verify_all_machine_report_is_pinned(self, capsys):
+        # The byte-identity gate: any change to a claim id, verdict or
+        # detail of the seed-7 run changes the digest.
+        code, out = run(capsys, "--format", "machine", "verify", "all", "--seed", "7")
+        assert code == 0
+        assert (len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest()) == (
+            575,
+            "de97bdd7f8c716114b7b6065a77149714b604db061474a89b09ce74964995094",
+        )
+
     def test_verify_all_passes_within_a_minute(self, capsys):
         import time
 
@@ -310,3 +328,15 @@ class TestExport:
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv, expected", [(["verify", "prop2"], 0), (["frobnicate"], 2)])
+    def test_python_dash_m_runs_the_cli(self, argv, expected):
+        src = str(Path(basecat.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "basecat", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == expected, done.stderr

@@ -1,0 +1,223 @@
+"""Indexed fast paths against the whole-category scans they replace.
+
+Each test runs the indexed code and a brute-force oracle from ``conftest``
+on the same input and requires identical results: the same tuples in the
+same order, the same first error with the same ids, the same search
+verdicts and node counts.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import basecat as bc
+from basecat import iso
+from basecat.corpus import build_corpus
+from basecat.errors import ValidationError
+
+from conftest import (
+    oracle_arrows_from,
+    oracle_arrows_into,
+    oracle_consistent,
+    oracle_hom,
+    oracle_inverse_of,
+    oracle_is_groupoid,
+    oracle_validate_category,
+)
+
+
+def cyclic(n: int, name: str = "", tag: str = "r", order: int = 1) -> bc.FinCat:
+    """Z_n on one object; ``order`` permutes the declaration order."""
+    def m(k: int) -> str:
+        return "id_*" if k % n == 0 else f"{tag}{k % n}"
+
+    ks = sorted(range(1, n), key=lambda k: (k * order) % n)
+    table = {(m(i), m(j)): m(i + j) for i in ks for j in ks}
+    return bc.validate_category(name or f"Z{n}{tag}", ["*"], [(m(k), "*", "*") for k in ks], table)
+
+
+def chain(n: int) -> bc.FinCat:
+    objects = [f"o{i}" for i in range(n)]
+    arrows = [(f"e{i}_{j}", f"o{i}", f"o{j}") for i in range(n) for j in range(i + 1, n)]
+    table = {
+        (f"e{j}_{k}", f"e{i}_{j}"): f"e{i}_{k}"
+        for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+    }
+    return bc.validate_category(f"chain{n}", objects, arrows, table)
+
+
+def codiscrete(n: int) -> bc.FinCat:
+    """The groupoid with exactly one arrow between any two of n objects."""
+    objects = [f"p{i}" for i in range(n)]
+    def m(i: int, j: int) -> str:
+        return f"id_p{i}" if i == j else f"t{i}_{j}"
+    arrows = [(m(i, j), f"p{i}", f"p{j}") for i in range(n) for j in range(n) if i != j]
+    table = {(m(j, k), m(i, j)): m(i, k) for i in range(n) for j in range(n) for k in range(n)}
+    return bc.validate_category(f"codisc{n}", objects, arrows, table)
+
+
+def ladder_presentations() -> list[bc.FinCat]:
+    z4xcod3, _, _ = bc.product_category(cyclic(4), codiscrete(3))
+    return [cyclic(8), cyclic(12, order=5), chain(6), codiscrete(4), z4xcod3]
+
+
+def corpus_categories(seed: int) -> list[bc.FinCat]:
+    """Every category a corpus holds, each once."""
+    corpus = build_corpus(seed=seed)
+    found = list(corpus.env.categories.values())
+    for fun in corpus.functors:
+        found += [fun.source, fun.target]
+    for fun, concrete in corpus.concrete_pairs:
+        found += [fun.source, concrete.over]
+    found += [act.group for act in corpus.actions]
+    for fam in corpus.families:
+        found += [fam.base, *fam.fibre.values()]
+    unique = {id(cat): cat for cat in found}
+    return list(unique.values())
+
+
+@pytest.fixture(scope="module")
+def corpus_cats() -> list[bc.FinCat]:
+    cats = []
+    for seed in range(10):
+        cats += corpus_categories(seed)
+    return cats
+
+
+def check_indexes(cat: bc.FinCat) -> None:
+    for x in cat.objects:
+        assert cat.arrows_into(x) == oracle_arrows_into(cat, x)
+        assert cat.arrows_from(x) == oracle_arrows_from(cat, x)
+        for y in cat.objects:
+            assert cat.hom(x, y) == oracle_hom(cat, x, y)
+    assert cat.hom("nowhere", cat.objects[0]) == () == cat.arrows_into("nowhere")
+    for a in cat.arrows:
+        assert cat.inverse_of(a.name) == oracle_inverse_of(cat, a.name)
+        assert cat.after[a.name] == {f: h for (g, f), h in cat.compose.items() if g == a.name}
+    assert cat.is_groupoid() == oracle_is_groupoid(cat)
+
+
+def test_indexes_match_raw_filters_on_the_corpus(corpus_cats):
+    assert len(corpus_cats) > 300
+    groupoids = 0
+    for cat in corpus_cats:
+        check_indexes(cat)
+        check_indexes(bc.opposite(cat))
+        groupoids += cat.is_groupoid()
+    assert 0 < groupoids < len(corpus_cats)
+
+
+def test_indexes_match_raw_filters_on_larger_presentations():
+    for cat in ladder_presentations():
+        check_indexes(cat)
+        check_indexes(bc.opposite(cat))
+
+
+def outcome(validate, cat: bc.FinCat, arrows, table):
+    try:
+        return validate(cat.name, cat.objects, arrows, table, cat.identity)
+    except ValidationError as exc:
+        return exc
+
+
+def corruptions(cat: bc.FinCat, rng: random.Random):
+    """Tables with one composite dropped, one row of composites dropped,
+    one composite redirected or one unit row broken."""
+    names = [a.name for a in cat.arrows]
+    entries = list(cat.compose.items())
+    for g in names:
+        if not cat.is_identity(g):
+            yield {(h, f): gf for (h, f), gf in entries if h != g or cat.is_identity(f)}
+    for k, ((g, f), h) in enumerate(entries):
+        if not (cat.is_identity(g) or cat.is_identity(f)):
+            yield dict(entries[:k] + entries[k + 1:])
+        same_hom = [m for m in cat.hom(cat.dom(h), cat.cod(h)) if m != h]
+        for target in same_hom[:2] + [rng.choice(names)]:
+            if target != h:
+                yield {**cat.compose, (g, f): target}
+    for a in cat.arrows:
+        for key in ((cat.identity[a.cod], a.name), (a.name, cat.identity[a.dom])):
+            others = [m for m in cat.hom(a.dom, a.cod) if m != a.name] or names
+            yield {**cat.compose, key: rng.choice(others)}
+
+
+def check_validator(cat: bc.FinCat, rng: random.Random) -> dict[str, int]:
+    """Both validators on the valid table and each corruption, with arrows
+    and table in presentation and in reverse order."""
+    seen: dict[str, int] = {}
+    forward = list(cat.arrows)
+    for table in [dict(cat.compose), *corruptions(cat, rng)]:
+        for arrows, tab in ((forward, table), (forward[::-1], dict(reversed(table.items())))):
+            got = outcome(bc.validate_category, cat, arrows, tab)
+            want = outcome(oracle_validate_category, cat, arrows, tab)
+            assert type(got) is type(want) and got == want, (cat.name, got, want)
+            seen[type(got).__name__] = seen.get(type(got).__name__, 0) + 1
+    return seen
+
+
+def test_validator_reports_the_oracles_first_error(corpus_cats):
+    rng = random.Random(0)
+    seen: dict[str, int] = {}
+    for cat in corpus_cats[::3] + ladder_presentations()[:4]:
+        for name, count in check_validator(cat, rng).items():
+            seen[name] = seen.get(name, 0) + count
+    for kind in ("FinCat", "MissingComposite", "DomCodMismatch", "UnitLawViolation", "AssociativityViolation"):
+        assert seen.get(kind, 0) > 0, seen
+
+
+def search(c: bc.FinCat, d: bc.FinCat, budget: int, consistent=None):
+    """The verdict of ``find_isomorphism`` and its search's node count,
+    optionally with another ``consistent``."""
+    searches = []
+
+    class Recorded(iso._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    if consistent is not None:
+        Recorded.consistent = consistent
+    saved = iso._Search
+    iso._Search = Recorded
+    try:
+        verdict = bc.find_isomorphism(c, d, budget)
+    finally:
+        iso._Search = saved
+    return verdict, (searches[0].nodes if searches else None)
+
+
+indexed_consistent = iso._Search.consistent
+
+
+def cross_checked(self, new, assign):
+    got = indexed_consistent(self, new, assign)
+    assert got == oracle_consistent(self, new, assign)
+    return got
+
+
+def summary(verdict) -> tuple:
+    if isinstance(verdict, bc.IsoWitness):
+        return ("witness", verdict.forward.obj_map, verdict.forward.mor_map)
+    return (type(verdict).__name__, verdict)
+
+
+@pytest.mark.parametrize(
+    "c, d, budget",
+    [
+        pytest.param(cyclic(n), cyclic(n, tag="s", order=order), 100_000, id=f"Z{n}~relabelled")
+        for n, order in ((5, 2), (7, 3), (8, 3), (9, 2))
+    ]
+    + [
+        pytest.param(cyclic(2 * n), bc.product_category(cyclic(2), cyclic(n, tag="s"))[0], 3_000,
+                     id=f"Z{2 * n}~Z2xZ{n}")
+        for n in (2, 3, 4, 5, 6)
+    ],
+)
+def test_consistent_matches_the_compose_lookup(c, d, budget):
+    new_verdict, new_nodes = search(c, d, budget)
+    old_verdict, old_nodes = search(c, d, budget, consistent=oracle_consistent)
+    both_verdict, both_nodes = search(c, d, budget, consistent=cross_checked)
+    assert summary(new_verdict) == summary(old_verdict) == summary(both_verdict)
+    assert new_nodes == old_nodes == both_nodes
