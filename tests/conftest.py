@@ -7,6 +7,8 @@ paths they are used to check.
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Mapping, Sequence
 
@@ -16,11 +18,18 @@ import basecat as bc
 from basecat.core import Arrow, FinCat, RawArrow, _as_arrows, identity_id
 from basecat.corpus import build_corpus, fixtures_dir, group_category
 from basecat.dsl import elaborate, parse
+from basecat.fibration import (
+    CounterexampleCartesian,
+    CounterexampleOpCartesian,
+    FunctorOver,
+)
 from basecat.errors import (
     AssociativityViolation,
     DomCodMismatch,
     DuplicateId,
     MissingComposite,
+    ParseError,
+    SourceSpan,
     UnitLawViolation,
     UnknownMorphism,
     UnknownObject,
@@ -31,6 +40,25 @@ from basecat.errors import (
 def env():
     path = fixtures_dir() / "core.bcat"
     return elaborate(parse(path.read_text(), str(path)))
+
+
+@pytest.fixture(scope="session")
+def chunk_deletions():
+    """Every fixture with one whitespace-separated chunk deleted, each
+    parsed once: (file name, corrupted text, the ``Document`` or the
+    ``ParseError`` raised)."""
+    out = []
+    for path in sorted(fixtures_dir().glob("*.bcat")):
+        text = path.read_text()
+        for match in re.finditer(r"\S+", text):
+            start, end = match.span()
+            corrupted = text[:start] + text[end:]
+            try:
+                outcome = parse(corrupted, path.name)
+            except ParseError as exc:
+                outcome = exc
+            out.append((path.name, corrupted, outcome))
+    return out
 
 
 @pytest.fixture(scope="session")
@@ -246,4 +274,126 @@ def oracle_consistent(search, new: str, assign: dict[str, str]) -> bool:
                 continue
             if d.compose[(assign[g], assign[f])] != assign[h]:
                 return False
+    return True
+
+
+# The character-at-a-time tokenizer of the text front-end, kept as the
+# reference for the compiled one in ``basecat.dsl``.
+
+KEYWORDS = {
+    "category", "functor", "concrete", "action", "indexed",
+    "over", "objects", "arrows", "compose", "group", "set", "phi",
+    "fibre", "pull",
+}
+
+_SIMPLE_ID = re.compile(r"[A-Za-z0-9_*']+")
+_PAIR_BODY = re.compile(r"[A-Za-z0-9_*'|,@()]+")
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # 'id', 'kw', or a literal punctuation string
+    text: str
+    span: SourceSpan
+
+
+def oracle_tokenize(text: str, filename: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+
+    def span(length: int) -> SourceSpan:
+        return SourceSpan(filename, line, col, max(1, length))
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        # Identity ids of pair-named objects look like id_(X,x): a reserved
+        # prefix glued to a balanced pair token.
+        prefix = "id_(" if text.startswith("id_(", i) else "(" if ch == "(" else None
+        if prefix is not None:
+            depth = 0
+            j = i + len(prefix) - 1
+            while j < n:
+                if text[j] == "(":
+                    depth += 1
+                elif text[j] == ")":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                elif text[j] in " \t\r\n":
+                    raise ParseError(span(j - i), "a balanced pair id", "whitespace inside '('")
+                j += 1
+            if depth != 0:
+                raise ParseError(span(n - i), "a closing ')'", "end of input")
+            body = text[i : j + 1]
+            inner = body[len(prefix) : -1]
+            if inner and not _PAIR_BODY.fullmatch(inner):
+                raise ParseError(span(len(body)), "a pair id", repr(body))
+            tokens.append(Token("id", body, span(len(body))))
+            col += len(body)
+            i = j + 1
+            continue
+        m = _SIMPLE_ID.match(text, i)
+        if m:
+            word = m.group(0)
+            kind = "kw" if word in KEYWORDS else "id"
+            tokens.append(Token(kind, word, span(len(word))))
+            i = m.end()
+            col += len(word)
+            continue
+        for punct in ("|->", "->", "{", "}", ":", ",", ".", "="):
+            if text.startswith(punct, i):
+                tokens.append(Token(punct, punct, span(len(punct))))
+                i += len(punct)
+                col += len(punct)
+                break
+        else:
+            raise ParseError(span(1), "a token", repr(ch))
+    return tokens
+
+
+# The cartesian scan of ``basecat.fibration`` as it was before the mediating
+# morphisms were counted once per call: the list is rebuilt for every
+# (g, w) pair.
+
+
+def _oracle_composable(cat: FinCat, m: str, op: bool) -> list[tuple[str, str, str]]:
+    if op:
+        return [(x.name, x.cod, cat.compose[(x.name, m)]) for x in cat.arrows_from(cat.cod(m))]
+    return [(x.name, x.dom, cat.compose[(m, x.name)]) for x in cat.arrows_into(cat.dom(m))]
+
+
+def oracle_cartesian_scan(p: FunctorOver, f: str, op: bool):
+    total, over = p.total, p.proj.mor_map
+    fa = total.arrow(f)  # raises UnknownMorphism
+    ws = _oracle_composable(p.base, over[f], op)
+    hs = [(h, z, over[h], fh) for h, z, fh in _oracle_composable(total, f, op)]
+    if op:
+        outer = [(g.name, g.cod) for g in total.arrows_from(fa.dom)]
+    else:
+        outer = [(g.name, g.dom) for g in total.arrows_into(fa.cod)]
+    for g, z in outer:
+        pz, pg = p.proj.obj_map[z], over[g]
+        for w, wz, uw in ws:
+            if wz != pz or uw != pg:
+                continue
+            mediating = [h for h, hz, ph, fh in hs if hz == z and ph == w and fh == g]
+            if len(mediating) != 1:
+                found = CounterexampleOpCartesian if op else CounterexampleCartesian
+                return found(f, g, w, len(mediating))
     return True

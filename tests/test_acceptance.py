@@ -7,7 +7,6 @@ rather than being weakened.
 from __future__ import annotations
 
 import random
-import re
 import time
 
 import pytest
@@ -201,7 +200,7 @@ def test_criterion_8_finset_pullback():
     )
 
 
-def test_criterion_9_parser_round_trip_and_spans():
+def test_criterion_9_parser_round_trip_and_spans(chunk_deletions):
     texts = {
         p.name: p.read_text() for p in sorted(fixtures_dir().glob("*.bcat"))
     }
@@ -212,20 +211,16 @@ def test_criterion_9_parser_round_trip_and_spans():
     )
     spans_ok = True
     checked = 0
-    for name, text in texts.items():
-        for match in re.finditer(r"\S+", text):
-            start, end = match.span()
-            corrupted = text[:start] + text[end:]
-            try:
-                dsl.parse(corrupted, name)
-            except ParseError as exc:
-                checked += 1
-                lines = corrupted.splitlines() or [""]
-                inside = (
-                    1 <= exc.span.line <= len(lines)
-                    and 1 <= exc.span.column <= max(1, len(lines[exc.span.line - 1]) + 1)
-                )
-                spans_ok = spans_ok and inside
+    for _, corrupted, outcome in chunk_deletions:
+        if isinstance(outcome, ParseError):
+            checked += 1
+            lines = corrupted.splitlines() or [""]
+            span = outcome.span
+            inside = (
+                1 <= span.line <= len(lines)
+                and 1 <= span.column <= max(1, len(lines[span.line - 1]) + 1)
+            )
+            spans_ok = spans_ok and inside
     record(
         9,
         "printing round-trips and corrupted files fail inside themselves",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -158,25 +157,14 @@ class TestRoundTrip:
             dsl.decl_of_category(renamed)
 
 
-def _token_spans(text):
-    # crude token stream for corruption: whitespace-separated chunks
-    return [m.span() for m in re.finditer(r"\S+", text)]
-
-
 class TestErrorSpans:
-    def test_every_parse_error_span_lies_inside_the_text(self):
-        for name, text in all_fixture_texts().items():
-            spans = _token_spans(text)
-            lines = text.splitlines()
-            for start, end in spans:
-                corrupted = text[:start] + text[end:]
-                try:
-                    dsl.parse(corrupted, name)
-                except ParseError as exc:
-                    corrupted_lines = corrupted.splitlines() or [""]
-                    assert 1 <= exc.span.line <= len(corrupted_lines)
-                    line_text = corrupted_lines[exc.span.line - 1]
-                    assert 1 <= exc.span.column <= max(1, len(line_text) + 1)
+    def test_every_parse_error_span_lies_inside_the_text(self, chunk_deletions):
+        for _, corrupted, outcome in chunk_deletions:
+            if isinstance(outcome, ParseError):
+                corrupted_lines = corrupted.splitlines() or [""]
+                assert 1 <= outcome.span.line <= len(corrupted_lines)
+                line_text = corrupted_lines[outcome.span.line - 1]
+                assert 1 <= outcome.span.column <= max(1, len(line_text) + 1)
 
 
 class TestDot:

@@ -14,7 +14,10 @@ from basecat.fibration import (
     MissingLift,
     MissingOpLift,
     SplitViolation,
+    _cartesian_scan,
 )
+
+from conftest import oracle_cartesian_scan
 
 
 @pytest.fixture
@@ -305,3 +308,37 @@ def test_dual_checks_are_the_forward_checks_on_the_opposite(seed):
             } == forward.lift
             assert (check_dual(p, dual) is True) == (check_forward(q, forward) is True)
     assert seen == {"counterexample", "missing lift"}
+
+
+def _two_mediators(two):
+    """f over f with two mediating morphisms, h1 and h2, for g = f∘h1 = f∘h2."""
+    total = bc.validate_category(
+        "ETwo",
+        ["Z", "X0", "Y0"],
+        [("h1", "Z", "X0"), ("h2", "Z", "X0"), ("f", "X0", "Y0"), ("g", "Z", "Y0")],
+        {("f", "h1"): "g", ("f", "h2"): "g"},
+    )
+    proj = bc.validate_functor(
+        "p", total, two, {"Z": "X", "X0": "X", "Y0": "Y"},
+        {"h1": "id_X", "h2": "id_X", "f": "f", "g": "f"},
+    )
+    return bc.FunctorOver(proj)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cartesian_scan_matches_the_oracle(seed, two):
+    # Verdicts, first-found counterexamples and their mediating counts, in
+    # both directions, on every projection of the corpus, on one with two
+    # mediating morphisms, and on their opposites.
+    counts = set()
+    projections = [built.over() for built in _corpus_projections(seed)]
+    for p in projections + [_two_mediators(two)]:
+        for q in (p, bc.FunctorOver(bc.op_functor(p.proj))):
+            for a in q.total.arrows:
+                for op in (False, True):
+                    got = _cartesian_scan(q, a.name, op)
+                    expected = oracle_cartesian_scan(q, a.name, op)
+                    assert type(got) is type(expected) and got == expected
+                    if expected is not True:
+                        counts.add(expected.mediating_count)
+    assert counts == {0, 2}
