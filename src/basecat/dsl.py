@@ -13,7 +13,9 @@ parenthesised pair labels as emitted by the constructions.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .constructions import GroupAction, validate_group_action
 from .core import FinCat, FinFunctor, identity_id, validate_category, validate_functor
@@ -27,85 +29,90 @@ KEYWORDS = {
     "fibre", "pull",
 }
 
-_SIMPLE_ID = re.compile(r"[A-Za-z0-9_*']+")
+# One match per token, whitespace and comments before it included. A pair id
+# matches only up to its first "(", and ``_pair_end`` finds where it closes.
+_TOKEN = re.compile(
+    r"""(?:[ \t\r\n]+|\#[^\n]*)*
+    (?:(?P<pair>(?:id_)?\()
+    |(?P<word>[A-Za-z0-9_*']+)
+    |(?P<punct>\|->|->|[{}:,.=])
+    |(?P<end>\Z)
+    |(?P<bad>.))""",
+    re.VERBOSE | re.DOTALL,
+)
+_PAIR_STOP = re.compile(r"[()]|[ \t\r\n]")
 _PAIR_BODY = re.compile(r"[A-Za-z0-9_*'|,@()]+")
+_NEWLINE = re.compile(r"\n")
+
+def _line_starts(text: str) -> list[int]:
+    return [0, *(m.end() for m in _NEWLINE.finditer(text))]
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'id', 'kw', or a literal punctuation string
-    text: str
-    span: SourceSpan
+def _span(filename: str, line_starts: list[int], offset: int, length: int) -> SourceSpan:
+    """The span of ``length`` characters at ``offset``; lines are counted
+    at newlines only, and a tab or carriage return is one column."""
+    line = bisect_right(line_starts, offset)
+    return SourceSpan(filename, line, offset - line_starts[line - 1] + 1, length)
 
 
-def _tokenize(text: str, filename: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
+def _error_at(text: str, filename: str, offset: int, length: int, expected: str, found: str):
+    return ParseError(_span(filename, _line_starts(text), offset, length), expected, found)
 
-    def span(length: int) -> SourceSpan:
-        return SourceSpan(filename, line, col, max(1, length))
 
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        # Identity ids of pair-named objects look like id_(X,x): a reserved
-        # prefix glued to a balanced pair token.
-        prefix = "id_(" if text.startswith("id_(", i) else "(" if ch == "(" else None
-        if prefix is not None:
-            depth = 0
-            j = i + len(prefix) - 1
-            while j < n:
-                if text[j] == "(":
-                    depth += 1
-                elif text[j] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                elif text[j] in " \t\r\n":
-                    raise ParseError(span(j - i), "a balanced pair id", "whitespace inside '('")
-                j += 1
-            if depth != 0:
-                raise ParseError(span(n - i), "a closing ')'", "end of input")
-            body = text[i : j + 1]
-            inner = body[len(prefix) : -1]
-            if inner and not _PAIR_BODY.fullmatch(inner):
-                raise ParseError(span(len(body)), "a pair id", repr(body))
-            tokens.append(Token("id", body, span(len(body))))
-            col += len(body)
-            i = j + 1
-            continue
-        m = _SIMPLE_ID.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = "kw" if word in KEYWORDS else "id"
-            tokens.append(Token(kind, word, span(len(word))))
-            i = m.end()
-            col += len(word)
-            continue
-        for punct in ("|->", "->", "{", "}", ":", ",", ".", "="):
-            if text.startswith(punct, i):
-                tokens.append(Token(punct, punct, span(len(punct))))
-                i += len(punct)
-                col += len(punct)
-                break
+def _pair_end(text: str, filename: str, start: int, opening: int) -> int:
+    """The end of the balanced pair id at ``start`` whose first bracket is
+    at ``opening``. Whitespace before the brackets balance is an error."""
+    depth = 0
+    for m in _PAIR_STOP.finditer(text, opening):
+        if m.group() == "(":
+            depth += 1
+        elif m.group() == ")":
+            depth -= 1
+            if depth == 0:
+                end = m.end()
+                inner = text[opening + 1 : end - 1]
+                if inner and not _PAIR_BODY.fullmatch(inner):
+                    raise _error_at(
+                        text, filename, start, end - start, "a pair id", repr(text[start:end])
+                    )
+                return end
         else:
-            raise ParseError(span(1), "a token", repr(ch))
-    return tokens
+            raise _error_at(
+                text, filename, start, m.start() - start,
+                "a balanced pair id", "whitespace inside '('",
+            )
+    raise _error_at(text, filename, start, len(text) - start, "a closing ')'", "end of input")
+
+
+def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
+    """Each token as a plain (kind, text, offset) tuple: kind is 'id', 'kw'
+    or the punctuation itself, and offset is where the text starts."""
+    tokens = []
+    match = _TOKEN.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.start(kind), m.end()
+        if kind == "word":
+            word = m.group(kind)
+            tokens.append(("kw" if word in KEYWORDS else "id", word, start))
+        elif kind == "punct":
+            punct = m.group(kind)
+            tokens.append((punct, punct, start))
+        elif kind == "pair":
+            # Identity ids of pair-named objects look like id_(X,x): a
+            # reserved prefix glued to a balanced pair token.
+            pos = _pair_end(text, filename, start, pos - 1)
+            tokens.append(("id", text[start:pos], start))
+        elif kind == "end":
+            return tokens
+        else:
+            raise _error_at(text, filename, start, 1, "a token", repr(text[start]))
+
+
+# The parser reads past the last token only onto this one.
+_END = ("end of input", "", -1)
 
 
 # Declarations. Spans do not take part in structural equality.
@@ -169,65 +176,74 @@ class Document:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str, text: str):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, filename: str):
+        self.text = text
         self.filename = filename
-        lines = text.splitlines() or [""]
-        self.eof_span = SourceSpan(filename, len(lines), max(1, len(lines[-1])), 1)
+        self.tokens = _tokenize(text, filename)
+        self.tokens.append(_END)
+        self.pos = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    @cached_property
+    def line_starts(self) -> list[int]:
+        return _line_starts(self.text)
+
+    def span(self, i: int) -> SourceSpan:
+        """The span of the ``i``-th token."""
+        _, text, offset = self.tokens[i]
+        return _span(self.filename, self.line_starts, offset, len(text))
 
     def error(self, expected: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
-            return ParseError(self.eof_span, expected, "end of input")
-        return ParseError(tok.span, expected, repr(tok.text))
+        tok = self.tokens[self.pos]
+        if tok is _END:
+            lines = self.text.splitlines() or [""]
+            eof_span = SourceSpan(self.filename, len(lines), max(1, len(lines[-1])), 1)
+            return ParseError(eof_span, expected, "end of input")
+        return ParseError(self.span(self.pos), expected, repr(tok[1]))
 
-    def take(self, kind: str, expected: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
+    def take(self, kind: str, expected: str | None = None) -> str:
+        """The text of the next token, which must be of ``kind``."""
+        tok_kind, text, _ = self.tokens[self.pos]
+        if tok_kind != kind:
             raise self.error(expected or repr(kind))
         self.pos += 1
-        return tok
+        return text
 
-    def take_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "kw" or tok.text != word:
+    def take_kw(self, word: str) -> None:
+        if self.tokens[self.pos][:2] != ("kw", word):
             raise self.error(repr(word))
         self.pos += 1
-        return tok
 
     def at_kw(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "kw" and tok.text in words
+        kind, text, _ = self.tokens[self.pos]
+        return kind == "kw" and text in words
 
     def at(self, kind: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == kind
+        return self.tokens[self.pos][0] == kind
 
     def skip_commas(self) -> None:
         while self.at(","):
             self.pos += 1
 
     def ident(self, expected: str = "an identifier") -> str:
-        return self.take("id", expected).text
+        return self.take("id", expected)
+
+    def name(self, expected: str) -> tuple[str, SourceSpan]:
+        """A declaration's name, and its span."""
+        return self.ident(expected), self.span(self.pos - 1)
 
     # Declarations
 
     def document(self) -> Document:
         decls: list[Declaration] = []
-        names: dict[str, set[str]] = {}
         known: dict[str, set[str]] = {
             "category": set(), "functor": set(), "concrete": set(),
             "action": set(), "indexed": set(),
         }
-        while self.peek() is not None:
-            tok = self.peek()
+        while self.tokens[self.pos] is not _END:
             if not self.at_kw("category", "functor", "concrete", "action", "indexed"):
                 raise self.error("a declaration keyword")
-            kind = tok.text
+            kind = self.tokens[self.pos][1]
+            self.pos += 1  # each decl_* method starts at the name
             decl = getattr(self, "decl_" + kind)(known)
             if decl.name in known[kind]:
                 raise ParseError(decl.span, f"a fresh {kind} name", repr(decl.name))
@@ -236,14 +252,13 @@ class _Parser:
         return Document(tuple(decls))
 
     def _ref(self, kind: str, known: dict[str, set[str]]) -> str:
-        tok = self.take("id", f"the name of a {kind}")
-        if tok.text not in known[kind]:
-            raise UnresolvedReference(tok.text, tok.span)
-        return tok.text
+        name = self.ident(f"the name of a {kind}")
+        if name not in known[kind]:
+            raise UnresolvedReference(name, self.span(self.pos - 1))
+        return name
 
     def decl_category(self, known) -> CategoryDecl:
-        self.take_kw("category")
-        name_tok = self.take("id", "a category name")
+        name, span = self.name("a category name")
         self.take("{")
         self.take_kw("objects")
         self.take(":")
@@ -273,13 +288,10 @@ class _Parser:
                 compose.append((g, f, h))
                 self.skip_commas()
         self.take("}")
-        return CategoryDecl(
-            name_tok.text, tuple(objects), tuple(arrows), tuple(compose), name_tok.span
-        )
+        return CategoryDecl(name, tuple(objects), tuple(arrows), tuple(compose), span)
 
     def decl_functor(self, known) -> FunctorDecl:
-        self.take_kw("functor")
-        name_tok = self.take("id", "a functor name")
+        name, span = self.name("a functor name")
         self.take(":")
         source = self._ref("category", known)
         self.take("->")
@@ -294,13 +306,10 @@ class _Parser:
             self.take(":")
             arrows = self.maplet_list()
         self.take("}")
-        return FunctorDecl(
-            name_tok.text, source, target, tuple(objects), tuple(arrows), name_tok.span
-        )
+        return FunctorDecl(name, source, target, tuple(objects), tuple(arrows), span)
 
     def decl_concrete(self, known) -> ConcreteDecl:
-        self.take_kw("concrete")
-        name_tok = self.take("id", "a concrete structure name")
+        name, span = self.name("a concrete structure name")
         self.take_kw("over")
         over = self._ref("category", known)
         self.take("{")
@@ -317,13 +326,10 @@ class _Parser:
             else:
                 actions.append((nm, tuple(self.maplet_list())))
         self.take("}")
-        return ConcreteDecl(
-            name_tok.text, over, tuple(carriers), tuple(actions), name_tok.span
-        )
+        return ConcreteDecl(name, over, tuple(carriers), tuple(actions), span)
 
     def decl_action(self, known) -> ActionDecl:
-        self.take_kw("action")
-        name_tok = self.take("id", "an action name")
+        name, span = self.name("an action name")
         self.take("{")
         self.take_kw("group")
         self.take(":")
@@ -341,20 +347,17 @@ class _Parser:
             self.take(":")
             phi.append((nm, tuple(self.maplet_list())))
         self.take("}")
-        return ActionDecl(
-            name_tok.text, group, tuple(elements), tuple(phi), name_tok.span
-        )
+        return ActionDecl(name, group, tuple(elements), tuple(phi), span)
 
     def decl_indexed(self, known) -> IndexedDecl:
-        self.take_kw("indexed")
-        name_tok = self.take("id", "an indexed family name")
+        name, span = self.name("an indexed family name")
         self.take_kw("over")
         base = self._ref("category", known)
         self.take("{")
         fibres: list[tuple[str, str]] = []
         pulls: list[tuple[str, str]] = []
         while self.at_kw("fibre", "pull"):
-            which = self.peek().text
+            which = self.tokens[self.pos][1]
             self.pos += 1
             nm = self.ident()
             self.take("=")
@@ -363,9 +366,7 @@ class _Parser:
             else:
                 pulls.append((nm, self._ref("functor", known)))
         self.take("}")
-        return IndexedDecl(
-            name_tok.text, base, tuple(fibres), tuple(pulls), name_tok.span
-        )
+        return IndexedDecl(name, base, tuple(fibres), tuple(pulls), span)
 
     def id_list(self) -> list[str]:
         out = []
@@ -379,8 +380,7 @@ class _Parser:
         # head of the next block (e.g. another carrier or action entry).
         out = []
         while self.at("id"):
-            after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if after is None or after.kind != "|->":
+            if self.tokens[self.pos + 1][0] != "|->":
                 break
             lhs = self.ident()
             self.take("|->")
@@ -392,7 +392,7 @@ class _Parser:
 
 def parse(text: str, filename: str = "<string>") -> Document:
     """Parse a `.bcat` document; errors carry a span inside the input."""
-    return _Parser(_tokenize(text, filename), filename, text).document()
+    return _Parser(text, filename).document()
 
 
 # Printing.
