@@ -52,9 +52,19 @@ CONSTRUCT_KINDS = (
 )
 
 
+def _read(path: str) -> str:
+    """The text of a ``.bcat`` file; a file that cannot be read as UTF-8
+    text is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _load(path: str, allow_unfaithful: bool = False) -> Env:
-    text = Path(path).read_text()
-    return elaborate(parse(text, path), allow_unfaithful)
+    return elaborate(parse(_read(path), path), allow_unfaithful)
 
 
 def _construct(kind: str, names: list[str], env: Env) -> cons.ConstructedCategory:
@@ -113,7 +123,7 @@ def _resolve_over(expr: str, env: Env) -> tuple[FunctorOver, cons.ConstructedCat
 def cmd_validate(args) -> Report:
     report = Report("validate")
     for path in args.files:
-        doc = parse(Path(path).read_text(), path)
+        doc = parse(_read(path), path)
         env = Env()
         for decl in doc.declarations:
             kind = type(decl).__name__.removesuffix("Decl").lower()

@@ -15,6 +15,7 @@ fibres are computable sub-presentations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import FinCat, FinFunctor, validate_category, validate_functor
@@ -133,7 +134,8 @@ def _cartesian_scan(p: FunctorOver, f: str, op: bool) -> bool | _Factorization:
     total, over = p.total, p.proj.mor_map
     fa = total.arrow(f)  # raises UnknownMorphism
     ws = _composable(p.base, over[f], op)
-    hs = [(h, z, over[h], fh) for h, z, fh in _composable(total, f, op)]
+    # Mediating morphisms h, counted by (far end z, P(h), f∘h), once per call.
+    mediating = Counter((z, over[h], fh) for h, z, fh in _composable(total, f, op))
     if op:
         outer = [(g.name, g.cod) for g in total.arrows_from(fa.dom)]
     else:
@@ -143,10 +145,10 @@ def _cartesian_scan(p: FunctorOver, f: str, op: bool) -> bool | _Factorization:
         for w, wz, uw in ws:
             if wz != pz or uw != pg:
                 continue
-            mediating = [h for h, hz, ph, fh in hs if hz == z and ph == w and fh == g]
-            if len(mediating) != 1:
+            count = mediating[(z, w, g)]
+            if count != 1:
                 found = CounterexampleOpCartesian if op else CounterexampleCartesian
-                return found(f, g, w, len(mediating))
+                return found(f, g, w, count)
     return True
 
 

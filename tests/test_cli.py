@@ -44,6 +44,18 @@ class TestValidate:
         code, _ = run(capsys, "validate", str(broken))
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["validate", "{}"], ["export", "{}", "C"]])
+    def test_unreadable_input_is_a_usage_error(self, capsys, tmp_path, argv):
+        # A directory, then bytes that are not UTF-8: one error line, exit 2.
+        bad = tmp_path / "bad.bcat"
+        bad.write_bytes(b"category C { objects: \xff }\n")
+        for path, reason in ((tmp_path, "Is a directory"), (bad, "not UTF-8 text")):
+            code = main([arg.format(path) for arg in argv])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert reason in captured.err
+
     def test_allow_unfaithful_flag(self, capsys, tmp_path):
         text = (
             "category Z2 { objects: * arrows: s: * -> * compose: s . s = id_* }\n"
