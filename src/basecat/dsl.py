@@ -44,24 +44,25 @@ _PAIR_STOP = re.compile(r"[()]|[ \t\r\n]")
 _PAIR_BODY = re.compile(r"[A-Za-z0-9_*'|,@()]+")
 _NEWLINE = re.compile(r"\n")
 
+
 def _line_starts(text: str) -> list[int]:
     return [0, *(m.end() for m in _NEWLINE.finditer(text))]
 
 
 def _span(filename: str, line_starts: list[int], offset: int, length: int) -> SourceSpan:
-    """The span of ``length`` characters at ``offset``; lines are counted
-    at newlines only, and a tab or carriage return is one column."""
+    """Lines are counted at newlines only; a tab or carriage return is one column."""
     line = bisect_right(line_starts, offset)
     return SourceSpan(filename, line, offset - line_starts[line - 1] + 1, length)
 
 
-def _error_at(text: str, filename: str, offset: int, length: int, expected: str, found: str):
+def _error_at(
+    text: str, filename: str, offset: int, length: int, expected: str, found: str
+) -> ParseError:
     return ParseError(_span(filename, _line_starts(text), offset, length), expected, found)
 
 
 def _pair_end(text: str, filename: str, start: int, opening: int) -> int:
-    """The end of the balanced pair id at ``start`` whose first bracket is
-    at ``opening``. Whitespace before the brackets balance is an error."""
+    """The end of the pair id at ``start``: where the brackets from ``opening`` balance."""
     depth = 0
     for m in _PAIR_STOP.finditer(text, opening):
         if m.group() == "(":
@@ -242,8 +243,7 @@ class _Parser:
         while self.tokens[self.pos] is not _END:
             if not self.at_kw("category", "functor", "concrete", "action", "indexed"):
                 raise self.error("a declaration keyword")
-            kind = self.tokens[self.pos][1]
-            self.pos += 1  # each decl_* method starts at the name
+            kind = self.take("kw")  # each decl_* method starts at the name
             decl = getattr(self, "decl_" + kind)(known)
             if decl.name in known[kind]:
                 raise ParseError(decl.span, f"a fresh {kind} name", repr(decl.name))
@@ -357,8 +357,7 @@ class _Parser:
         fibres: list[tuple[str, str]] = []
         pulls: list[tuple[str, str]] = []
         while self.at_kw("fibre", "pull"):
-            which = self.tokens[self.pos][1]
-            self.pos += 1
+            which = self.take("kw")
             nm = self.ident()
             self.take("=")
             if which == "fibre":

@@ -56,7 +56,9 @@ def chunk_deletions():
             try:
                 outcome = parse(corrupted, path.name)
             except ParseError as exc:
-                outcome = exc
+                # Kept without its traceback, which would hold every
+                # parser's token list alive for the session.
+                outcome = exc.with_traceback(None)
             out.append((path.name, corrupted, outcome))
     return out
 
