@@ -2,7 +2,8 @@
 
 The oracles re-derive expected values straight from raw presentation data
 (total scans, exhaustive enumeration of functors), never through the code
-paths they are used to check.
+paths they are used to check, or are the implementations that a faster
+path replaced, kept as they were.
 """
 
 from __future__ import annotations
@@ -18,11 +19,6 @@ import basecat as bc
 from basecat.core import Arrow, FinCat, RawArrow, _as_arrows, identity_id
 from basecat.corpus import build_corpus, fixtures_dir, group_category
 from basecat.dsl import elaborate, parse
-from basecat.fibration import (
-    CounterexampleCartesian,
-    CounterexampleOpCartesian,
-    FunctorOver,
-)
 from basecat.errors import (
     AssociativityViolation,
     DomCodMismatch,
@@ -33,6 +29,11 @@ from basecat.errors import (
     UnitLawViolation,
     UnknownMorphism,
     UnknownObject,
+)
+from basecat.fibration import (
+    CounterexampleCartesian,
+    CounterexampleOpCartesian,
+    FunctorOver,
 )
 
 
