@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import constructions as cons
 from .core import FinCat
-from .corpus import build_corpus
+from .corpus import build_corpus, fixture_paths
 from .dot import export_dot
 from .dsl import (
     Env,
@@ -228,7 +228,15 @@ def cmd_check(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
-    directory = Path(args.corpus) if args.corpus else None
+    directory = None
+    if args.corpus:
+        directory = Path(args.corpus)
+        if not directory.exists():
+            raise UsageError(f"{directory}: no such corpus directory")
+        if not directory.is_dir():
+            raise UsageError(f"{directory}: not a directory")
+        if not fixture_paths(directory):
+            raise UsageError(f"{directory}: no .bcat file to load")
     corpus = build_corpus(seed=args.seed, directory=directory)
     return run_suite(args.suite, corpus)
 

@@ -37,11 +37,12 @@ from .core import (
     compose_functors,
     identity_functor,
     identity_id,
-    is_opposite,
     op_functor,
     op_name,
+    op_tag,
     opposite,
     pair_id,
+    relabelling,
     same_presentation,
     validate_category,
     validate_functor,
@@ -345,7 +346,7 @@ def _family_over_opposite(
     ``along(a)``."""
     pull = {}
     for a in c.arrows:
-        key = a.name if c.is_identity(a.name) else op_name(a.name)
+        key = op_tag(c, a.name)
         pull[key] = validate_functor(
             f"pull_{key}", fibre[a.dom], fibre[a.cod], along(a), {}
         )
@@ -517,26 +518,6 @@ def concrete_right_action(
     )
 
 
-def _relabelling(
-    name: str,
-    a: FinCat,
-    b: FinCat,
-    obj_map: Mapping[str, str],
-    mor_map: Mapping[str, str],
-    back_name: str | None = None,
-) -> IsoWitness:
-    """Validate a bijective relabelling of ``a`` as ``b`` and its inverse."""
-    forward = validate_functor(name, a, b, obj_map, mor_map)
-    backward = validate_functor(
-        back_name or name + "_back",
-        b,
-        a,
-        {v: k for k, v in obj_map.items()},
-        {v: k for k, v in mor_map.items()},
-    )
-    return validate_witness(forward, backward)
-
-
 def inverse_witness(cat: FinCat) -> IsoWitness:
     """Self-duality of a groupoid: send each morphism to its tagged inverse."""
     mor_map = {}
@@ -544,9 +525,9 @@ def inverse_witness(cat: FinCat) -> IsoWitness:
         inv = cat.inverse_of(a.name)
         if inv is None:
             raise NoSelfDualWitness(f"morphism {a.name!r} has no inverse")
-        mor_map[a.name] = inv if cat.is_identity(inv) else op_name(inv)
+        mor_map[a.name] = op_tag(cat, inv)
     objects = {o: o for o in cat.objects}
-    return _relabelling(f"selfdual_{cat.name}", cat, opposite(cat), objects, mor_map)
+    return relabelling(f"selfdual_{cat.name}", cat, opposite(cat), objects, mor_map)
 
 
 def contravariant_via_witness(fun: FinFunctor, witness: IsoWitness) -> FinFunctor:
@@ -557,7 +538,7 @@ def contravariant_via_witness(fun: FinFunctor, witness: IsoWitness) -> FinFuncto
     g |-> phi of the inverse of g.
     """
     c = fun.source
-    if witness.forward.source != c or not is_opposite(witness.forward.target, c):
+    if witness.forward.source != c or witness.forward.target != opposite(c):
         raise NoSelfDualWitness("witness is not between the source and its opposite")
     composite = compose_functors(fun, op_functor(witness.forward))
     return replace(composite, name=f"{fun.name}_contra")
@@ -581,7 +562,7 @@ def right_action_selfdual(
         validate_witness(witness.forward, witness.backward)
     except ValidationError as exc:
         raise NoSelfDualWitness(str(exc)) from exc
-    if not is_opposite(witness.forward.target, c):
+    if witness.forward.target != opposite(c):
         raise NoSelfDualWitness("witness does not target the opposite category")
     if fbar.source != witness.forward.target:
         raise NoSelfDualWitness(
@@ -686,7 +667,7 @@ def verify_prop4(act: GroupAction) -> IsoWitness:
     selfdual = right_action_selfdual(fbar, witness, concrete=concrete)
 
     by_key = {k: ident for ident, k in selfdual.arrow_keys.items()}
-    return _relabelling(
+    return relabelling(
         "tg_to_selfdual",
         groupoid.cat,
         selfdual.cat,
@@ -702,7 +683,7 @@ def _witness_via_keys(
     """Isomorphism matching two constructions by their canonical keys."""
     by_key = {k: ident for ident, k in b.arrow_keys.items()}
     mor_map = {ident: by_key[key] for ident, key in a.arrow_keys.items()}
-    return _relabelling(name, a.cat, b.cat, {o: o for o in a.cat.objects}, mor_map)
+    return relabelling(name, a.cat, b.cat, {o: o for o in a.cat.objects}, mor_map)
 
 
 def _commutes_with_projections(
@@ -745,7 +726,7 @@ def verify_main_prop(
         mor_map = {a.name: by_key[(a.name,)] for a in c.arrows if (a.name,) in by_key}
         for x in c.objects:
             mor_map[c.identity[x]] = built.cat.identity[obj_map[x]]
-        return _relabelling(name, c, built.cat, obj_map, mor_map)
+        return relabelling(name, c, built.cat, obj_map, mor_map)
 
     for claim, built in (("base~graph", graph), ("base~left-action", left)):
         try:

@@ -1,9 +1,12 @@
 """Validated finite category and functor presentations.
 
 A category is presented fully explicitly: every object, every morphism and
-the complete composition table. Validation is an exhaustive scan of the
-axioms, so a `FinCat` value is a proof-carrying presentation; everything
-downstream may rely on the laws without re-checking them.
+the complete composition table. Raw input, constructions and isomorphism
+witnesses are validated by an exhaustive scan of the laws, so a `FinCat`
+value is a proof-carrying presentation that nothing downstream re-checks:
+the structural operations on validated values (``opposite``,
+``op_functor``, ``compose_functors``, ``identity_functor``, ``normalize``)
+build their results directly and check only what they can break.
 
 Identity morphisms may be omitted from raw input; they are synthesised with
 the reserved ids ``id_<object>`` together with the unit-law-forced rows of
@@ -47,6 +50,12 @@ def op_name(name: str) -> str:
     if name.endswith(OP_MARK):
         return name[: -len(OP_MARK)]
     return name + OP_MARK
+
+
+def op_tag(cat: FinCat, name: str) -> str:
+    """The id of morphism ``name`` of ``cat`` in the opposite category:
+    identities keep their ids, every other id is op-tagged."""
+    return name if cat.is_identity(name) else op_name(name)
 
 
 def strip_op_marks(name: str) -> str:
@@ -135,9 +144,6 @@ class FinCat:
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._homs.get((x, y), ())
-
-    def compose2(self, g: str, f: str) -> str:
-        return self.compose[(g, f)]
 
     def arrows_into(self, obj: str) -> tuple[Arrow, ...]:
         return self._into.get(obj, ())
@@ -371,7 +377,7 @@ def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
     """Pointwise composite ``g`` after ``f``."""
     if f.target != g.source:
         raise SourceTargetMismatch(f"{f.name} lands in {f.target.name}, {g.name} starts at {g.source.name}")
-    return validate_functor(
+    return FinFunctor(
         f"{g.name}*{f.name}",
         f.source,
         g.target,
@@ -405,12 +411,39 @@ def validate_witness(forward: FinFunctor, backward: FinFunctor) -> IsoWitness:
     return IsoWitness(forward, backward)
 
 
-def _opposite_presentation(cat: FinCat) -> FinCat:
-    """The opposite's fields, unvalidated; validation would change none."""
-    names = {
-        a.name: (a.name if cat.is_identity(a.name) else op_name(a.name))
-        for a in cat.arrows
-    }
+def relabelling(
+    name: str,
+    a: FinCat,
+    b: FinCat,
+    obj_map: Mapping[str, str],
+    mor_map: Mapping[str, str],
+    back_name: str | None = None,
+) -> IsoWitness:
+    """Validate a bijective relabelling of ``a`` as ``b`` and its inverse."""
+    forward = validate_functor(name, a, b, obj_map, mor_map)
+    backward = validate_functor(
+        back_name or name + "_back",
+        b,
+        a,
+        {v: k for k, v in obj_map.items()},
+        {v: k for k, v in mor_map.items()},
+    )
+    return validate_witness(forward, backward)
+
+
+def opposite(cat: FinCat) -> FinCat:
+    """Reverse every morphism; non-identities are tagged with the op marker.
+
+    Tagging twice cancels, so the operation is involutive on the nose. The
+    reverse of a category satisfies the laws; what can fail is that tagging
+    makes two ids equal, as for an identity ``id_X`` and an ``id_X_op``.
+    """
+    names = {a.name: op_tag(cat, a.name) for a in cat.arrows}
+    seen: set[str] = set()
+    for tagged in names.values():
+        if tagged in seen:
+            raise DuplicateId(tagged)
+        seen.add(tagged)
     arrows = tuple(Arrow(names[a.name], a.cod, a.dom) for a in cat.arrows)
     identity = {o: names[m] for o, m in cat.identity.items()}
     table = {
@@ -419,30 +452,15 @@ def _opposite_presentation(cat: FinCat) -> FinCat:
     return FinCat(op_name(cat.name), cat.objects, arrows, identity, table)
 
 
-def opposite(cat: FinCat) -> FinCat:
-    """Reverse every morphism; non-identities are tagged with the op marker.
-
-    Tagging twice cancels, so the operation is involutive on the nose.
-    """
-    op = _opposite_presentation(cat)
-    return validate_category(op.name, op.objects, op.arrows, op.compose, op.identity)
-
-
-def is_opposite(candidate: FinCat, cat: FinCat) -> bool:
-    """``candidate == opposite(cat)``, without validating the opposite again."""
-    return candidate == _opposite_presentation(cat)
-
-
 def op_functor(fun: FinFunctor) -> FinFunctor:
     """The same maps, read between the opposite categories."""
-    src = opposite(fun.source)
-    tgt = opposite(fun.target)
-    mor_map = {}
-    for a in fun.source.arrows:
-        key = a.name if fun.source.is_identity(a.name) else op_name(a.name)
-        img = fun.mor(a.name)
-        mor_map[key] = img if fun.target.is_identity(img) else op_name(img)
-    return validate_functor(op_name(fun.name), src, tgt, dict(fun.obj_map), mor_map)
+    mor_map = {
+        op_tag(fun.source, a.name): op_tag(fun.target, fun.mor(a.name))
+        for a in fun.source.arrows
+    }
+    return FinFunctor(
+        op_name(fun.name), opposite(fun.source), opposite(fun.target), dict(fun.obj_map), mor_map
+    )
 
 
 def product_category(c: FinCat, d: FinCat) -> tuple[FinCat, FinFunctor, FinFunctor]:

@@ -36,6 +36,9 @@ from .sets import ConcreteStructure, FinFn, FinSetObj, validate_concrete
 MAX_OBJECTS = 4
 MAX_MORPHISMS = 12
 MAX_CARRIER = 4
+RANDOM_FUNCTORS = 20
+RANDOM_CONCRETE = 10
+RANDOM_ACTIONS = 4
 
 
 def fixtures_dir() -> Path:
@@ -56,12 +59,17 @@ class Corpus:
         return None
 
 
+def fixture_paths(directory: Path) -> list[Path]:
+    """The ``.bcat`` files of a corpus directory, negative examples left out."""
+    return [
+        path for path in sorted(directory.glob("*.bcat"))
+        if not path.name.startswith("negative_")
+    ]
+
+
 def load_fixture_env(directory: Path | None = None) -> Env:
-    directory = directory or fixtures_dir()
     env = Env()
-    for path in sorted(directory.glob("*.bcat")):
-        if path.name.startswith("negative_"):
-            continue
+    for path in fixture_paths(directory or fixtures_dir()):
         sub = elaborate(parse(path.read_text(), str(path)))
         env.categories.update(sub.categories)
         env.functors.update(sub.functors)
@@ -274,13 +282,7 @@ def constant_family(cat: FinCat, fibre: FinCat) -> IndexedFamily:
     )
 
 
-def build_corpus(
-    seed: int = 7,
-    directory: Path | None = None,
-    random_functors: int = 20,
-    random_concrete: int = 10,
-    random_actions: int = 4,
-) -> Corpus:
+def build_corpus(seed: int = 7, directory: Path | None = None) -> Corpus:
     """Bundled fixtures plus seeded random instances; deterministic."""
     env = load_fixture_env(directory)
     corpus = Corpus(env)
@@ -295,10 +297,10 @@ def build_corpus(
     corpus.actions.extend(env.actions.values())
     corpus.families.extend(env.families.values())
 
-    for i in range(random_functors):
+    for i in range(RANDOM_FUNCTORS):
         corpus.functors.append(rand_functor(rng, f"rf{i}"))
 
-    for i in range(random_concrete):
+    for i in range(RANDOM_CONCRETE):
         cat = rand_poset(rng, f"rc{i}")
         concrete = pointed_concrete(rng, cat)
         corpus.concrete_pairs.append((identity_functor(cat), concrete))
@@ -307,7 +309,7 @@ def build_corpus(
         concrete = permutation_concrete(rng, grp)
         corpus.concrete_pairs.append((identity_functor(grp), concrete))
 
-    for i in range(random_actions):
+    for i in range(RANDOM_ACTIONS):
         corpus.actions.append(rand_group_action(rng, f"ra{i}"))
 
     # Families: bundled, constant, trivially categorified, discrete.

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import FinCat, FinFunctor, validate_category, validate_functor
+from .core import Arrow, FinCat, FinFunctor, validate_category, validate_functor
 from .errors import NoLiftInCleavage, NotSplit
 from .family import IndexedFamily, validate_family
 
@@ -330,40 +330,39 @@ def recover_indexed(
             return arrow_labels[m][-1]
         return m
 
+    # Grouped once, each group in presentation (table) order: the objects
+    # above each base object, the vertical arrows above its identity, and
+    # the composites of two such arrows.
+    objs: dict[str, list[str]] = {i: [] for i in base.objects}
+    for y in total.objects:
+        objs[p.obj_over(y)].append(y)
+    verticals: dict[str, list[Arrow]] = {i: [] for i in base.objects}
+    fibre_of: dict[str, str] = {}  # vertical arrow -> base object under it
+    for a in total.arrows:
+        if p.is_vertical(a.name):
+            fibre_of[a.name] = p.obj_over(a.dom)
+            verticals[fibre_of[a.name]].append(a)
+    composites: dict[str, list[tuple[str, str, str]]] = {i: [] for i in base.objects}
+    for (g, f), h in total.compose.items():
+        if g in fibre_of and f in fibre_of:
+            composites[fibre_of[g]].append((g, f, h))
+
     fibre: dict[str, FinCat] = {}
     for i in base.objects:
-        objs = [y for y in total.objects if p.obj_over(y) == i]
-        verticals = [
-            a for a in total.arrows
-            if p.over(a.name) == base.identity[i] and a.dom in objs
-        ]
-        names = {a.name for a in verticals}
-        arrows = [(rl_mor(a.name), rl_obj(a.dom), rl_obj(a.cod)) for a in verticals]
-        identity = {rl_obj(y): rl_mor(total.identity[y]) for y in objs}
-        table = {
-            (rl_mor(g), rl_mor(f)): rl_mor(h)
-            for (g, f), h in total.compose.items()
-            if g in names and f in names
-        }
+        arrows = [(rl_mor(a.name), rl_obj(a.dom), rl_obj(a.cod)) for a in verticals[i]]
+        identity = {rl_obj(y): rl_mor(total.identity[y]) for y in objs[i]}
+        table = {(rl_mor(g), rl_mor(f)): rl_mor(h) for g, f, h in composites[i]}
         fibre[i] = validate_category(
-            f"{total.name}|{i}", [rl_obj(y) for y in objs], arrows, table, identity
+            f"{total.name}|{i}", [rl_obj(y) for y in objs[i]], arrows, table, identity
         )
 
     pull: dict[str, FinFunctor] = {}
     for u in base.arrows:
         if base.is_identity(u.name):
             continue
-        src = fibre[u.cod]
-        tgt = fibre[u.dom]
-        obj_map = {
-            rl_obj(y): rl_obj(total.dom(c.lift[(u.name, y)]))
-            for y in total.objects
-            if p.obj_over(y) == u.cod
-        }
+        obj_map = {rl_obj(y): rl_obj(total.dom(c.lift[(u.name, y)])) for y in objs[u.cod]}
         mor_map = {}
-        for a in total.arrows:
-            if p.over(a.name) != base.identity[u.cod]:
-                continue
+        for a in verticals[u.cod]:
             top = c.lift[(u.name, a.cod)]
             bottom = c.lift[(u.name, a.dom)]
             carried = _vertical_factors(p, top, total.compose[(a.name, bottom)])
@@ -372,6 +371,8 @@ def recover_indexed(
                     f"vertical transport of {a.name!r} along {u.name!r} is not unique"
                 )
             mor_map[rl_mor(a.name)] = rl_mor(carried[0])
-        pull[u.name] = validate_functor(f"pull_{u.name}", src, tgt, obj_map, mor_map)
+        pull[u.name] = validate_functor(
+            f"pull_{u.name}", fibre[u.cod], fibre[u.dom], obj_map, mor_map
+        )
 
     return validate_family(base, fibre, pull)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FinCat, IsoWitness, validate_functor, validate_witness
+from .core import FinCat, IsoWitness, relabelling
 
 DEFAULT_BUDGET = 100_000
+SIGNATURE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class BudgetExhausted:
         return False
 
 
-def _signatures(cat: FinCat, rounds: int = 2) -> dict[str, tuple]:
+def _signatures(cat: FinCat) -> dict[str, tuple]:
     hom = {
         (x, y): len(cat.hom(x, y)) for x in cat.objects for y in cat.objects
     }
@@ -42,7 +43,7 @@ def _signatures(cat: FinCat, rounds: int = 2) -> dict[str, tuple]:
             tuple(sorted(hom[(y, x)] for y in cat.objects)))
         for x in cat.objects
     }
-    for _ in range(rounds):
+    for _ in range(SIGNATURE_ROUNDS):
         sig = {
             x: (sig[x], tuple(sorted((sig[y], hom[(x, y)], hom[(y, x)]) for y in cat.objects)))
             for x in cat.objects
@@ -161,12 +162,6 @@ def find_isomorphism(
         return NotIsomorphic("no structure-preserving bijection exists")
 
     objs = {x: d.arrow(assignment[c.identity[x]]).dom for x in c.objects}
-    forward = validate_functor(f"{c.name}~{d.name}", c, d, objs, assignment)
-    backward = validate_functor(
-        f"{d.name}~{c.name}",
-        d,
-        c,
-        {v: k for k, v in objs.items()},
-        {v: k for k, v in assignment.items()},
+    return relabelling(
+        f"{c.name}~{d.name}", c, d, objs, assignment, back_name=f"{d.name}~{c.name}"
     )
-    return validate_witness(forward, backward)

@@ -16,7 +16,17 @@ from typing import Iterable, Mapping, Sequence
 import pytest
 
 import basecat as bc
-from basecat.core import Arrow, FinCat, RawArrow, _as_arrows, identity_id
+from basecat.core import (
+    Arrow,
+    FinCat,
+    FinFunctor,
+    RawArrow,
+    _as_arrows,
+    identity_id,
+    op_name,
+    validate_category,
+    validate_functor,
+)
 from basecat.corpus import build_corpus, fixtures_dir, group_category
 from basecat.dsl import elaborate, parse
 from basecat.errors import (
@@ -24,16 +34,22 @@ from basecat.errors import (
     DomCodMismatch,
     DuplicateId,
     MissingComposite,
+    NotSplit,
     ParseError,
     SourceSpan,
+    SourceTargetMismatch,
     UnitLawViolation,
     UnknownMorphism,
     UnknownObject,
 )
+from basecat.family import IndexedFamily, validate_family
 from basecat.fibration import (
+    Cleavage,
     CounterexampleCartesian,
     CounterexampleOpCartesian,
     FunctorOver,
+    _vertical_factors,
+    check_split,
 )
 
 
@@ -400,3 +416,117 @@ def oracle_cartesian_scan(p: FunctorOver, f: str, op: bool):
                 found = CounterexampleOpCartesian if op else CounterexampleCartesian
                 return found(f, g, w, len(mediating))
     return True
+
+
+# The structural operations of ``basecat.core`` as they were when each one
+# validated its result again: the reference for the direct builders.
+
+
+def oracle_opposite(cat: FinCat) -> FinCat:
+    names = {
+        a.name: (a.name if cat.is_identity(a.name) else op_name(a.name))
+        for a in cat.arrows
+    }
+    arrows = tuple(Arrow(names[a.name], a.cod, a.dom) for a in cat.arrows)
+    identity = {o: names[m] for o, m in cat.identity.items()}
+    table = {
+        (names[f], names[g]): names[h] for (g, f), h in cat.compose.items()
+    }
+    return validate_category(op_name(cat.name), cat.objects, arrows, table, identity)
+
+
+def oracle_op_functor(fun: FinFunctor) -> FinFunctor:
+    src = oracle_opposite(fun.source)
+    tgt = oracle_opposite(fun.target)
+    mor_map = {}
+    for a in fun.source.arrows:
+        key = a.name if fun.source.is_identity(a.name) else op_name(a.name)
+        img = fun.mor(a.name)
+        mor_map[key] = img if fun.target.is_identity(img) else op_name(img)
+    return validate_functor(op_name(fun.name), src, tgt, dict(fun.obj_map), mor_map)
+
+
+def oracle_compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
+    if f.target != g.source:
+        raise SourceTargetMismatch(f"{f.name} lands in {f.target.name}, {g.name} starts at {g.source.name}")
+    return validate_functor(
+        f"{g.name}*{f.name}",
+        f.source,
+        g.target,
+        {x: g.obj(f.obj(x)) for x in f.source.objects},
+        {a.name: g.mor(f.mor(a.name)) for a in f.source.arrows},
+    )
+
+
+# ``basecat.fibration.recover_indexed`` as it was before the objects,
+# vertical arrows and vertical composites were grouped once per call: every
+# base object and every base arrow scans the whole total category.
+
+
+def oracle_recover_indexed(
+    p: FunctorOver,
+    c: Cleavage,
+    object_labels: dict[str, tuple[str, ...]] | None = None,
+    arrow_labels: dict[str, tuple[str, ...]] | None = None,
+) -> IndexedFamily:
+    verdict = check_split(p, c)
+    if verdict is not True:
+        raise NotSplit(verdict.detail)
+
+    total, base = p.total, p.base
+
+    def rl_obj(o: str) -> str:
+        if object_labels and o in object_labels:
+            return object_labels[o][-1]
+        return o
+
+    def rl_mor(m: str) -> str:
+        if arrow_labels and m in arrow_labels:
+            return arrow_labels[m][-1]
+        return m
+
+    fibre: dict[str, FinCat] = {}
+    for i in base.objects:
+        objs = [y for y in total.objects if p.obj_over(y) == i]
+        verticals = [
+            a for a in total.arrows
+            if p.over(a.name) == base.identity[i] and a.dom in objs
+        ]
+        names = {a.name for a in verticals}
+        arrows = [(rl_mor(a.name), rl_obj(a.dom), rl_obj(a.cod)) for a in verticals]
+        identity = {rl_obj(y): rl_mor(total.identity[y]) for y in objs}
+        table = {
+            (rl_mor(g), rl_mor(f)): rl_mor(h)
+            for (g, f), h in total.compose.items()
+            if g in names and f in names
+        }
+        fibre[i] = validate_category(
+            f"{total.name}|{i}", [rl_obj(y) for y in objs], arrows, table, identity
+        )
+
+    pull: dict[str, FinFunctor] = {}
+    for u in base.arrows:
+        if base.is_identity(u.name):
+            continue
+        src = fibre[u.cod]
+        tgt = fibre[u.dom]
+        obj_map = {
+            rl_obj(y): rl_obj(total.dom(c.lift[(u.name, y)]))
+            for y in total.objects
+            if p.obj_over(y) == u.cod
+        }
+        mor_map = {}
+        for a in total.arrows:
+            if p.over(a.name) != base.identity[u.cod]:
+                continue
+            top = c.lift[(u.name, a.cod)]
+            bottom = c.lift[(u.name, a.dom)]
+            carried = _vertical_factors(p, top, total.compose[(a.name, bottom)])
+            if len(carried) != 1:
+                raise NotSplit(
+                    f"vertical transport of {a.name!r} along {u.name!r} is not unique"
+                )
+            mor_map[rl_mor(a.name)] = rl_mor(carried[0])
+        pull[u.name] = validate_functor(f"pull_{u.name}", src, tgt, obj_map, mor_map)
+
+    return validate_family(base, fibre, pull)

@@ -279,6 +279,26 @@ class TestVerify:
         assert code == 0
         assert "prop4:Z2:witness\tpass" in out
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda d: d / "missing", "no such corpus directory"),
+            (lambda d: Path(CORE), "not a directory"),
+            (lambda d: d, "no .bcat file to load"),
+        ],
+        ids=["missing", "file", "no-bcat"],
+    )
+    def test_bad_corpus_directory_is_a_usage_error(self, capsys, tmp_path, make, message):
+        # The empty directory holds only files the corpus loader skips.
+        (tmp_path / "notes.txt").write_text("category C { objects: X }\n")
+        (tmp_path / "negative_x.bcat").write_text("category C { objects: X }\n")
+        code = main(["verify", "prop2", "--corpus", str(make(tmp_path))])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+
 
 class TestBudget:
     def test_budget_cuts_off_the_iso_search(self, capsys, tmp_path):

@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 
 import basecat as bc
 from basecat import errors
-from basecat.corpus import group_category
+from basecat.corpus import build_corpus, group_category
 
-from conftest import all_functors, oracle_assoc_violations
+from conftest import (
+    all_functors,
+    oracle_assoc_violations,
+    oracle_compose_functors,
+    oracle_op_functor,
+    oracle_opposite,
+)
 
 
 class TestValidateCategory:
@@ -129,6 +135,22 @@ class TestOpposite:
 
     def test_identities_keep_their_names(self, two):
         assert bc.opposite(two).identity == two.identity
+
+    @pytest.mark.parametrize(
+        "objects, arrows, compose, identity, ident",
+        [
+            # an identity id_X next to a non-identity id_X_op
+            (["X"], [("id_X_op", "X", "X")], {("id_X_op", "id_X_op"): "id_X_op"}, None, "id_X"),
+            # a non-identity g next to an identity named g_op
+            (["X", "Y"], [("g_op", "X", "X"), ("g", "X", "Y")], None, {"X": "g_op"}, "g_op"),
+        ],
+    )
+    def test_op_tag_collision(self, objects, arrows, compose, identity, ident):
+        cat = bc.validate_category("C", objects, arrows, compose, identity)
+        for opposite in (bc.opposite, oracle_opposite):
+            with pytest.raises(errors.DuplicateId) as exc:
+                opposite(cat)
+            assert exc.value.ident == ident
 
 
 class TestProduct:
@@ -313,3 +335,74 @@ def test_compose_functors_associative(triple):
     right = bc.compose_functors(bc.compose_functors(h, g), f)
     assert left.obj_map == right.obj_map
     assert left.mor_map == right.mor_map
+
+
+# The direct structural operations against the validating ones they
+# replaced, on everything one corpus reaches.
+
+
+def _reachable(seed: int) -> tuple[list[bc.FinCat], list[bc.FinFunctor], list[tuple]]:
+    """Env categories, functors with their sources and targets, and every
+    construction's category and projection; plus composable functor pairs:
+    each functor with the identities at its ends, each graph projection
+    followed by its functor, and each pair of pull functors of a family
+    that its strictness check composes."""
+    corpus = build_corpus(seed=seed)
+    functors = list(corpus.functors) + [f for f, _ in corpus.concrete_pairs]
+    built = []
+    pairs = []
+    for fun in corpus.functors:
+        graph = bc.graph_category(fun)
+        built += [graph, bc.abstract_left_action(fun), bc.abstract_right_action(fun)]
+        pairs.append((fun, graph.projection))
+    for fun, concrete in corpus.concrete_pairs:
+        built += [
+            bc.concrete_graph_category(fun, concrete),
+            bc.concrete_left_action(fun, concrete),
+            bc.concrete_right_action(fun, concrete),
+        ]
+    built += [bc.grothendieck_strict(fam) for fam in corpus.families]
+    built += [bc.transformation_groupoid(act) for act in corpus.actions]
+    for fam in corpus.families:
+        for (v, u), _ in fam.base.compose.items():
+            pairs.append((fam.pull[u], fam.pull[v]))
+    cats = list(corpus.env.categories.values())
+    cats += [c for f in functors for c in (f.source, f.target)]
+    cats += [b.cat for b in built]
+    functors += [b.projection for b in built]
+    for f in functors:
+        pairs += [(f, bc.identity_functor(f.source)), (bc.identity_functor(f.target), f)]
+    unique = list({id(c): c for c in cats}.values())
+    return unique, functors, pairs
+
+
+def _orders(value) -> tuple:
+    """Every mapping of a category or functor, item by item in order."""
+    if isinstance(value, bc.FinFunctor):
+        return (
+            list(value.obj_map.items()),
+            list(value.mor_map.items()),
+            _orders(value.source),
+            _orders(value.target),
+        )
+    return list(value.identity.items()), list(value.compose.items())
+
+
+def _assert_same(got, expected) -> None:
+    assert got == expected
+    assert _orders(got) == _orders(expected)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_structural_operations_match_the_validating_oracles(seed):
+    cats, functors, pairs = _reachable(seed)
+    for cat in cats:
+        for c in (cat, oracle_opposite(cat)):
+            _assert_same(bc.opposite(c), oracle_opposite(c))
+    for fun in functors:
+        for f in (fun, oracle_op_functor(fun)):
+            _assert_same(bc.op_functor(f), oracle_op_functor(f))
+    for g, f in pairs:
+        _assert_same(bc.compose_functors(g, f), oracle_compose_functors(g, f))
+        g_op, f_op = oracle_op_functor(g), oracle_op_functor(f)
+        _assert_same(bc.compose_functors(g_op, f_op), oracle_compose_functors(g_op, f_op))
