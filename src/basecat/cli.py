@@ -23,16 +23,16 @@ from .dsl import (
     elaborate_declaration,
     format_declaration,
     parse,
+    read_source,
 )
-from .errors import BasecatError, ParseError, ValidationError
+from .errors import BasecatError, ParseError, UsageError, ValidationError
 from .fibration import (
-    Cleavage,
     FunctorOver,
-    OpCleavage,
     check_fibration,
     check_opfibration,
     check_split,
     check_split_op,
+    find_cleavage,
     is_cartesian,
 )
 from .iso import DEFAULT_BUDGET, find_isomorphism
@@ -52,19 +52,8 @@ CONSTRUCT_KINDS = (
 )
 
 
-def _read(path: str) -> str:
-    """The text of a ``.bcat`` file; a file that cannot be read as UTF-8
-    text is a usage error."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    except OSError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _load(path: str, allow_unfaithful: bool = False) -> Env:
-    return elaborate(parse(_read(path), path), allow_unfaithful)
+    return elaborate(parse(read_source(path), path), allow_unfaithful)
 
 
 def _construct(kind: str, names: list[str], env: Env) -> cons.ConstructedCategory:
@@ -123,7 +112,7 @@ def _resolve_over(expr: str, env: Env) -> tuple[FunctorOver, cons.ConstructedCat
 def cmd_validate(args) -> Report:
     report = Report("validate")
     for path in args.files:
-        doc = parse(_read(path), path)
+        doc = parse(read_source(path), path)
         env = Env()
         for decl in doc.declarations:
             kind = type(decl).__name__.removesuffix("Decl").lower()
@@ -155,75 +144,50 @@ def cmd_construct(args) -> Report:
     return report
 
 
-class UsageError(Exception):
-    pass
-
-
 def cmd_check(args) -> Report:
     needed = 2 if args.kind in ("iso", "cartesian") else 1
     if len(args.args) < needed:
         raise UsageError(f"check {args.kind} takes {needed} arguments")
     report = Report(f"check {args.kind}")
     env = _load(args.file, args.allow_unfaithful)
+    # Each verdict comes with what to say when it holds; a refutation says
+    # why it does not.
     if args.kind == "iso":
         for name in args.args[:2]:
             if name not in env.categories:
                 raise ValidationError(f"no category named {name!r}")
         c, d = (env.categories[n] for n in args.args[:2])
-        result = find_isomorphism(c, d, args.budget)
-        from .core import IsoWitness
-
-        if isinstance(result, IsoWitness):
-            detail = "objects: " + ", ".join(
-                f"{k}->{v}" for k, v in result.forward.obj_map.items()
-            )
-            report.add(f"check:iso:{args.args[0]}~{args.args[1]}", True, detail)
-        else:
-            report.add(f"check:iso:{args.args[0]}~{args.args[1]}", False, str(result))
-        return report
-
-    over, built = _resolve_over(args.args[0], env)
-    claim = f"check:{args.kind}:{args.args[0]}"
-    if args.kind == "fibration":
-        result = check_fibration(over)
-        ok = isinstance(result, Cleavage)
-        report.add(claim, ok, f"lifts={len(result.lift)}" if ok else str(result))
-    elif args.kind == "opfibration":
-        result = check_opfibration(over)
-        ok = isinstance(result, OpCleavage)
-        report.add(claim, ok, f"lifts={len(result.lift)}" if ok else str(result))
-    elif args.kind == "cartesian":
-        morphism = args.args[1]
-        result = is_cartesian(over, morphism)
-        report.add(
-            f"{claim}:{morphism}",
-            result is True,
-            "" if result is True else str(result),
-        )
-    elif args.kind == "split":
-        checked = False
-        ok = True
-        detail = []
-        cleavage = built.cleavage if built else None
-        if cleavage is None:
-            found = check_fibration(over)
-            cleavage = found if isinstance(found, Cleavage) else None
-        if cleavage is not None:
-            verdict = check_split(over, cleavage)
-            checked = True
-            ok = ok and verdict is True
-            detail.append("cleavage" if verdict is True else str(verdict))
-        if built is not None and built.opcleavage is not None:
-            verdict = check_split_op(over, built.opcleavage)
-            checked = True
-            ok = ok and verdict is True
-            detail.append("opcleavage" if verdict is True else str(verdict))
-        if not checked:
-            report.add(claim, False, "no cleavage available")
-        else:
-            report.add(claim, ok, "; ".join(detail))
+        claim = f"check:iso:{args.args[0]}~{args.args[1]}"
+        verdicts = [(
+            find_isomorphism(c, d, args.budget),
+            lambda w: "objects: " + ", ".join(f"{k}->{v}" for k, v in w.forward.obj_map.items()),
+        )]
     else:
-        raise ValidationError(f"unknown check kind {args.kind!r}")
+        over, built = _resolve_over(args.args[0], env)
+        claim = f"check:{args.kind}:{args.args[0]}"
+        if args.kind in ("fibration", "opfibration"):
+            scan = check_fibration if args.kind == "fibration" else check_opfibration
+            verdicts = [(scan(over), lambda cleavage: f"lifts={len(cleavage.lift)}")]
+        elif args.kind == "cartesian":
+            claim += f":{args.args[1]}"
+            verdicts = [(is_cartesian(over, args.args[1]), lambda _: "")]
+        elif args.kind == "split":
+            verdicts = []
+            cleavage = find_cleavage(over, built.cleavage if built else None)
+            if cleavage:
+                verdicts.append((check_split(over, cleavage), lambda _: "cleavage"))
+            if built and built.opcleavage:
+                verdicts.append((check_split_op(over, built.opcleavage), lambda _: "opcleavage"))
+        else:
+            raise ValidationError(f"unknown check kind {args.kind!r}")
+    if not verdicts:
+        report.add(claim, False, "no cleavage available")
+    else:
+        report.add(
+            claim,
+            all(v for v, _ in verdicts),
+            "; ".join(said(v) if v else str(v) for v, said in verdicts),
+        )
     return report
 
 

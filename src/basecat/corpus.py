@@ -29,7 +29,7 @@ from .core import (
     validate_functor,
 )
 from .constructions import discrete_family, family_from_functor, inverse_witness
-from .dsl import Env, elaborate, parse
+from .dsl import Env, elaborate, parse, read_source
 from .family import IndexedFamily, validate_family
 from .sets import ConcreteStructure, FinFn, FinSetObj, validate_concrete
 
@@ -70,7 +70,7 @@ def fixture_paths(directory: Path) -> list[Path]:
 def load_fixture_env(directory: Path | None = None) -> Env:
     env = Env()
     for path in fixture_paths(directory or fixtures_dir()):
-        sub = elaborate(parse(path.read_text(), str(path)))
+        sub = elaborate(parse(read_source(path), str(path)))
         env.categories.update(sub.categories)
         env.functors.update(sub.functors)
         env.concretes.update(sub.concretes)

@@ -16,10 +16,11 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 from .constructions import GroupAction, validate_group_action
 from .core import FinCat, FinFunctor, identity_id, validate_category, validate_functor
-from .errors import ParseError, SourceSpan, UnknownObject, UnresolvedReference
+from .errors import ParseError, SourceSpan, UnknownObject, UnresolvedReference, UsageError
 from .family import IndexedFamily, validate_family
 from .sets import ConcreteStructure, FinFn, FinSetObj, validate_concrete
 
@@ -171,9 +172,6 @@ Declaration = CategoryDecl | FunctorDecl | ConcreteDecl | ActionDecl | IndexedDe
 @dataclass(frozen=True)
 class Document:
     declarations: tuple[Declaration, ...]
-
-    def of_kind(self, cls) -> list:
-        return [d for d in self.declarations if isinstance(d, cls)]
 
 
 class _Parser:
@@ -392,6 +390,17 @@ class _Parser:
 def parse(text: str, filename: str = "<string>") -> Document:
     """Parse a `.bcat` document; errors carry a span inside the input."""
     return _Parser(text, filename).document()
+
+
+def read_source(path: str | Path) -> str:
+    """The text of a ``.bcat`` file; a file that cannot be read as UTF-8
+    text is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # Printing.

@@ -1,15 +1,44 @@
-"""Error types shared across the package.
+"""Error types and refutations shared across the package.
 
 Validation errors always name the witnessing ids, so a failed check can be
-reported without re-deriving anything from the presentation.
+reported without re-deriving anything from the presentation. Every check
+returns a truthy value when its property holds and a falsy ``Refutation``
+saying why when it does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 
-class BasecatError(Exception):
+class Explained:
+    """A result that explains itself in one line: ``str`` formats the
+    class-level ``template`` over the instance's fields. A class without a
+    template keeps the ``str`` of its next base (an exception's message, a
+    dataclass's repr)."""
+
+    template: ClassVar[str | None] = None
+
+    def __str__(self) -> str:
+        if self.template is None:
+            return super().__str__()
+        return self.template.format_map(vars(self))
+
+
+class Refutation(Explained):
+    """A falsy verdict, so that ``if verdict:`` reads "the property holds"."""
+
+    def __bool__(self) -> bool:
+        return False
+
+
+class UsageError(Exception):
+    """Input the command line cannot use as given: one ``error:`` line and
+    exit 2."""
+
+
+class BasecatError(Explained, Exception):
     """Base class for every error raised by this package."""
 
 
@@ -19,19 +48,15 @@ class ValidationError(BasecatError):
 
 @dataclass
 class DuplicateId(ValidationError):
+    template = "duplicate id {ident!r}"
     ident: str
-
-    def __str__(self) -> str:
-        return f"duplicate id {self.ident!r}"
 
 
 @dataclass
 class MissingComposite(ValidationError):
+    template = "composite of ({g!r} after {f!r}) is not in the table"
     g: str
     f: str
-
-    def __str__(self) -> str:
-        return f"composite of ({self.g!r} after {self.f!r}) is not in the table"
 
 
 @dataclass
@@ -47,93 +72,71 @@ class DomCodMismatch(ValidationError):
 
 @dataclass
 class UnitLawViolation(ValidationError):
+    template = "unit law fails at {f!r}"
     f: str
-
-    def __str__(self) -> str:
-        return f"unit law fails at {self.f!r}"
 
 
 @dataclass
 class AssociativityViolation(ValidationError):
+    template = "associativity fails on triple ({h!r}, {g!r}, {f!r})"
     h: str
     g: str
     f: str
 
-    def __str__(self) -> str:
-        return f"associativity fails on triple ({self.h!r}, {self.g!r}, {self.f!r})"
-
 
 @dataclass
 class UnmappedObject(ValidationError):
+    template = "object {ident!r} has no image"
     ident: str
-
-    def __str__(self) -> str:
-        return f"object {self.ident!r} has no image"
 
 
 @dataclass
 class UnmappedMorphism(ValidationError):
+    template = "morphism {ident!r} has no image"
     ident: str
-
-    def __str__(self) -> str:
-        return f"morphism {self.ident!r} has no image"
 
 
 @dataclass
 class DomCodNotPreserved(ValidationError):
+    template = "image of {f!r} has the wrong dom/cod"
     f: str
-
-    def __str__(self) -> str:
-        return f"image of {self.f!r} has the wrong dom/cod"
 
 
 @dataclass
 class IdentityNotPreserved(ValidationError):
+    template = "identity of {obj!r} is not sent to an identity"
     obj: str
-
-    def __str__(self) -> str:
-        return f"identity of {self.obj!r} is not sent to an identity"
 
 
 @dataclass
 class CompositionNotPreserved(ValidationError):
+    template = "composite of ({g!r} after {f!r}) is not preserved"
     g: str
     f: str
-
-    def __str__(self) -> str:
-        return f"composite of ({self.g!r} after {self.f!r}) is not preserved"
 
 
 @dataclass
 class SourceTargetMismatch(ValidationError):
+    template = "source/target categories do not line up: {detail}"
     detail: str = ""
-
-    def __str__(self) -> str:
-        return f"source/target categories do not line up: {self.detail}"
 
 
 @dataclass
 class NotMutuallyInverse(ValidationError):
+    template = "functor pair is not mutually inverse: {detail}"
     detail: str
-
-    def __str__(self) -> str:
-        return f"functor pair is not mutually inverse: {self.detail}"
 
 
 @dataclass
 class UnknownMorphism(BasecatError):
+    template = "no morphism named {ident!r}"
     ident: str
-
-    def __str__(self) -> str:
-        return f"no morphism named {self.ident!r}"
 
 
 @dataclass
 class UnknownObject(BasecatError):
+    template = "no object named {ident!r}"
     ident: str
-
-    def __str__(self) -> str:
-        return f"no object named {self.ident!r}"
 
 
 # Finite-set layer.
@@ -152,28 +155,22 @@ class PartialFunction(ValidationError):
 
 @dataclass
 class NotFunctorial(ValidationError):
+    template = "assigned functions break composition on ({g!r}, {f!r})"
     g: str
     f: str
-
-    def __str__(self) -> str:
-        return f"assigned functions break composition on ({self.g!r}, {self.f!r})"
 
 
 @dataclass
 class NotFaithful(ValidationError):
+    template = "parallel morphisms {f1!r} and {f2!r} share one function"
     f1: str
     f2: str
-
-    def __str__(self) -> str:
-        return f"parallel morphisms {self.f1!r} and {self.f2!r} share one function"
 
 
 @dataclass
 class CodomainMismatch(ValidationError):
+    template = "functions do not share a codomain: {detail}"
     detail: str = ""
-
-    def __str__(self) -> str:
-        return f"functions do not share a codomain: {self.detail}"
 
 
 # Constructions.
@@ -181,19 +178,15 @@ class CodomainMismatch(ValidationError):
 
 @dataclass
 class NotStrict(ValidationError):
+    template = "indexed family is not strict on base pair ({v!r}, {u!r})"
     v: str
     u: str
-
-    def __str__(self) -> str:
-        return f"indexed family is not strict on base pair ({self.v!r}, {self.u!r})"
 
 
 @dataclass
 class NoSelfDualWitness(ValidationError):
+    template = "self-duality witness rejected: {detail}"
     detail: str
-
-    def __str__(self) -> str:
-        return f"self-duality witness rejected: {self.detail}"
 
 
 # Fibrations.
@@ -201,19 +194,15 @@ class NoSelfDualWitness(ValidationError):
 
 @dataclass
 class NoLiftInCleavage(BasecatError):
+    template = "cleavage has no lift for base morphism {u!r} at {obj!r}"
     u: str
     obj: str
-
-    def __str__(self) -> str:
-        return f"cleavage has no lift for base morphism {self.u!r} at {self.obj!r}"
 
 
 @dataclass
 class NotSplit(BasecatError):
+    template = "cleavage is not split: {detail}"
     detail: str
-
-    def __str__(self) -> str:
-        return f"cleavage is not split: {self.detail}"
 
 
 # DSL front-end.

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import Arrow, FinCat, FinFunctor, validate_category, validate_functor
-from .errors import NoLiftInCleavage, NotSplit
+from .errors import NoLiftInCleavage, NotSplit, Refutation
 from .family import IndexedFamily, validate_family
 
 
@@ -62,15 +62,7 @@ class OpCleavage:
 
 
 @dataclass(frozen=True)
-class _Refutation:
-    """A falsy verdict, so that ``if verdict:`` reads "the property holds"."""
-
-    def __bool__(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class _Factorization(_Refutation):
+class _Factorization(Refutation):
     """A factorization of ``g`` through ``f`` over ``w`` whose mediating
     morphisms number ``mediating_count`` instead of one."""
 
@@ -89,7 +81,7 @@ class CounterexampleOpCartesian(_Factorization):
 
 
 @dataclass(frozen=True)
-class _Unlifted(_Refutation):
+class _Unlifted(Refutation):
     """No (op)cartesian morphism above ``u`` ends (starts) at ``obj``."""
 
     u: str
@@ -105,7 +97,7 @@ class MissingOpLift(_Unlifted):
 
 
 @dataclass(frozen=True)
-class _Detailed(_Refutation):
+class _Detailed(Refutation):
     detail: str
 
 
@@ -176,7 +168,7 @@ def _lift_scan(p: FunctorOver, op: bool) -> Cleavage | OpCleavage | _Unlifted:
             if end != over_y:
                 continue
             for cand in candidates:
-                if over[cand.name] == u and _cartesian_scan(p, cand.name, op) is True:
+                if over[cand.name] == u and _cartesian_scan(p, cand.name, op):
                     lifts[(u, y)] = cand.name
                     break
             else:
@@ -194,6 +186,12 @@ def check_opfibration(p: FunctorOver) -> OpCleavage | MissingOpLift:
     """Find an opcartesian lift for every base morphism at every object
     above its domain; the first lift in presentation order wins."""
     return _lift_scan(p, True)
+
+
+def find_cleavage(p: FunctorOver, chosen: Cleavage | None = None) -> Cleavage | None:
+    """The ``chosen`` cleavage, else the first one ``check_fibration``
+    finds, else None when ``p`` is not a fibration."""
+    return chosen or check_fibration(p) or None
 
 
 def _split_scan(p: FunctorOver, lift: dict[tuple[str, str], str], op: bool) -> bool | SplitViolation:
@@ -274,7 +272,7 @@ def factor_vertical_cartesian(
 def property_cartesian_compose(p: FunctorOver) -> bool | Counterexample:
     """Composites of cartesian morphisms must be cartesian; full scan."""
     cartesian = {
-        a.name: is_cartesian(p, a.name) is True for a in p.total.arrows
+        a.name: bool(is_cartesian(p, a.name)) for a in p.total.arrows
     }
     for (g, f), gf in p.total.compose.items():
         if cartesian[g] and cartesian[f] and not cartesian[gf]:
@@ -287,7 +285,7 @@ def property_cartesian_compose(p: FunctorOver) -> bool | Counterexample:
 def property_cartesian_over_iso(p: FunctorOver) -> bool | Counterexample:
     """Cartesian morphisms above invertible base morphisms must be invertible."""
     for a in p.total.arrows:
-        if is_cartesian(p, a.name) is not True:
+        if not is_cartesian(p, a.name):
             continue
         if p.base.inverse_of(p.over(a.name)) is None:
             continue
@@ -315,7 +313,7 @@ def recover_indexed(
     original ids.
     """
     verdict = check_split(p, c)
-    if verdict is not True:
+    if not verdict:
         raise NotSplit(verdict.detail)
 
     total, base = p.total, p.base

@@ -12,25 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FinCat, IsoWitness, relabelling
+from .errors import Refutation
 
 DEFAULT_BUDGET = 100_000
 SIGNATURE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
-class NotIsomorphic:
+class NotIsomorphic(Refutation):
     reason: str
-
-    def __bool__(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
-class BudgetExhausted:
+class BudgetExhausted(Refutation):
     nodes: int
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def _signatures(cat: FinCat) -> dict[str, tuple]:

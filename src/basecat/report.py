@@ -25,7 +25,9 @@ class Report:
     command: str
     claims: list[Claim] = field(default_factory=list)
 
-    def add(self, claim_id: str, ok: bool, detail: str = "") -> None:
+    def add(self, claim_id: str, ok: object, detail: str = "") -> None:
+        """Record a claim that passes when ``ok`` is truthy, so a verdict
+        (``True``, a witness or a falsy refutation) is passed as it is."""
         self.claims.append(Claim(claim_id, PASS if ok else FAIL, detail))
 
     def skip(self, claim_id: str, detail: str = "") -> None:

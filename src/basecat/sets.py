@@ -1,16 +1,16 @@
 """Finite sets, functions, faithful structures over a category, pullbacks.
 
 The pullback apex is enumerated in lexicographic pair order and then
-checked against its universal property by brute force over all cones from
-probe sets of bounded size, so correctness never rests on the enumeration
-alone.
+checked against its universal property over all cones from probe sets of
+bounded size, so correctness never rests on the enumeration alone; the
+cones are counted point by point, not enumerated.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import FinCat, pair_id
 from .errors import (
@@ -18,6 +18,7 @@ from .errors import (
     NotFaithful,
     NotFunctorial,
     PartialFunction,
+    Refutation,
     UnknownObject,
     ValidationError,
 )
@@ -153,14 +154,11 @@ class PullbackSquare:
 
 
 @dataclass(frozen=True)
-class ConeCounterexample:
+class ConeCounterexample(Refutation):
     probe: FinSetObj
     q1: FinFn
     q2: FinFn
     mediating_count: int
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def pullback_finset(f: FinFn, g: FinFn, name: str | None = None) -> PullbackSquare:
@@ -182,49 +180,36 @@ def pullback_finset(f: FinFn, g: FinFn, name: str | None = None) -> PullbackSqua
     return PullbackSquare(f, g, apex, p1, p2)
 
 
-def _all_functions(dom: FinSetObj, cod: FinSetObj) -> Iterable[FinFn]:
-    if not dom.elements:
-        yield FinFn(dom, cod, {})
-        return
-    for images in product(cod.elements, repeat=len(dom.elements)):
-        yield FinFn(dom, cod, dict(zip(dom.elements, images)))
-
-
 def verify_pullback_universal(
     square: PullbackSquare, probe: int = 3
 ) -> bool | ConeCounterexample:
-    """Brute-force the universal property over probes of size <= `probe`.
+    """The universal property over probes of size <= `probe`, decided by
+    counting.
 
-    Returns the first cone with zero or several mediating functions;
-    a counterexample is a result, not an error.
+    A cone (q1, q2) from a probe D has as many mediating functions as the
+    product, over the points x of D, of the number of apex elements over
+    (q1(x), q2(x)). So when every compatible pair (a, b) has exactly one
+    apex element over it, every cone of every size has exactly one
+    mediating function; otherwise the one-point cone on the first such
+    pair, in (a, b) order, is the first cone with zero or several, which
+    is what a scan of all cones by size finds first. The empty probe
+    always has exactly one. A counterexample is a result, not an error.
     """
     f, g, apex, p1, p2 = square.f, square.g, square.apex, square.p1, square.p2
     for e in apex.elements:
         if f.mapping[p1.mapping[e]] != g.mapping[p2.mapping[e]]:
             raise ValidationError("square does not commute")
+    if probe < 1:
+        return True
 
-    for size in range(probe + 1):
-        d = FinSetObj(f"probe{size}", tuple(f"d{i}" for i in range(size)))
-        for q1 in _all_functions(d, f.dom):
-            for q2 in _all_functions(d, g.dom):
-                if any(
-                    f.mapping[q1.mapping[x]] != g.mapping[q2.mapping[x]]
-                    for x in d.elements
-                ):
-                    continue
-                count = 1
-                for x in d.elements:
-                    candidates = [
-                        e
-                        for e in apex.elements
-                        if p1.mapping[e] == q1.mapping[x]
-                        and p2.mapping[e] == q2.mapping[x]
-                    ]
-                    count *= len(candidates)
-                    if count == 0:
-                        break
-                if count != 1:
-                    return ConeCounterexample(d, q1, q2, count)
+    over = Counter((p1.mapping[e], p2.mapping[e]) for e in apex.elements)
+    for a in f.dom.elements:
+        for b in g.dom.elements:
+            if f.mapping[a] == g.mapping[b] and over[(a, b)] != 1:
+                d = FinSetObj("probe1", ("d0",))
+                return ConeCounterexample(
+                    d, FinFn(d, f.dom, {"d0": a}), FinFn(d, g.dom, {"d0": b}), over[(a, b)]
+                )
     return True
 
 

@@ -21,15 +21,12 @@ from .corpus import Corpus
 from .dsl import decl_of_category, format_declaration
 from .errors import BasecatError
 from .fibration import (
-    Cleavage,
-    FunctorOver,
-    OpCleavage,
     check_fibration,
     check_opfibration,
     check_split,
     check_split_op,
     factor_vertical_cartesian,
-    is_cartesian,
+    find_cleavage,
     property_cartesian_compose,
     property_cartesian_over_iso,
     recover_indexed,
@@ -43,12 +40,10 @@ def suite_prop2(corpus: Corpus) -> Report:
     for fun in corpus.functors:
         built = graph_category(fun)
         p = built.over()
-        found = check_fibration(p)
-        report.add(f"prop2:{fun.name}:fibration", isinstance(found, Cleavage))
-        op = check_opfibration(p)
-        report.add(f"prop2:{fun.name}:opfibration", isinstance(op, OpCleavage))
-        report.add(f"prop2:{fun.name}:split", check_split(p, built.cleavage) is True)
-        report.add(f"prop2:{fun.name}:split-op", check_split_op(p, built.opcleavage) is True)
+        report.add(f"prop2:{fun.name}:fibration", check_fibration(p))
+        report.add(f"prop2:{fun.name}:opfibration", check_opfibration(p))
+        report.add(f"prop2:{fun.name}:split", check_split(p, built.cleavage))
+        report.add(f"prop2:{fun.name}:split-op", check_split_op(p, built.opcleavage))
     return report
 
 
@@ -58,12 +53,8 @@ def suite_prop3(corpus: Corpus) -> Report:
     for fun, concrete in corpus.concrete_pairs:
         built = concrete_graph_category(fun, concrete)
         p = built.over()
-        op = check_opfibration(p)
-        report.add(f"prop3:{fun.name}:opfibration", isinstance(op, OpCleavage))
-        report.add(
-            f"prop3:{fun.name}:split-op",
-            check_split_op(p, built.opcleavage) is True,
-        )
+        report.add(f"prop3:{fun.name}:opfibration", check_opfibration(p))
+        report.add(f"prop3:{fun.name}:split-op", check_split_op(p, built.opcleavage))
     return report
 
 
@@ -136,18 +127,9 @@ def suite_appendix_c(corpus: Corpus) -> Report:
     totals = [grothendieck_strict(fam) for fam in corpus.families]
     for name, built in _corpus_fibrations(corpus, totals):
         p = built.over()
-        report.add(
-            f"appendixC:{name}:cartesian-compose",
-            property_cartesian_compose(p) is True,
-        )
-        report.add(
-            f"appendixC:{name}:cartesian-over-iso",
-            property_cartesian_over_iso(p) is True,
-        )
-        cleavage = built.cleavage
-        if cleavage is None:
-            found = check_fibration(p)
-            cleavage = found if isinstance(found, Cleavage) else None
+        report.add(f"appendixC:{name}:cartesian-compose", property_cartesian_compose(p))
+        report.add(f"appendixC:{name}:cartesian-over-iso", property_cartesian_over_iso(p))
+        cleavage = find_cleavage(p, built.cleavage)
         if cleavage is None:
             report.skip(f"appendixC:{name}:factorization", "not a fibration")
             continue

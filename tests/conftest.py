@@ -41,6 +41,7 @@ from basecat.errors import (
     UnitLawViolation,
     UnknownMorphism,
     UnknownObject,
+    ValidationError,
 )
 from basecat.family import IndexedFamily, validate_family
 from basecat.fibration import (
@@ -51,6 +52,7 @@ from basecat.fibration import (
     _vertical_factors,
     check_split,
 )
+from basecat.sets import ConeCounterexample, FinFn, FinSetObj, PullbackSquare
 
 
 @pytest.fixture(scope="session")
@@ -530,3 +532,47 @@ def oracle_recover_indexed(
         pull[u.name] = validate_functor(f"pull_{u.name}", src, tgt, obj_map, mor_map)
 
     return validate_family(base, fibre, pull)
+
+
+# The universal-property check of ``basecat.sets`` as it was before cones
+# were counted point by point: every cone from every probe of size up to
+# ``probe`` is enumerated, smallest probes first.
+
+
+def _all_functions(dom: FinSetObj, cod: FinSetObj) -> Iterable[FinFn]:
+    if not dom.elements:
+        yield FinFn(dom, cod, {})
+        return
+    for images in iproduct(cod.elements, repeat=len(dom.elements)):
+        yield FinFn(dom, cod, dict(zip(dom.elements, images)))
+
+
+def oracle_verify_pullback_universal(square: PullbackSquare, probe: int = 3):
+    f, g, apex, p1, p2 = square.f, square.g, square.apex, square.p1, square.p2
+    for e in apex.elements:
+        if f.mapping[p1.mapping[e]] != g.mapping[p2.mapping[e]]:
+            raise ValidationError("square does not commute")
+
+    for size in range(probe + 1):
+        d = FinSetObj(f"probe{size}", tuple(f"d{i}" for i in range(size)))
+        for q1 in _all_functions(d, f.dom):
+            for q2 in _all_functions(d, g.dom):
+                if any(
+                    f.mapping[q1.mapping[x]] != g.mapping[q2.mapping[x]]
+                    for x in d.elements
+                ):
+                    continue
+                count = 1
+                for x in d.elements:
+                    candidates = [
+                        e
+                        for e in apex.elements
+                        if p1.mapping[e] == q1.mapping[x]
+                        and p2.mapping[e] == q2.mapping[x]
+                    ]
+                    count *= len(candidates)
+                    if count == 0:
+                        break
+                if count != 1:
+                    return ConeCounterexample(d, q1, q2, count)
+    return True

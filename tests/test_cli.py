@@ -225,6 +225,16 @@ class TestCheck:
         assert code == 0
 
 
+def _holding_non_utf8(d: Path) -> Path:
+    (d / "bad.bcat").write_bytes(b"category \xff {}\n")
+    return d
+
+
+def _holding_bcat_directory(d: Path) -> Path:
+    (d / "x.bcat").mkdir()
+    return d
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["prop2", "prop3", "prop4", "duality"])
     def test_suites_pass(self, capsys, suite):
@@ -285,8 +295,10 @@ class TestVerify:
             (lambda d: d / "missing", "no such corpus directory"),
             (lambda d: Path(CORE), "not a directory"),
             (lambda d: d, "no .bcat file to load"),
+            (_holding_non_utf8, "not UTF-8 text"),
+            (_holding_bcat_directory, "Is a directory"),
         ],
-        ids=["missing", "file", "no-bcat"],
+        ids=["missing", "file", "no-bcat", "not-utf8", "bcat-directory"],
     )
     def test_bad_corpus_directory_is_a_usage_error(self, capsys, tmp_path, make, message):
         # The empty directory holds only files the corpus loader skips.

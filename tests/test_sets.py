@@ -9,6 +9,7 @@ import pytest
 import basecat as bc
 from basecat import errors
 from basecat.sets import ConeCounterexample, FinFn, FinSetObj, PullbackSquare
+from conftest import oracle_verify_pullback_universal
 
 
 @pytest.fixture
@@ -167,3 +168,69 @@ def test_pullbacks_always_satisfy_universal_property():
         g = random_fn(rng, B, C)
         square = bc.pullback_finset(f, g)
         assert bc.verify_pullback_universal(square, probe=3) is True
+
+
+def random_apex_square(rng, kind: str) -> PullbackSquare:
+    """A commuting square over random legs (empty domains and non-injective
+    legs included) whose apex is the pullback, the pullback less one
+    element, the pullback with one element doubled over its pair, or the
+    pullback with each element dropped, kept or doubled at random; the
+    apex order is shuffled."""
+    A = FinSetObj("A", tuple(f"a{k}" for k in range(rng.randint(0, 3))))
+    B = FinSetObj("B", tuple(f"b{k}" for k in range(rng.randint(0, 3))))
+    C = FinSetObj("C", tuple(f"c{k}" for k in range(rng.randint(1, 3))))
+    f, g = random_fn(rng, A, C), random_fn(rng, B, C)
+    honest = bc.pullback_finset(f, g)
+    legs = {e: (honest.p1.mapping[e], honest.p2.mapping[e]) for e in honest.apex.elements}
+    if legs and kind == "missing":
+        del legs[rng.choice(sorted(legs))]
+    if legs and kind == "doubled":
+        e = rng.choice(sorted(legs))
+        legs[e + "'"] = legs[e]
+    if kind == "mixed":
+        for e in sorted(legs):
+            copies = rng.choice((0, 1, 1, 2))
+            if copies != 1:
+                legs[e + "'"] = legs[e]
+            if copies == 0:
+                del legs[e], legs[e + "'"]
+    elements = sorted(legs)
+    rng.shuffle(elements)
+    apex = FinSetObj("P", tuple(elements))
+    p1 = FinFn(apex, A, {e: legs[e][0] for e in elements})
+    p2 = FinFn(apex, B, {e: legs[e][1] for e in elements})
+    return PullbackSquare(f, g, apex, p1, p2)
+
+
+def test_counting_matches_the_cone_enumeration():
+    rng = random.Random(2024)
+    outcomes = set()
+    seen = set()
+    for i in range(400):
+        kind = ("honest", "missing", "doubled", "mixed")[i % 4]
+        square = random_apex_square(rng, kind)
+        if not square.f.dom.elements or not square.g.dom.elements:
+            seen.add("empty domain")
+        if len(set(square.f.mapping.values())) < len(square.f.dom):
+            seen.add("non-injective leg")
+        if len(square.apex) != bc.fiberwise_count(square.f, square.g):
+            seen.add(kind)
+        for probe in range(4):
+            expected = oracle_verify_pullback_universal(square, probe)
+            result = bc.verify_pullback_universal(square, probe)
+            assert type(result) is type(expected) and result == expected, (square, probe)
+            outcomes.add(bool(result))
+    assert outcomes == {True, False}
+    assert seen == {"empty domain", "non-injective leg", "missing", "doubled", "mixed"}
+
+
+def test_a_square_that_does_not_commute_is_rejected_like_the_enumeration():
+    A = FinSetObj("A", ("a",))
+    C = FinSetObj("C", ("c1", "c2"))
+    f = FinFn(A, C, {"a": "c1"})
+    g = FinFn(A, C, {"a": "c2"})
+    apex = FinSetObj("P", ("p",))
+    square = PullbackSquare(f, g, apex, FinFn(apex, A, {"p": "a"}), FinFn(apex, A, {"p": "a"}))
+    for check in (bc.verify_pullback_universal, oracle_verify_pullback_universal):
+        with pytest.raises(errors.ValidationError, match="square does not commute"):
+            check(square, 0)
