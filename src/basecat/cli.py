@@ -326,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except (FileNotFoundError, UsageError) as exc:
+    except (OSError, UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BasecatError as exc:

@@ -1,10 +1,42 @@
 """Exhaustive isomorphism search between finite category presentations.
 
-Backtracking over object bijections pruned by iterated hom-profile
-signatures, then over morphism bijections hom-set by hom-set, checking the
-composition table incrementally. The search is complete: within budget it
-either returns a witness (re-validated before being handed back) or a
-definite rejection.
+Every object and morphism gets a colour that any isomorphism preserves,
+in the manner of the invariant colourings of nauty (McKay & Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014), reduced to
+what a composition table makes cheap:
+
+- the *power type* of an endomorphism a is the pair (index, period) of the
+  sequence a, a∘a, a∘a∘a, …, read off a's composition row; in a group it
+  is (0, order), and it is defined for idempotents and other
+  non-invertible elements too;
+- an object's colour is its iterated hom-profile signature with the
+  sorted power types of its endomorphisms;
+- a morphism's colour is (domain colour, codomain colour, identity flag,
+  power type), the last only for endomorphisms.
+
+An isomorphism F maps hom(x, y) bijectively onto hom(Fx, Fy), commutes
+with composition and sends identities to identities, so it preserves
+hom-set sizes, hence signatures, and F(a∘…∘a) = Fa∘…∘Fa, hence power
+types; so F preserves every colour. Two presentations whose colour
+multisets differ are therefore not isomorphic.
+
+Otherwise the search backtracks over object bijections within a colour
+class, then over morphism bijections hom-set by hom-set, trying only
+candidates of the morphism's colour, in hom-set order. Each step checks
+every composite whose two factors and result are all assigned, so every
+assignment the search completes preserves composition: it is an
+isomorphism, re-validated before being handed back.
+
+Compared with the search that tries every candidate, this one tries the
+same candidates in the same order less those of another colour, which
+lead to no isomorphism, and cuts a branch as soon as a composite fails.
+It visits a subsequence of that search's nodes, and wherever that search
+decides, it returns the same verdict and the same first witness. That
+search checked a composite only when its later factor was assigned, so it
+missed those whose result is assigned after both factors; it could
+complete an assignment that is no isomorphism, which then failed
+re-validation with an exception. The search is complete: within budget
+it either returns a witness or a definite rejection.
 """
 
 from __future__ import annotations
@@ -28,29 +60,83 @@ class BudgetExhausted(Refutation):
     nodes: int
 
 
-def _signatures(cat: FinCat) -> dict[str, tuple]:
-    hom = {
-        (x, y): len(cat.hom(x, y)) for x in cat.objects for y in cat.objects
+def _intern(palette: dict, key: tuple) -> int:
+    return palette.setdefault(key, len(palette))
+
+
+def _signatures(cat: FinCat, palette: dict) -> dict[str, int]:
+    """Iterated hom-profile signatures, interned in ``palette``.
+
+    Round 0 is (|hom(x, x)|, sorted out-sizes, sorted in-sizes); each later
+    round adds the sorted (signature, |hom(x, y)|, |hom(y, x)|) over every y.
+    A round's key holds the previous round's numbers, so keys stay flat and
+    equal numbers mean equal nested signatures.
+    """
+    objs = cat.objects
+    hom = {(x, y): len(cat.hom(x, y)) for x in objs for y in objs}
+    sig = {
+        x: _intern(palette, ("sig", 0, hom[(x, x)],
+                             tuple(sorted(hom[(x, y)] for y in objs)),
+                             tuple(sorted(hom[(y, x)] for y in objs))))
+        for x in objs
     }
-    sig: dict[str, tuple] = {
-        x: (hom[(x, x)],
-            tuple(sorted(hom[(x, y)] for y in cat.objects)),
-            tuple(sorted(hom[(y, x)] for y in cat.objects)))
-        for x in cat.objects
-    }
-    for _ in range(SIGNATURE_ROUNDS):
+    for k in range(1, SIGNATURE_ROUNDS + 1):
         sig = {
-            x: (sig[x], tuple(sorted((sig[y], hom[(x, y)], hom[(y, x)]) for y in cat.objects)))
-            for x in cat.objects
+            x: _intern(palette, ("sig", k, sig[x],
+                                 tuple(sorted((sig[y], hom[(x, y)], hom[(y, x)]) for y in objs))))
+            for x in objs
         }
     return sig
 
 
+def _power_type(row: dict[str, str], a: str) -> tuple[int, int]:
+    """(index, period) of a, a∘a, …, where ``row`` is a's composition row."""
+    seen: dict[str, int] = {}
+    p = a
+    while p not in seen:
+        seen[p] = len(seen)
+        p = row[p]
+    return seen[p], len(seen) - seen[p]
+
+
+def _colours(cat: FinCat, sig: dict[str, int], palette: dict) -> tuple[dict[str, int], dict[str, int]]:
+    """Object and morphism colours, interned in ``palette``."""
+    power: dict[str, tuple[int, int]] = {}
+    obj: dict[str, int] = {}
+    for x in cat.objects:
+        endos = cat.hom(x, x)
+        for a in endos:
+            power[a] = _power_type(cat.after[a], a)
+        obj[x] = _intern(palette, ("obj", sig[x], tuple(sorted(power[a] for a in endos))))
+    mor = {
+        a.name: _intern(palette, ("mor", obj[a.dom], obj[a.cod], cat.is_identity(a.name), power.get(a.name)))
+        for a in cat.arrows
+    }
+    return obj, mor
+
+
 class _Search:
-    def __init__(self, c: FinCat, d: FinCat, budget: int):
+    def __init__(self, c: FinCat, d: FinCat, budget: int, c_colour: dict[str, int],
+                 d_colour: dict[str, int]):
         self.c = c
         self.d = d
         self.budget = budget
+        self.colour = c_colour
+        # d's morphisms by (domain, codomain, colour), in hom-set order.
+        self.candidates: dict[tuple[str, str, int], list[str]] = {}
+        for a in d.arrows:
+            self.candidates.setdefault((a.dom, a.cod, d_colour[a.name]), []).append(a.name)
+        # Non-identities in the order they are assigned. ``consistent`` checks
+        # a composite when its later factor is assigned, if its result is
+        # assigned by then; ``late[i]`` holds the composites g∘f whose result
+        # is todo[i] and whose factors both come earlier, checked there.
+        self.todo = [a for a in c.arrows if not c.is_identity(a.name)]
+        pos = {a.name: i for i, a in enumerate(self.todo)}
+        self.late: list[list[tuple[str, str]]] = [[] for _ in self.todo]
+        for (g, f), h in c.compose.items():
+            i = pos.get(h)
+            if i is not None and pos.get(g, i) < i and pos.get(f, i) < i:
+                self.late[i].append((g, f))
         self.nodes = 0
         self.out_of_budget = False
 
@@ -86,27 +172,28 @@ class _Search:
             for y in c.objects:
                 if len(c.hom(x, y)) != len(d.hom(objs[x], objs[y])):
                     return None
-        todo = [a for a in c.arrows if not c.is_identity(a.name)]
         assign = {
             c.identity[x]: d.identity[objs[x]] for x in c.objects
         }
         used = set(assign.values())
-        return self.match_morphisms(todo, 0, objs, assign, used)
+        return self.match_morphisms(0, objs, assign, used)
 
-    def match_morphisms(self, todo, i, objs, assign, used) -> dict[str, str] | None:
-        c, d = self.c, self.d
-        if i == len(todo):
+    def match_morphisms(self, i, objs, assign, used) -> dict[str, str] | None:
+        d_after = self.d.after
+        if i == len(self.todo):
             return dict(assign)
-        a = todo[i]
-        for cand in d.hom(objs[a.dom], objs[a.cod]):
-            if cand in used or d.is_identity(cand):
+        a = self.todo[i]
+        for cand in self.candidates.get((objs[a.dom], objs[a.cod], self.colour[a.name]), ()):
+            if cand in used:
                 continue
             if not self.tick():
                 return None
             assign[a.name] = cand
             used.add(cand)
-            if self.consistent(a.name, assign):
-                result = self.match_morphisms(todo, i + 1, objs, assign, used)
+            if self.consistent(a.name, assign) and all(
+                d_after[assign[g]][assign[f]] == cand for g, f in self.late[i]
+            ):
+                result = self.match_morphisms(i + 1, objs, assign, used)
                 if result is not None or self.out_of_budget:
                     return result
             del assign[a.name]
@@ -141,15 +228,21 @@ def find_isomorphism(
     if len(c.arrows) != len(d.arrows):
         return NotIsomorphic("morphism counts differ")
 
-    sig_c = _signatures(c)
-    sig_d = _signatures(d)
+    # One numbering for both sides, so that equal numbers are equal colours.
+    palette: dict = {}
+    sig_c = _signatures(c, palette)
+    sig_d = _signatures(d, palette)
     if sorted(sig_c.values()) != sorted(sig_d.values()):
         return NotIsomorphic("hom-profile signatures differ")
+    obj_c, mor_c = _colours(c, sig_c, palette)
+    obj_d, mor_d = _colours(d, sig_d, palette)
+    if sorted(mor_c.values()) != sorted(mor_d.values()):
+        return NotIsomorphic("no structure-preserving bijection exists")
     buckets = {
-        x: [y for y in d.objects if sig_d[y] == sig_c[x]] for x in c.objects
+        x: [y for y in d.objects if obj_d[y] == obj_c[x]] for x in c.objects
     }
 
-    search = _Search(c, d, budget)
+    search = _Search(c, d, budget, mor_c, mor_d)
     assignment = search.match_objects(0, {}, set(), buckets)
     if search.out_of_budget:
         return BudgetExhausted(search.nodes)

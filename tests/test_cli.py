@@ -212,6 +212,46 @@ class TestCheck:
         assert code == 0
         assert "X->B" in out and "Y->A" in out
 
+    ISO_PAIRS = (
+        "category K4 { objects: * arrows: a: * -> *, b: * -> *, c: * -> * "
+        "compose: a . a = id_*, b . b = id_*, c . c = id_*, "
+        "a . b = c, b . a = c, a . c = b, c . a = b, b . c = a, c . b = a }\n"
+        "category K4b { objects: o arrows: x: o -> o, y: o -> o, z: o -> o "
+        "compose: x . x = id_o, y . y = id_o, z . z = id_o, "
+        "x . y = z, y . x = z, x . z = y, z . x = y, y . z = x, z . y = x }\n"
+        "category Z4 { objects: * arrows: r: * -> *, s: * -> *, t: * -> * "
+        "compose: r . r = s, r . s = t, s . r = t, r . t = id_*, t . r = id_*, "
+        "s . s = id_*, s . t = r, t . s = r, t . t = s }\n"
+        "category Two { objects: X, Y arrows: f: X -> Y }\n"
+        "category Loop { objects: X, Y arrows: e: X -> X compose: e . e = e }\n"
+    )
+
+    @pytest.mark.parametrize(
+        "fmt, pair, code, expected",
+        [
+            ("human", "K4 K4b", 0,
+             "# check iso\n[  ok] check:iso:K4~K4b  objects: *->o\n# 1 passed, 0 failed, 0 skipped\n"),
+            ("human", "K4 Z4", 1,
+             "# check iso\n[FAIL] check:iso:K4~Z4  "
+             "NotIsomorphic(reason='no structure-preserving bijection exists')\n"
+             "# 0 passed, 1 failed, 0 skipped\n"),
+            ("human", "Two Loop", 1,
+             "# check iso\n[FAIL] check:iso:Two~Loop  "
+             "NotIsomorphic(reason='hom-profile signatures differ')\n"
+             "# 0 passed, 1 failed, 0 skipped\n"),
+            ("machine", "K4 K4b", 0, "check:iso:K4~K4b\tpass\tobjects: *->o\n"),
+            ("machine", "K4 Z4", 1,
+             "check:iso:K4~Z4\tfail\tNotIsomorphic(reason='no structure-preserving bijection exists')\n"),
+            ("machine", "Two Loop", 1,
+             "check:iso:Two~Loop\tfail\tNotIsomorphic(reason='hom-profile signatures differ')\n"),
+        ],
+    )
+    def test_iso_reports_are_pinned(self, capsys, tmp_path, fmt, pair, code, expected):
+        # A witness, a refutation by search and one by hom profiles.
+        path = tmp_path / "pairs.bcat"
+        path.write_text(self.ISO_PAIRS)
+        assert run(capsys, "--format", fmt, "check", "iso", str(path), *pair.split()) == (code, expected)
+
     def test_split_check_on_concrete_graph(self, capsys):
         code, _ = run(
             capsys, "check", "split", CORE, "concrete-graph(idTwo,U)"
@@ -347,6 +387,25 @@ class TestBudget:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: BASECAT_BUDGET must be a positive integer, got {value!r}\n"
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "graph", CORE, "idTwo", "--out", "{}"],
+            ["construct", "graph", CORE, "idTwo", "--dot", "{}"],
+            ["export", CORE, "graph(idTwo)", "--out", "{}"],
+        ],
+        ids=["construct-out", "construct-dot", "export-out"],
+    )
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv):
+        code = main([arg.format(tmp_path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Is a directory" in captured.err
 
 
 class TestExport:

@@ -21,6 +21,7 @@ from conftest import (
     oracle_arrows_from,
     oracle_arrows_into,
     oracle_consistent,
+    oracle_find_isomorphism,
     oracle_hom,
     oracle_inverse_of,
     oracle_is_groupoid,
@@ -56,6 +57,12 @@ def codiscrete(n: int) -> bc.FinCat:
     arrows = [(m(i, j), f"p{i}", f"p{j}") for i in range(n) for j in range(n) if i != j]
     table = {(m(j, k), m(i, j)): m(i, k) for i in range(n) for j in range(n) for k in range(n)}
     return bc.validate_category(f"codisc{n}", objects, arrows, table)
+
+
+def monoid(name: str, table: dict[tuple[str, str], str]) -> bc.FinCat:
+    """A one-object category: its non-identities and their composites."""
+    names = sorted({g for g, _ in table})
+    return bc.validate_category(name, ["*"], [(m, "*", "*") for m in names], table)
 
 
 def ladder_presentations() -> list[bc.FinCat]:
@@ -213,6 +220,12 @@ def summary(verdict) -> tuple:
         pytest.param(cyclic(2 * n), bc.product_category(cyclic(2), cyclic(n, tag="s"))[0], 3_000,
                      id=f"Z{2 * n}~Z2xZ{n}")
         for n in (2, 3, 4, 5, 6)
+    ]
+    + [
+        # Every arrow is idempotent on both sides, so the colours tie and the
+        # search refutes: a left-zero monoid is not its opposite.
+        pytest.param(monoid("L", {(g, f): g for g in "ab" for f in "ab"}),
+                     monoid("R", {(g, f): f for g in "ab" for f in "ab"}), 3_000, id="left-zero~right-zero")
     ],
 )
 def test_consistent_matches_the_compose_lookup(c, d, budget):
@@ -221,3 +234,98 @@ def test_consistent_matches_the_compose_lookup(c, d, budget):
     both_verdict, both_nodes = search(c, d, budget, consistent=cross_checked)
     assert summary(new_verdict) == summary(old_verdict) == summary(both_verdict)
     assert new_nodes == old_nodes == both_nodes
+
+
+# Power-type colours against the colourless search they prune.
+
+
+def shuffled(cat: bc.FinCat, rng: random.Random) -> bc.FinCat:
+    """``cat`` renamed, with its objects and arrows declared in a random order."""
+    ren_obj = {o: f"{o}'" for o in cat.objects}
+    ren_mor = {a.name: f"{a.name}'" for a in cat.arrows}
+    objects = rng.sample(cat.objects, len(cat.objects))
+    arrows = rng.sample(cat.arrows, len(cat.arrows))
+    return bc.validate_category(
+        f"{cat.name}'",
+        [ren_obj[o] for o in objects],
+        [(ren_mor[a.name], ren_obj[a.dom], ren_obj[a.cod]) for a in arrows],
+        {(ren_mor[g], ren_mor[f]): ren_mor[h] for (g, f), h in cat.compose.items()},
+        {ren_obj[o]: ren_mor[m] for o, m in cat.identity.items()},
+    )
+
+
+def product(c: bc.FinCat, d: bc.FinCat) -> bc.FinCat:
+    return bc.product_category(c, d)[0]
+
+
+def colour_pairs(family: str) -> list[tuple[bc.FinCat, bc.FinCat]]:
+    rng = random.Random(family)
+    if family == "cyclic":
+        return [(cyclic(n), cyclic(n, tag="s", order=k)) for n, k in ((5, 2), (7, 3), (8, 3), (9, 2), (12, 5), (16, 3))]
+    if family == "groupoids":
+        cats = [codiscrete(4), product(cyclic(2), codiscrete(3)), product(cyclic(4), codiscrete(3)),
+                product(codiscrete(2), cyclic(3, order=2))]
+        return [(cat, shuffled(cat, rng)) for cat in cats]
+    if family == "chains-products":
+        cats = [chain(4), chain(8), product(chain(3), cyclic(2)), product(chain(2), chain(3))]
+        return [(cat, shuffled(cat, rng)) for cat in cats] + [
+            (product(chain(2), chain(3)), product(chain(3), chain(2))),
+            (product(chain(3), cyclic(2)), product(cyclic(2), chain(3))),
+            (chain(5), bc.opposite(chain(5))),
+        ]
+    if family == "Z2n~Z2xZn":
+        return [(cyclic(2 * n), product(cyclic(2), cyclic(n, tag="s"))) for n in (2, 3, 4, 5, 6, 8)]
+    # Every category corpus seeds 0-9 hold and its opposite, each
+    # presentation once, against a shuffled copy and every other of its size.
+    distinct = {}
+    for seed in range(10):
+        for cat in corpus_categories(seed):
+            for x in (cat, bc.opposite(cat)):
+                distinct.setdefault((x.objects, x.arrows, tuple(sorted(x.compose.items()))), x)
+    cats = list(distinct.values())
+    pairs = [(cat, shuffled(cat, rng)) for cat in cats]
+    for i, c in enumerate(cats):
+        for d in cats[i + 1 :]:
+            if (len(c.objects), len(c.arrows)) == (len(d.objects), len(d.arrows)):
+                pairs.append((c, d))
+    return pairs
+
+
+@pytest.mark.parametrize("family", ["cyclic", "groupoids", "chains-products", "Z2n~Z2xZn", "corpus"])
+def test_colours_keep_every_decided_verdict(family):
+    # Where the colourless search decides, the verdict, reason and witness
+    # maps are its own; where it runs out of budget, the colours may decide.
+    budget = 20_000
+    for c, d in colour_pairs(family):
+        new_verdict, new_nodes = search(c, d, budget)
+        old_verdict, old_nodes = oracle_find_isomorphism(c, d, budget)
+        if not isinstance(old_verdict, iso.BudgetExhausted):
+            assert summary(new_verdict) == summary(old_verdict), (c.name, d.name)
+        assert (new_nodes or 0) <= (old_nodes or 0), (c.name, d.name)
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_colours_refute_z2n_against_z2_times_zn(n):
+    verdict = bc.find_isomorphism(cyclic(2 * n), product(cyclic(2), cyclic(n, tag="s")))
+    assert verdict == iso.NotIsomorphic("no structure-preserving bijection exists")
+
+
+def test_power_types_refute_monoids_with_equal_hom_sizes():
+    # In C3, m∘m = n is absorbing: m has index 1; here m is idempotent.
+    c3 = monoid("C3", {("m", "m"): "n", ("m", "n"): "n", ("n", "m"): "n", ("n", "n"): "n"})
+    idem = monoid("I2", {("m", "m"): "m", ("m", "n"): "n", ("n", "m"): "n", ("n", "n"): "n"})
+    refuted = iso.NotIsomorphic("no structure-preserving bijection exists")
+    assert search(c3, idem, iso.DEFAULT_BUDGET) == (refuted, None)
+
+
+def test_search_checks_composites_assigned_before_their_result():
+    # b∘a is c in M and a in N; every element is idempotent, so the colours
+    # tie. The search assigns a, b, c in that order, so the result of b∘a
+    # is assigned after both of its factors: refuting a→a, b→b, c→c needs
+    # the composite checked when its result is assigned.
+    rows = {"a": "aaa", "c": "ccc"}
+    left = monoid("M", {(g, f): v for g, r in {**rows, "b": "cbc"}.items() for f, v in zip("abc", r)})
+    right = monoid("N", {(g, f): v for g, r in {**rows, "b": "abc"}.items() for f, v in zip("abc", r)})
+    verdict, nodes = search(left, right, iso.DEFAULT_BUDGET)
+    assert verdict == iso.NotIsomorphic("no structure-preserving bijection exists")
+    assert nodes is not None
