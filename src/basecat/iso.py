@@ -11,40 +11,40 @@ what a composition table makes cheap:
   non-invertible elements too;
 - an object's colour is its iterated hom-profile signature with the
   sorted power types of its endomorphisms;
-- a morphism's colour is (domain colour, codomain colour, identity flag,
-  power type), the last only for endomorphisms.
+- a morphism's colour is its domain's and codomain's colours with its
+  power type, if it is an endomorphism.
 
 An isomorphism F maps hom(x, y) bijectively onto hom(Fx, Fy), commutes
 with composition and sends identities to identities, so it preserves
 hom-set sizes, hence signatures, and F(a∘…∘a) = Fa∘…∘Fa, hence power
-types; so F preserves every colour. Two presentations whose colour
-multisets differ are therefore not isomorphic.
+types; so F preserves every colour. Two presentations whose object
+colour multisets differ are therefore not isomorphic.
 
 Otherwise the search backtracks over object bijections within a colour
 class, then over morphism bijections hom-set by hom-set, trying only
-candidates of the morphism's colour, in hom-set order. Each step checks
-every composite whose two factors and result are all assigned, so every
-assignment the search completes preserves composition: it is an
-isomorphism, re-validated before being handed back.
+candidates of the morphism's power type, in hom-set order, and checking the
+composites of each new morphism with those assigned before it. A
+completed assignment is re-validated as an isomorphism; one that fails,
+because a composite whose result was assigned after both of its factors
+escaped the step checks, is a dead end and the search goes on.
 
 Compared with the search that tries every candidate, this one tries the
 same candidates in the same order less those of another colour, which
-lead to no isomorphism, and cuts a branch as soon as a composite fails.
-It visits a subsequence of that search's nodes, and wherever that search
-decides, it returns the same verdict and the same first witness. That
-search checked a composite only when its later factor was assigned, so it
-missed those whose result is assigned after both factors; it could
-complete an assignment that is no isomorphism, which then failed
-re-validation with an exception. The search is complete: within budget
-it either returns a witness or a definite rejection.
+lead to no isomorphism. Wherever that search decides, this one visits a
+subsequence of its nodes and returns the same verdict and the same first
+witness; where that search stopped with an exception at a completed
+assignment that failed re-validation, this one passes over it. The
+search is complete: within budget it either returns a witness or a
+definite rejection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .core import FinCat, IsoWitness, relabelling
-from .errors import Refutation
+from .errors import CompositionNotPreserved, Refutation
 
 DEFAULT_BUDGET = 100_000
 SIGNATURE_ROUNDS = 2
@@ -89,54 +89,49 @@ def _signatures(cat: FinCat, palette: dict) -> dict[str, int]:
     return sig
 
 
-def _power_type(row: dict[str, str], a: str) -> tuple[int, int]:
-    """(index, period) of a, a∘a, …, where ``row`` is a's composition row."""
-    seen: dict[str, int] = {}
-    p = a
-    while p not in seen:
-        seen[p] = len(seen)
-        p = row[p]
-    return seen[p], len(seen) - seen[p]
+def _power_types(cat: FinCat, endos: tuple[str, ...]) -> dict[str, tuple[int, int]]:
+    """(index, period) of the sequence a, a∘a, … of each endomorphism a.
+
+    Each walk also types the powers it passes: if a has index i and period
+    p, then a^k has index ⌊i/k⌋ and period p/gcd(k, p).
+    """
+    types: dict[str, tuple[int, int]] = {}
+    for a in endos:
+        if a in types:
+            continue
+        row, exponent, p = cat.after[a], {}, a
+        while p not in exponent:
+            exponent[p] = len(exponent) + 1
+            p = row[p]
+        index = exponent[p] - 1
+        period = len(exponent) - index
+        for b, k in exponent.items():
+            types.setdefault(b, (index // k, period // gcd(k, period)))
+    return types
 
 
-def _colours(cat: FinCat, sig: dict[str, int], palette: dict) -> tuple[dict[str, int], dict[str, int]]:
-    """Object and morphism colours, interned in ``palette``."""
-    power: dict[str, tuple[int, int]] = {}
+def _colours(cat: FinCat, sig: dict[str, int], palette: dict) -> tuple[dict[str, int], dict[str, tuple[int, int]]]:
+    """Object colours, interned in ``palette``, and power types."""
     obj: dict[str, int] = {}
+    power: dict[str, tuple[int, int]] = {}
     for x in cat.objects:
-        endos = cat.hom(x, x)
-        for a in endos:
-            power[a] = _power_type(cat.after[a], a)
-        obj[x] = _intern(palette, ("obj", sig[x], tuple(sorted(power[a] for a in endos))))
-    mor = {
-        a.name: _intern(palette, ("mor", obj[a.dom], obj[a.cod], cat.is_identity(a.name), power.get(a.name)))
-        for a in cat.arrows
-    }
-    return obj, mor
+        types = _power_types(cat, cat.hom(x, x))
+        power.update(types)
+        obj[x] = _intern(palette, ("obj", sig[x], tuple(sorted(types.values()))))
+    return obj, power
 
 
 class _Search:
-    def __init__(self, c: FinCat, d: FinCat, budget: int, c_colour: dict[str, int],
-                 d_colour: dict[str, int]):
+    def __init__(self, c: FinCat, d: FinCat, budget: int, c_power: dict[str, tuple[int, int]],
+                 d_power: dict[str, tuple[int, int]]):
         self.c = c
         self.d = d
         self.budget = budget
-        self.colour = c_colour
-        # d's morphisms by (domain, codomain, colour), in hom-set order.
-        self.candidates: dict[tuple[str, str, int], list[str]] = {}
+        self.power = c_power
+        # d's morphisms by domain, codomain and power type, in hom-set order.
+        self.candidates: dict[tuple[str, str, tuple[int, int] | None], list[str]] = {}
         for a in d.arrows:
-            self.candidates.setdefault((a.dom, a.cod, d_colour[a.name]), []).append(a.name)
-        # Non-identities in the order they are assigned. ``consistent`` checks
-        # a composite when its later factor is assigned, if its result is
-        # assigned by then; ``late[i]`` holds the composites g∘f whose result
-        # is todo[i] and whose factors both come earlier, checked there.
-        self.todo = [a for a in c.arrows if not c.is_identity(a.name)]
-        pos = {a.name: i for i, a in enumerate(self.todo)}
-        self.late: list[list[tuple[str, str]]] = [[] for _ in self.todo]
-        for (g, f), h in c.compose.items():
-            i = pos.get(h)
-            if i is not None and pos.get(g, i) < i and pos.get(f, i) < i:
-                self.late[i].append((g, f))
+            self.candidates.setdefault((a.dom, a.cod, d_power.get(a.name)), []).append(a.name)
         self.nodes = 0
         self.out_of_budget = False
 
@@ -148,7 +143,7 @@ class _Search:
         return True
 
     def match_objects(self, i: int, assign: dict[str, str], used: set[str],
-                      buckets: dict[str, list[str]]) -> dict[str, str] | None:
+                      buckets: dict[str, list[str]]) -> IsoWitness | None:
         if i == len(self.c.objects):
             return self.match_all_morphisms(assign)
         x = self.c.objects[i]
@@ -166,34 +161,32 @@ class _Search:
             used.discard(y)
         return None
 
-    def match_all_morphisms(self, objs: dict[str, str]) -> dict[str, str] | None:
+    def match_all_morphisms(self, objs: dict[str, str]) -> IsoWitness | None:
         c, d = self.c, self.d
         for x in c.objects:
             for y in c.objects:
                 if len(c.hom(x, y)) != len(d.hom(objs[x], objs[y])):
                     return None
+        todo = [a for a in c.arrows if not c.is_identity(a.name)]
         assign = {
             c.identity[x]: d.identity[objs[x]] for x in c.objects
         }
         used = set(assign.values())
-        return self.match_morphisms(0, objs, assign, used)
+        return self.match_morphisms(todo, 0, objs, assign, used)
 
-    def match_morphisms(self, i, objs, assign, used) -> dict[str, str] | None:
-        d_after = self.d.after
-        if i == len(self.todo):
-            return dict(assign)
-        a = self.todo[i]
-        for cand in self.candidates.get((objs[a.dom], objs[a.cod], self.colour[a.name]), ()):
+    def match_morphisms(self, todo, i, objs, assign, used) -> IsoWitness | None:
+        if i == len(todo):
+            return self.witness(objs, assign)
+        a = todo[i]
+        for cand in self.candidates.get((objs[a.dom], objs[a.cod], self.power.get(a.name)), ()):
             if cand in used:
                 continue
             if not self.tick():
                 return None
             assign[a.name] = cand
             used.add(cand)
-            if self.consistent(a.name, assign) and all(
-                d_after[assign[g]][assign[f]] == cand for g, f in self.late[i]
-            ):
-                result = self.match_morphisms(i + 1, objs, assign, used)
+            if self.consistent(a.name, assign):
+                result = self.match_morphisms(todo, i + 1, objs, assign, used)
                 if result is not None or self.out_of_budget:
                     return result
             del assign[a.name]
@@ -213,6 +206,16 @@ class _Search:
             if h is not None and h in assign and d_after[img][new_img] != assign[h]:
                 return False
         return True
+
+    def witness(self, objs: dict[str, str], assign: dict[str, str]) -> IsoWitness | None:
+        # ``consistent`` sees a composite when its later factor is assigned,
+        # if its result is assigned by then; one whose result comes after
+        # both factors is first checked here, and failing it is a dead end.
+        c, d = self.c, self.d
+        try:
+            return relabelling(f"{c.name}~{d.name}", c, d, objs, assign, back_name=f"{d.name}~{c.name}")
+        except CompositionNotPreserved:
+            return None
 
 
 def find_isomorphism(
@@ -234,22 +237,18 @@ def find_isomorphism(
     sig_d = _signatures(d, palette)
     if sorted(sig_c.values()) != sorted(sig_d.values()):
         return NotIsomorphic("hom-profile signatures differ")
-    obj_c, mor_c = _colours(c, sig_c, palette)
-    obj_d, mor_d = _colours(d, sig_d, palette)
-    if sorted(mor_c.values()) != sorted(mor_d.values()):
+    obj_c, power_c = _colours(c, sig_c, palette)
+    obj_d, power_d = _colours(d, sig_d, palette)
+    if sorted(obj_c.values()) != sorted(obj_d.values()):
         return NotIsomorphic("no structure-preserving bijection exists")
     buckets = {
         x: [y for y in d.objects if obj_d[y] == obj_c[x]] for x in c.objects
     }
 
-    search = _Search(c, d, budget, mor_c, mor_d)
-    assignment = search.match_objects(0, {}, set(), buckets)
+    search = _Search(c, d, budget, power_c, power_d)
+    witness = search.match_objects(0, {}, set(), buckets)
     if search.out_of_budget:
         return BudgetExhausted(search.nodes)
-    if assignment is None:
+    if witness is None:
         return NotIsomorphic("no structure-preserving bijection exists")
-
-    objs = {x: d.arrow(assignment[c.identity[x]]).dom for x in c.objects}
-    return relabelling(
-        f"{c.name}~{d.name}", c, d, objs, assignment, back_name=f"{d.name}~{c.name}"
-    )
+    return witness
