@@ -22,20 +22,21 @@ colour multisets differ are therefore not isomorphic.
 
 Otherwise the search backtracks over object bijections within a colour
 class, then over morphism bijections hom-set by hom-set, trying only
-candidates of the morphism's power type, in hom-set order, and checking the
-composites of each new morphism with those assigned before it. A
-completed assignment is re-validated as an isomorphism; one that fails,
-because a composite whose result was assigned after both of its factors
-escaped the step checks, is a dead end and the search goes on.
+candidates of the morphism's power type, in hom-set order, and checking
+the composites of each new morphism with those assigned before it. A
+completed assignment is checked against the whole composition table, for
+the composites whose result was assigned after both of their factors;
+one that fails is a dead end and the search goes on. A witness is
+re-validated before being handed back.
 
 Compared with the search that tries every candidate, this one tries the
 same candidates in the same order less those of another colour, which
 lead to no isomorphism. Wherever that search decides, this one visits a
 subsequence of its nodes and returns the same verdict and the same first
-witness; where that search stopped with an exception at a completed
-assignment that failed re-validation, this one passes over it. The
-search is complete: within budget it either returns a witness or a
-definite rejection.
+witness; where that search completed an assignment that is no
+isomorphism and stopped with an exception in re-validation, this one
+passes over it. The search is complete: within budget it either returns
+a witness or a definite rejection.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .core import FinCat, IsoWitness, relabelling
-from .errors import CompositionNotPreserved, Refutation
+from .errors import Refutation
 
 DEFAULT_BUDGET = 100_000
 SIGNATURE_ROUNDS = 2
@@ -143,7 +144,7 @@ class _Search:
         return True
 
     def match_objects(self, i: int, assign: dict[str, str], used: set[str],
-                      buckets: dict[str, list[str]]) -> IsoWitness | None:
+                      buckets: dict[str, list[str]]) -> dict[str, str] | None:
         if i == len(self.c.objects):
             return self.match_all_morphisms(assign)
         x = self.c.objects[i]
@@ -161,7 +162,7 @@ class _Search:
             used.discard(y)
         return None
 
-    def match_all_morphisms(self, objs: dict[str, str]) -> IsoWitness | None:
+    def match_all_morphisms(self, objs: dict[str, str]) -> dict[str, str] | None:
         c, d = self.c, self.d
         for x in c.objects:
             for y in c.objects:
@@ -174,9 +175,9 @@ class _Search:
         used = set(assign.values())
         return self.match_morphisms(todo, 0, objs, assign, used)
 
-    def match_morphisms(self, todo, i, objs, assign, used) -> IsoWitness | None:
+    def match_morphisms(self, todo, i, objs, assign, used) -> dict[str, str] | None:
         if i == len(todo):
-            return self.witness(objs, assign)
+            return dict(assign) if self.preserves_composition(assign) else None
         a = todo[i]
         for cand in self.candidates.get((objs[a.dom], objs[a.cod], self.power.get(a.name)), ()):
             if cand in used:
@@ -207,15 +208,12 @@ class _Search:
                 return False
         return True
 
-    def witness(self, objs: dict[str, str], assign: dict[str, str]) -> IsoWitness | None:
+    def preserves_composition(self, assign: dict[str, str]) -> bool:
         # ``consistent`` sees a composite when its later factor is assigned,
         # if its result is assigned by then; one whose result comes after
-        # both factors is first checked here, and failing it is a dead end.
-        c, d = self.c, self.d
-        try:
-            return relabelling(f"{c.name}~{d.name}", c, d, objs, assign, back_name=f"{d.name}~{c.name}")
-        except CompositionNotPreserved:
-            return None
+        # both of its factors is first checked here.
+        d_after = self.d.after
+        return all(d_after[assign[g]][assign[f]] == assign[h] for (g, f), h in self.c.compose.items())
 
 
 def find_isomorphism(
@@ -246,9 +244,13 @@ def find_isomorphism(
     }
 
     search = _Search(c, d, budget, power_c, power_d)
-    witness = search.match_objects(0, {}, set(), buckets)
+    assignment = search.match_objects(0, {}, set(), buckets)
     if search.out_of_budget:
         return BudgetExhausted(search.nodes)
-    if witness is None:
+    if assignment is None:
         return NotIsomorphic("no structure-preserving bijection exists")
-    return witness
+
+    objs = {x: d.arrow(assignment[c.identity[x]]).dom for x in c.objects}
+    return relabelling(
+        f"{c.name}~{d.name}", c, d, objs, assignment, back_name=f"{d.name}~{c.name}"
+    )

@@ -318,11 +318,11 @@ def test_power_types_refute_monoids_with_equal_hom_sizes():
     assert search(c3, idem, iso.DEFAULT_BUDGET) == (refuted, None)
 
 
-def test_search_goes_on_past_a_completion_that_fails_revalidation():
+def test_search_goes_on_past_a_completion_that_breaks_a_composite():
     # b∘a is c in M and a in N; every element is idempotent, so the colours
     # tie. The search assigns a, b, c in that order, so the result of b∘a
     # is assigned after both of its factors and the step checks complete
-    # a→a, b→b, c→c, which re-validation rejects.
+    # a→a, b→b, c→c, which breaks b∘a: handed to re-validation, it raises.
     rows = {"a": "aaa", "c": "ccc"}
     left = monoid("M", {(g, f): v for g, r in {**rows, "b": "cbc"}.items() for f, v in zip("abc", r)})
     right = monoid("N", {(g, f): v for g, r in {**rows, "b": "abc"}.items() for f, v in zip("abc", r)})
