@@ -34,6 +34,7 @@ from .core import (
     FinCat,
     FinFunctor,
     IsoWitness,
+    ReadOnly,
     compose_functors,
     identity_functor,
     identity_id,
@@ -42,6 +43,7 @@ from .core import (
     op_tag,
     opposite,
     pair_id,
+    read_only_view,
     relabelling,
     same_presentation,
     validate_category,
@@ -59,8 +61,8 @@ from .report import Report
 from .sets import ConcreteStructure, FinFn, FinSetObj, validate_concrete
 
 
-@dataclass(frozen=True)
-class ConstructedCategory:
+@dataclass(frozen=True, repr=False, init=False)
+class ConstructedCategory(ReadOnly):
     """A category together with its projection and its provenance labels.
 
     ``object_labels`` and ``arrow_labels`` map every constructed id back to
@@ -71,11 +73,36 @@ class ConstructedCategory:
     cat: FinCat
     projection: FinFunctor
     provenance: str
-    object_labels: dict[str, tuple[str, ...]]
-    arrow_labels: dict[str, tuple[str, ...]]
-    arrow_keys: dict[str, tuple] = field(default_factory=dict)
+    object_labels: Mapping[str, tuple[str, ...]]
+    arrow_labels: Mapping[str, tuple[str, ...]]
+    arrow_keys: Mapping[str, tuple] = field(default_factory=dict)
     cleavage: Cleavage | None = None
     opcleavage: OpCleavage | None = None
+
+    def __init__(
+        self,
+        cat: FinCat,
+        projection: FinFunctor,
+        provenance: str,
+        object_labels: Mapping[str, tuple[str, ...]],
+        arrow_labels: Mapping[str, tuple[str, ...]],
+        arrow_keys: Mapping[str, tuple] | None = None,
+        cleavage: Cleavage | None = None,
+        opcleavage: OpCleavage | None = None,
+    ) -> None:
+        # One is made per construction, so each field is set once, as for
+        # ``FinCat``.
+        for attr, value in (
+            ("cat", cat),
+            ("projection", projection),
+            ("provenance", provenance),
+            ("object_labels", read_only_view(object_labels)),
+            ("arrow_labels", read_only_view(arrow_labels)),
+            ("arrow_keys", read_only_view({} if arrow_keys is None else arrow_keys)),
+            ("cleavage", cleavage),
+            ("opcleavage", opcleavage),
+        ):
+            object.__setattr__(self, attr, value)
 
     @property
     def base(self) -> FinCat:
@@ -308,12 +335,13 @@ def concrete_graph_category(
     )
 
 
-@dataclass(frozen=True)
-class TrivialCategorification:
+@dataclass(frozen=True, repr=False)
+class TrivialCategorification(ReadOnly):
     """One-object categories for objects, functors for morphisms."""
 
-    fibres: dict[str, FinCat]
-    functors: dict[str, FinFunctor]
+    fibres: Mapping[str, FinCat]
+    functors: Mapping[str, FinFunctor]
+    read_only = ("fibres", "functors")
 
 
 def trivial_categorify(cat: FinCat) -> TrivialCategorification:
@@ -375,7 +403,7 @@ def discrete_family(fun: FinFunctor, concrete: ConcreteStructure) -> IndexedFami
         for x, elements in _acted_on(fun, concrete)[0].items()
     }
     return _family_over_opposite(
-        fun.source, fibre, lambda a: dict(concrete.action[fun.mor(a.name)].mapping)
+        fun.source, fibre, lambda a: concrete.action[fun.mor(a.name)].mapping
     )
 
 
@@ -426,12 +454,12 @@ def grothendieck_strict(fam: IndexedFamily) -> ConstructedCategory:
     for u2, v2, y2, m2 in nonidentity:
         i2 = base.dom(u2)
         seconds.setdefault((i2, fam.fibre[i2].dom(v2)), []).append((u2, v2, y2, m2))
+    base_rows = base.after
     for u1, v1, y1, m1 in nonidentity:
-        i1 = base.dom(u1)
+        fibre_rows, carry = fam.fibre[base.dom(u1)].after, fam.pull[u1].mor_of
         for u2, v2, y2, m2 in seconds.get((base.cod(u1), y1), ()):
-            u3 = base.compose[(u2, u1)]
-            carried = fam.pull[u1].mor(v2)
-            v3 = fam.fibre[i1].compose[(carried, v1)]
+            u3 = base_rows[u2][u1]
+            v3 = fibre_rows[carry[v2]][v1]
             b.table[(m2, m1)] = id_of[(u3, v3, y2)]
 
     lifts = {}
@@ -590,13 +618,14 @@ def right_action_selfdual(
     )
 
 
-@dataclass(frozen=True)
-class GroupAction:
+@dataclass(frozen=True, repr=False)
+class GroupAction(ReadOnly):
     """A one-object groupoid acting on a finite set through functions."""
 
     group: FinCat
     carrier: FinSetObj
-    phi: dict[str, FinFn]
+    phi: Mapping[str, FinFn]
+    read_only = ("phi",)
 
     @property
     def star(self) -> str:
@@ -612,10 +641,8 @@ def validate_group_action(
     if not group.is_groupoid():
         raise ValidationError("acting category must have all morphisms invertible")
     star = group.objects[0]
-    concrete = validate_concrete(
-        group, {star: carrier}, dict(phi), allow_unfaithful=True
-    )
-    return GroupAction(group, carrier, dict(concrete.action))
+    concrete = validate_concrete(group, {star: carrier}, phi, allow_unfaithful=True)
+    return GroupAction(group, carrier, concrete.action)
 
 
 def transformation_groupoid(act: GroupAction) -> ConstructedCategory:
@@ -657,12 +684,21 @@ def verify_prop4(act: GroupAction) -> IsoWitness:
     image of x" agree. The witness relabels by adding or dropping the
     object component and is re-validated before being returned.
     """
+    return _prop4_witness(act, _build_now)
+
+
+def _build_now(construction: Callable, *args):
+    return construction(*args)
+
+
+def _prop4_witness(act: GroupAction, build: Callable) -> IsoWitness:
+    """``verify_prop4``, with the constructions other checks share (the
+    transformation groupoid, the inverse witness) made by
+    ``build(construction, *args)``."""
     grp = act.group
-    groupoid = transformation_groupoid(act)
-    witness = inverse_witness(grp)
-    concrete = validate_concrete(
-        grp, {act.star: act.carrier}, dict(act.phi), allow_unfaithful=True
-    )
+    groupoid = build(transformation_groupoid, act)
+    witness = build(inverse_witness, grp)
+    concrete = validate_concrete(grp, {act.star: act.carrier}, act.phi, allow_unfaithful=True)
     fbar = contravariant_via_witness(identity_functor(grp), witness)
     selfdual = right_action_selfdual(fbar, witness, concrete=concrete)
 
@@ -711,11 +747,24 @@ def verify_main_prop(
     base": object counts must differ as soon as some carrier has two
     elements.
     """
+    return _main_prop(fun, concrete, self_dual, _build_now)
+
+
+def _main_prop(
+    fun: FinFunctor,
+    concrete: ConcreteStructure | None,
+    self_dual: IsoWitness | None,
+    build: Callable,
+) -> Report:
+    """``verify_main_prop``, with the constructions other checks share
+    (graph, left action, concrete graph and actions) made by
+    ``build(construction, *args)``; the self-dual right actions are
+    built here, since nothing else reads them."""
     report = Report(f"main-prop {fun.name}")
     c = fun.source
 
-    graph = graph_category(fun)
-    left = abstract_left_action(fun)
+    graph = build(graph_category, fun)
+    left = build(abstract_left_action, fun)
 
     def projection_witness(built: ConstructedCategory, name: str) -> IsoWitness:
         by_key = {k: ident for ident, k in built.arrow_keys.items()}
@@ -749,9 +798,9 @@ def verify_main_prop(
             report.add("base~selfdual-right", False, str(exc))
 
     if concrete is not None:
-        cgraph = concrete_graph_category(fun, concrete)
-        cleft = concrete_left_action(fun, concrete)
-        cright = concrete_right_action(fun, concrete)
+        cgraph = build(concrete_graph_category, fun, concrete)
+        cleft = build(concrete_left_action, fun, concrete)
+        cright = build(concrete_right_action, fun, concrete)
         trio = [("cgraph~cleft", cgraph, cleft)]
         if fbar is not None:
             csd = right_action_selfdual(fbar, self_dual, concrete=concrete)

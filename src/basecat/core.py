@@ -17,8 +17,8 @@ default: the table is data, not something we invent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -71,33 +71,139 @@ def identity_id(obj: str) -> str:
     return ID_PREFIX + obj
 
 
-@dataclass(frozen=True)
+class ReadOnly:
+    """Base of the frozen dataclasses whose mapping fields hold read-only
+    views (``types.MappingProxyType``).
+
+    A subclass names those fields in ``read_only`` and ``__post_init__``
+    wraps them; the classes made by the thousand (``FinCat``,
+    ``FinFunctor``, ``FinFn``, ``ConstructedCategory``, the cleavages) set
+    each field once in their own ``__init__`` through ``read_only_view``
+    instead. Either way a plain mapping is wrapped, not copied, so a
+    builder hands over a dict it created and keeps no other reference to;
+    validators copy their caller's input once before building, so nothing
+    outside can change a validated value afterwards. The repr shows each
+    view as the dict it wraps, so reprs read as they did with plain dicts.
+    """
+
+    read_only: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in self.read_only:
+            object.__setattr__(self, name, read_only_view(getattr(self, name)))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{f.name}={_unwrapped(getattr(self, f.name))!r}" for f in fields(self) if f.repr
+        )
+        return f"{type(self).__qualname__}({shown})"
+
+
+def read_only_view(mapping: Mapping) -> MappingProxyType:
+    """``mapping`` behind a read-only view; a view is kept as it is."""
+    return mapping if type(mapping) is MappingProxyType else MappingProxyType(mapping)
+
+
+def _view_and_plain(mapping: Mapping) -> tuple[MappingProxyType, dict]:
+    """A read-only view of ``mapping`` and a plain dict with its entries;
+    a dict is wrapped and serves as the plain one."""
+    if type(mapping) is MappingProxyType:
+        return mapping, mapping.copy()
+    plain = mapping if type(mapping) is dict else dict(mapping)
+    return MappingProxyType(plain), plain
+
+
+def _unwrapped(value: object) -> object:
+    return dict(value) if type(value) is MappingProxyType else value
+
+
+def dict_of(mapping: Mapping) -> dict:
+    """A validator's own copy of its caller's mapping; a read-only view is
+    copied as fast as the dict it wraps."""
+    return mapping.copy() if type(mapping) is MappingProxyType else dict(mapping)
+
+
+class _once:
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on every first access (3.12 dropped it): the value is computed
+    on first access and stored in the instance's ``__dict__``, which later
+    lookups read first. A builder that already holds the value may store it
+    there itself."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.compute(obj)
+        return value
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Arrow:
     name: str
     dom: str
     cod: str
 
+    def __init__(self, name: str, dom: str, cod: str) -> None:
+        # The slots are written through their descriptors, which takes
+        # half the time of the ``object.__setattr__`` calls a frozen
+        # dataclass's generated ``__init__`` makes; presentations hold
+        # thousands of arrows.
+        _set_name(self, name)
+        _set_dom(self, dom)
+        _set_cod(self, cod)
 
-@dataclass(frozen=True)
-class FinCat:
+
+_set_name, _set_dom, _set_cod = Arrow.name.__set__, Arrow.dom.__set__, Arrow.cod.__set__
+
+
+@dataclass(frozen=True, repr=False, init=False)
+class FinCat(ReadOnly):
     """An explicit finite category presentation.
 
     ``compose`` maps ``(g, f)`` with ``cod f = dom g`` to the name of
-    ``g`` after ``f``. Values are immutable after validation; all
-    operations in this package are pure functions of their inputs.
+    ``g`` after ``f``. Both mappings are read-only, so a value is
+    immutable once validated; all operations in this package are pure
+    functions of their inputs.
     """
 
     name: str
     objects: tuple[str, ...]
     arrows: tuple[Arrow, ...]
-    identity: dict[str, str]
-    compose: dict[tuple[str, str], str]
+    identity: Mapping[str, str]
+    compose: Mapping[tuple[str, str], str]
 
-    @cached_property
+    def __init__(
+        self,
+        name: str,
+        objects: tuple[str, ...],
+        arrows: tuple[Arrow, ...],
+        identity: Mapping[str, str],
+        compose: Mapping[tuple[str, str], str],
+    ) -> None:
+        # Presentations are built by the thousand, so each field is set once,
+        # not set and then wrapped as the generated ``__init__`` and
+        # ``ReadOnly.__post_init__`` would.
+        for attr, value in (
+            ("name", name),
+            ("objects", objects),
+            ("arrows", arrows),
+            ("identity", read_only_view(identity)),
+            ("compose", read_only_view(compose)),
+        ):
+            object.__setattr__(self, attr, value)
+
+    @_once
     def _by_name(self) -> dict[str, Arrow]:
         return {a.name: a for a in self.arrows}
 
-    @cached_property
+    @_once
     def _identity_names(self) -> frozenset[str]:
         return frozenset(self.identity.values())
 
@@ -125,19 +231,19 @@ class FinCat:
     # Indexes are built on first use, each in presentation order, so every
     # tuple they return equals the filter over ``arrows`` it replaces.
 
-    @cached_property
+    @_once
     def _homs(self) -> dict[tuple[str, str], tuple[str, ...]]:
         return _group(((a.dom, a.cod), a.name) for a in self.arrows)
 
-    @cached_property
+    @_once
     def _into(self) -> dict[str, tuple[Arrow, ...]]:
         return _group((a.cod, a) for a in self.arrows)
 
-    @cached_property
+    @_once
     def _from(self) -> dict[str, tuple[Arrow, ...]]:
         return _group((a.dom, a) for a in self.arrows)
 
-    @cached_property
+    @_once
     def after(self) -> dict[str, dict[str, str]]:
         """Composition rows: ``after[g][f]`` is ``g`` after ``f``."""
         return _rows(self.arrows, self.compose)
@@ -164,6 +270,10 @@ class FinCat:
 
     def is_groupoid(self) -> bool:
         return all(self.inverse_of(a.name) is not None for a in self.arrows)
+
+    @_once
+    def _opposite(self) -> FinCat:
+        return _reversed(self)
 
 
 def _group(pairs: Iterable[tuple]) -> dict:
@@ -214,7 +324,7 @@ def validate_category(
             raise DuplicateId(o)
         seen_obj.add(o)
 
-    identity = dict(identity) if identity else {}
+    identity = dict_of(identity) if identity else {}
     declared_names = {a.name for a in declared}
     synthesised = []
     for o in objects:
@@ -295,22 +405,51 @@ def validate_category(
     # Checked last, so that input breaking a law still reports that law.
     if len(identity) > len(objects):
         raise UnknownObject(next(o for o in identity if o not in seen_obj))
-    return FinCat(name, objects, all_arrows, identity, table)
+    cat = FinCat(name, objects, all_arrows, identity, table)
+    vars(cat)["_by_name"] = by_name  # the index ``_by_name`` would build
+    return cat
 
 
-@dataclass(frozen=True)
-class FinFunctor:
+@dataclass(frozen=True, repr=False, init=False)
+class FinFunctor(ReadOnly):
+    """Object and morphism maps between two categories, both read-only."""
+
     name: str
     source: FinCat
     target: FinCat
-    obj_map: dict[str, str]
-    mor_map: dict[str, str]
+    obj_map: Mapping[str, str]
+    mor_map: Mapping[str, str]
+
+    def __init__(
+        self,
+        name: str,
+        source: FinCat,
+        target: FinCat,
+        obj_map: Mapping[str, str],
+        mor_map: Mapping[str, str],
+    ) -> None:
+        # ``obj_of`` and ``mor_of`` hold the maps as plain dicts, for the
+        # scans that read them entry by entry; a builder's own dict serves
+        # as both, and nothing writes to it. Attributes are set one by one,
+        # not through ``vars``, which would slow every later method call.
+        obj_map, obj_of = _view_and_plain(obj_map)
+        mor_map, mor_of = _view_and_plain(mor_map)
+        for attr, value in (
+            ("name", name),
+            ("source", source),
+            ("target", target),
+            ("obj_map", obj_map),
+            ("mor_map", mor_map),
+            ("obj_of", obj_of),
+            ("mor_of", mor_of),
+        ):
+            object.__setattr__(self, attr, value)
 
     def obj(self, x: str) -> str:
-        return self.obj_map[x]
+        return self.obj_of[x]
 
     def mor(self, m: str) -> str:
-        return self.mor_map[m]
+        return self.mor_of[m]
 
 
 def validate_functor(
@@ -325,8 +464,8 @@ def validate_functor(
     Images of identity morphisms may be omitted; they are completed from
     the object map. Keys that name nothing in the source are rejected.
     """
-    obj_map = dict(obj_map)
-    mor_map = dict(mor_map)
+    obj_map = dict_of(obj_map)
+    mor_map = dict_of(mor_map)
 
     for x in source.objects:
         if x not in obj_map:
@@ -351,8 +490,9 @@ def validate_functor(
         if mor_map[source.identity[x]] != target.identity[obj_map[x]]:
             raise IdentityNotPreserved(x)
 
+    table = target.compose.copy()
     for (g, f), h in source.compose.items():
-        if target.compose[(mor_map[g], mor_map[f])] != mor_map[h]:
+        if table[(mor_map[g], mor_map[f])] != mor_map[h]:
             raise CompositionNotPreserved(g, f)
 
     # Checked last, so that input breaking a law still reports that law.
@@ -437,7 +577,12 @@ def opposite(cat: FinCat) -> FinCat:
     Tagging twice cancels, so the operation is involutive on the nose. The
     reverse of a category satisfies the laws; what can fail is that tagging
     makes two ids equal, as for an identity ``id_X`` and an ``id_X_op``.
+    A presentation cannot change, so its opposite is built once.
     """
+    return cat._opposite
+
+
+def _reversed(cat: FinCat) -> FinCat:
     names = {a.name: op_tag(cat, a.name) for a in cat.arrows}
     seen: set[str] = set()
     for tagged in names.values():
@@ -459,7 +604,7 @@ def op_functor(fun: FinFunctor) -> FinFunctor:
         for a in fun.source.arrows
     }
     return FinFunctor(
-        op_name(fun.name), opposite(fun.source), opposite(fun.target), dict(fun.obj_map), mor_map
+        op_name(fun.name), opposite(fun.source), opposite(fun.target), fun.obj_map, mor_map
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .constructions import GroupAction, validate_group_action
 from .core import (
@@ -47,15 +48,48 @@ def fixtures_dir() -> Path:
 
 @dataclass
 class Corpus:
+    """The instances the suites check, and what has been built from them.
+
+    Validated values are read-only, so whatever a check builds from them
+    can be kept and shared: ``_built`` makes a construction once per corpus
+    for the same argument objects, and ``_checked`` runs a check once,
+    handing it ``_built`` for the constructions it shares with other
+    checks. A check keeps only its result, so a construction that nothing
+    else reads goes as soon as its check is done. Entries are keyed by the
+    function and the identities of its arguments and keep the arguments
+    alive, so no id in a key is reused while the corpus lives; everything
+    goes when the corpus does.
+    """
+
     env: Env
     functors: list[FinFunctor] = field(default_factory=list)
     concrete_pairs: list[tuple[FinFunctor, ConcreteStructure]] = field(default_factory=list)
     actions: list[GroupAction] = field(default_factory=list)
     families: list[IndexedFamily] = field(default_factory=list)
+    _memo: dict[Callable, dict[tuple[int, ...], tuple]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _built(self, construction: Callable, *args):
+        """``construction(*args)``, made once per corpus for these arguments."""
+        return self._memoised(construction, args, construction)
+
+    def _checked(self, check: Callable, *args):
+        """``check(*args, self._built)``, run once per corpus for these
+        arguments."""
+        return self._memoised(check, args, lambda *a: check(*a, self._built))
+
+    def _memoised(self, fn: Callable, args: tuple, run: Callable):
+        made = self._memo.setdefault(fn, {})
+        key = tuple(map(id, args))
+        entry = made.get(key)
+        if entry is None:
+            entry = made[key] = (run(*args), *args)
+        return entry[0]
 
     def selfdual_witness(self, cat: FinCat) -> IsoWitness | None:
         if cat.is_groupoid():
-            return inverse_witness(cat)
+            return self._built(inverse_witness, cat)
         return None
 
 
@@ -271,7 +305,7 @@ def rand_group_action(rng: random.Random, name: str) -> GroupAction:
     which = rng.choice(["Z2", "Z3", "K4"])
     grp = group_category(which, name)
     concrete = permutation_concrete(rng, grp)
-    return validate_group_action(grp, concrete.carrier["*"], dict(concrete.action))
+    return validate_group_action(grp, concrete.carrier["*"], concrete.action)
 
 
 def constant_family(cat: FinCat, fibre: FinCat) -> IndexedFamily:

@@ -6,12 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import FinCat, FinFunctor, compose_functors, identity_functor
+from .core import FinCat, FinFunctor, ReadOnly, dict_of, identity_functor
 from .errors import NotStrict, UnknownMorphism, UnknownObject
 
 
-@dataclass(frozen=True)
-class IndexedFamily:
+@dataclass(frozen=True, repr=False)
+class IndexedFamily(ReadOnly):
     """Assignment ``fibre`` on objects and ``pull`` on morphisms of ``base``.
 
     For u: I -> J the functor ``pull[u]`` runs fibre(J) -> fibre(I);
@@ -20,8 +20,9 @@ class IndexedFamily:
     """
 
     base: FinCat
-    fibre: dict[str, FinCat]
-    pull: dict[str, FinFunctor]
+    fibre: Mapping[str, FinCat]
+    pull: Mapping[str, FinFunctor]
+    read_only = ("fibre", "pull")
 
 
 def validate_family(
@@ -30,13 +31,14 @@ def validate_family(
     pull: Mapping[str, FinFunctor],
 ) -> IndexedFamily:
     """Check totality, direction and strictness of a raw family."""
-    fibre = dict(fibre)
-    pull = dict(pull)
+    fibre = dict_of(fibre)
+    pull = dict_of(pull)
     for o in base.objects:
         if o not in fibre:
             raise UnknownObject(o)
     for o in base.objects:
-        pull.setdefault(base.identity[o], identity_functor(fibre[o]))
+        if base.identity[o] not in pull:
+            pull[base.identity[o]] = identity_functor(fibre[o])
     for a in base.arrows:
         if a.name not in pull:
             raise UnknownMorphism(a.name)
@@ -44,16 +46,19 @@ def validate_family(
         if fn.source != fibre[a.cod] or fn.target != fibre[a.dom]:
             raise NotStrict(a.name, a.name)
 
+    # The maps of the functors the laws name are built as dicts only.
     for o in base.objects:
-        fn = pull[base.identity[o]]
-        ident = identity_functor(fibre[o])
-        if fn.obj_map != ident.obj_map or fn.mor_map != ident.mor_map:
+        fn, cat = pull[base.identity[o]], fibre[o]
+        obj_map = {x: x for x in cat.objects}
+        mor_map = {a.name: a.name for a in cat.arrows}
+        if fn.obj_map != obj_map or fn.mor_map != mor_map:
             raise NotStrict(base.identity[o], base.identity[o])
 
     for (v, u), w in base.compose.items():
-        expected = compose_functors(pull[u], pull[v])
-        got = pull[w]
-        if got.obj_map != expected.obj_map or got.mor_map != expected.mor_map:
+        first, then, got = pull[v], pull[u], pull[w]
+        obj_map = {x: then.obj(first.obj(x)) for x in first.source.objects}
+        mor_map = {a.name: then.mor(first.mor(a.name)) for a in first.source.arrows}
+        if got.obj_map != obj_map or got.mor_map != mor_map:
             raise NotStrict(v, u)
 
     return IndexedFamily(base, fibre, pull)

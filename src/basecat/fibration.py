@@ -17,25 +17,43 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping
 
-from .core import Arrow, FinCat, FinFunctor, validate_category, validate_functor
+from .core import (
+    Arrow,
+    FinCat,
+    FinFunctor,
+    ReadOnly,
+    read_only_view,
+    validate_category,
+    validate_functor,
+)
 from .errors import NoLiftInCleavage, NotSplit, Refutation
 from .family import IndexedFamily, validate_family
 
 
 @dataclass(frozen=True)
 class FunctorOver:
-    """A functor regarded as a projection from a total to a base category."""
+    """A functor regarded as a projection from a total to a base category.
+
+    Besides ``proj`` it holds the two categories, plain copies of their
+    composition tables, for the scans that read them entry by entry, and
+    the cartesian verdicts, filled in by the first check that asks. All are
+    set with the field, so that attribute lookups stay on the fast path.
+    """
 
     proj: FinFunctor
 
-    @property
-    def total(self) -> FinCat:
-        return self.proj.source
-
-    @property
-    def base(self) -> FinCat:
-        return self.proj.target
+    def __post_init__(self) -> None:
+        total, base = self.proj.source, self.proj.target
+        for attr, value in (
+            ("total", total),
+            ("base", base),
+            ("total_table", total.compose.copy()),
+            ("base_table", base.compose.copy()),
+            ("_cartesian", {}),
+        ):
+            object.__setattr__(self, attr, value)
 
     def over(self, morphism: str) -> str:
         return self.proj.mor(morphism)
@@ -46,19 +64,34 @@ class FunctorOver:
     def is_vertical(self, morphism: str) -> bool:
         return self.base.is_identity(self.over(morphism))
 
+    def cartesian(self) -> dict[str, bool]:
+        """Whether each total morphism is cartesian, scanned once for all
+        the checks that ask."""
+        if not self._cartesian:
+            self._cartesian.update(
+                (a.name, bool(_cartesian_scan(self, a.name, False))) for a in self.total.arrows
+            )
+        return self._cartesian
 
-@dataclass(frozen=True)
-class Cleavage:
+
+@dataclass(frozen=True, repr=False, init=False)
+class Cleavage(ReadOnly):
     """Chosen cartesian lift for every (base morphism, object above cod)."""
 
-    lift: dict[tuple[str, str], str]
+    lift: Mapping[tuple[str, str], str]
+
+    def __init__(self, lift: Mapping[tuple[str, str], str]) -> None:
+        object.__setattr__(self, "lift", read_only_view(lift))
 
 
-@dataclass(frozen=True)
-class OpCleavage:
+@dataclass(frozen=True, repr=False, init=False)
+class OpCleavage(ReadOnly):
     """Chosen opcartesian lift for every (base morphism, object above dom)."""
 
-    lift: dict[tuple[str, str], str]
+    lift: Mapping[tuple[str, str], str]
+
+    def __init__(self, lift: Mapping[tuple[str, str], str]) -> None:
+        object.__setattr__(self, "lift", read_only_view(lift))
 
 
 @dataclass(frozen=True)
@@ -109,13 +142,15 @@ class Counterexample(_Detailed):
     """A broken closure property of cartesian morphisms."""
 
 
-def _composable(cat: FinCat, m: str, op: bool) -> list[tuple[str, str, str]]:
+def _composable(
+    cat: FinCat, table: dict[tuple[str, str], str], m: str, op: bool
+) -> list[tuple[str, str, str]]:
     """(x, far end of x, m∘x) for every x ending where ``m`` starts, read in
     the opposite category when ``op``: (x, cod x, x∘m) for x starting
-    where ``m`` ends."""
+    where ``m`` ends. ``table`` is the composition table of ``cat``."""
     if op:
-        return [(x.name, x.cod, cat.compose[(x.name, m)]) for x in cat.arrows_from(cat.cod(m))]
-    return [(x.name, x.dom, cat.compose[(m, x.name)]) for x in cat.arrows_into(cat.dom(m))]
+        return [(x.name, x.cod, table[(x.name, m)]) for x in cat.arrows_from(cat.cod(m))]
+    return [(x.name, x.dom, table[(m, x.name)]) for x in cat.arrows_into(cat.dom(m))]
 
 
 def _cartesian_scan(p: FunctorOver, f: str, op: bool) -> bool | _Factorization:
@@ -123,17 +158,17 @@ def _cartesian_scan(p: FunctorOver, f: str, op: bool) -> bool | _Factorization:
     scan read in the opposite direction. Each g sharing f's codomain
     (domain), over u∘w (w∘u) with u = P(f), needs exactly one mediating
     morphism h over w with f∘h = g (h∘f = g)."""
-    total, over = p.total, p.proj.mor_map
+    total, over = p.total, p.proj.mor_of
     fa = total.arrow(f)  # raises UnknownMorphism
-    ws = _composable(p.base, over[f], op)
+    ws = _composable(p.base, p.base_table, over[f], op)
     # Mediating morphisms h, counted by (far end z, P(h), f∘h), once per call.
-    mediating = Counter((z, over[h], fh) for h, z, fh in _composable(total, f, op))
+    mediating = Counter((z, over[h], fh) for h, z, fh in _composable(total, p.total_table, f, op))
     if op:
         outer = [(g.name, g.cod) for g in total.arrows_from(fa.dom)]
     else:
         outer = [(g.name, g.dom) for g in total.arrows_into(fa.cod)]
     for g, z in outer:
-        pz, pg = p.proj.obj_map[z], over[g]
+        pz, pg = p.proj.obj_of[z], over[g]
         for w, wz, uw in ws:
             if wz != pz or uw != pg:
                 continue
@@ -158,7 +193,7 @@ def _lift_scan(p: FunctorOver, op: bool) -> Cleavage | OpCleavage | _Unlifted:
     """A cartesian lift of every base morphism at every object above its
     codomain, or an opcartesian one at every object above its domain when
     ``op``; the first lift in presentation order wins."""
-    total, over = p.total, p.proj.mor_map
+    total, over = p.total, p.proj.mor_of
     ends = [(u.name, u.dom if op else u.cod) for u in p.base.arrows]
     near = total.arrows_from if op else total.arrows_into
     lifts: dict[tuple[str, str], str] = {}
@@ -194,13 +229,14 @@ def find_cleavage(p: FunctorOver, chosen: Cleavage | None = None) -> Cleavage | 
     return chosen or check_fibration(p) or None
 
 
-def _split_scan(p: FunctorOver, lift: dict[tuple[str, str], str], op: bool) -> bool | SplitViolation:
+def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -> bool | SplitViolation:
     """Identity and composition laws of a cleavage, on the nose; of an
     opcleavage when ``op``, where each pair is lifted from the domain."""
     total, base = p.total, p.base
+    lift, table, obj_over = lift.copy(), p.total_table, p.proj.obj_of
     kind = "op-lift" if op else "lift"
     for y in total.objects:
-        key = (base.identity[p.obj_over(y)], y)
+        key = (base.identity[obj_over[y]], y)
         if key not in lift:
             return SplitViolation(f"no {kind} of the identity at {y!r}")
         if lift[key] != total.identity[y]:
@@ -211,7 +247,7 @@ def _split_scan(p: FunctorOver, lift: dict[tuple[str, str], str], op: bool) -> b
         # lift ``first`` at z, then ``second`` at the far end of that lift
         first, second, end = (f, g, base.dom(f)) if op else (g, f, base.cod(g))
         for z in total.objects:
-            if p.obj_over(z) != end:
+            if obj_over[z] != end:
                 continue
             near = lift.get((first, z))
             if near is None:
@@ -223,7 +259,7 @@ def _split_scan(p: FunctorOver, lift: dict[tuple[str, str], str], op: bool) -> b
             direct = lift.get((gf, z))
             if direct is None:
                 return SplitViolation(f"no {kind} of {gf!r} at {z!r}")
-            if total.compose[(far, near) if op else (near, far)] != direct:
+            if table[(far, near) if op else (near, far)] != direct:
                 return SplitViolation(
                     f"{kind}s of ({g!r}, {f!r}) at {z!r} do not compose to the {kind} of {gf!r}"
                 )
@@ -242,11 +278,11 @@ def check_split_op(p: FunctorOver, k: OpCleavage) -> bool | SplitViolation:
 
 def _vertical_factors(p: FunctorOver, top: str, outer: str) -> list[str]:
     """Every vertical h with top∘h = outer."""
-    total = p.total
+    total, base, over, table = p.total, p.base, p.proj.mor_of, p.total_table
     return [
         h
         for h in total.hom(total.dom(outer), total.dom(top))
-        if p.is_vertical(h) and total.compose[(top, h)] == outer
+        if base.is_identity(over[h]) and table[(top, h)] == outer
     ]
 
 
@@ -257,10 +293,9 @@ def factor_vertical_cartesian(
     total = p.total
     ga = total.arrow(g)
     u = p.over(g)
-    key = (u, ga.cod)
-    if key not in c.lift:
+    f = c.lift.get((u, ga.cod))
+    if f is None:
         raise NoLiftInCleavage(u, ga.cod)
-    f = c.lift[key]
     candidates = _vertical_factors(p, f, g)
     if len(candidates) != 1:
         raise NotSplit(
@@ -271,9 +306,7 @@ def factor_vertical_cartesian(
 
 def property_cartesian_compose(p: FunctorOver) -> bool | Counterexample:
     """Composites of cartesian morphisms must be cartesian; full scan."""
-    cartesian = {
-        a.name: bool(is_cartesian(p, a.name)) for a in p.total.arrows
-    }
+    cartesian = p.cartesian()
     for (g, f), gf in p.total.compose.items():
         if cartesian[g] and cartesian[f] and not cartesian[gf]:
             return Counterexample(
@@ -285,7 +318,7 @@ def property_cartesian_compose(p: FunctorOver) -> bool | Counterexample:
 def property_cartesian_over_iso(p: FunctorOver) -> bool | Counterexample:
     """Cartesian morphisms above invertible base morphisms must be invertible."""
     for a in p.total.arrows:
-        if not is_cartesian(p, a.name):
+        if not p.cartesian()[a.name]:
             continue
         if p.base.inverse_of(p.over(a.name)) is None:
             continue
@@ -299,8 +332,8 @@ def property_cartesian_over_iso(p: FunctorOver) -> bool | Counterexample:
 def recover_indexed(
     p: FunctorOver,
     c: Cleavage,
-    object_labels: dict[str, tuple[str, ...]] | None = None,
-    arrow_labels: dict[str, tuple[str, ...]] | None = None,
+    object_labels: Mapping[str, tuple[str, ...]] | None = None,
+    arrow_labels: Mapping[str, tuple[str, ...]] | None = None,
 ) -> IndexedFamily:
     """Read a strict indexed family back off a split cleavage.
 

@@ -26,8 +26,10 @@ candidates of the morphism's power type, in hom-set order, and checking
 the composites of each new morphism with those assigned before it. A
 completed assignment is checked against the whole composition table, for
 the composites whose result was assigned after both of their factors;
-one that fails is a dead end and the search goes on. A witness is
-re-validated before being handed back.
+one that fails is a dead end and the search goes on. The search keeps
+its own stack, so its depth (one level per object and per arrow) is not
+bounded by the interpreter's recursion limit. A witness is re-validated
+before being handed back.
 
 Compared with the search that tries every candidate, this one tries the
 same candidates in the same order less those of another colour, which
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 from .core import FinCat, IsoWitness, relabelling
 from .errors import Refutation
@@ -143,56 +146,90 @@ class _Search:
             return False
         return True
 
-    def match_objects(self, i: int, assign: dict[str, str], used: set[str],
-                      buckets: dict[str, list[str]]) -> dict[str, str] | None:
-        if i == len(self.c.objects):
-            return self.match_all_morphisms(assign)
-        x = self.c.objects[i]
-        for y in buckets[x]:
-            if y in used:
-                continue
-            if not self.tick():
-                return None
-            assign[x] = y
-            used.add(y)
-            result = self.match_objects(i + 1, assign, used, buckets)
-            if result is not None or self.out_of_budget:
-                return result
-            del assign[x]
-            used.discard(y)
-        return None
-
-    def match_all_morphisms(self, objs: dict[str, str]) -> dict[str, str] | None:
+    def run(self, buckets: dict[str, list[str]]) -> dict[str, str] | None:
+        """Backtrack with one explicit stack of candidate iterators, so the
+        depth of the search is not bounded by the interpreter's recursion
+        limit. Level i < n places the i-th object of ``c`` within its colour
+        bucket; once every object is placed, the identities follow and level
+        n + j places the j-th non-identity arrow. Candidates are tried, and
+        nodes counted, depth first in bucket and hom-set order, as a
+        recursive search would try them."""
         c, d = self.c, self.d
-        for x in c.objects:
-            for y in c.objects:
-                if len(c.hom(x, y)) != len(d.hom(objs[x], objs[y])):
-                    return None
+        objects = c.objects
         todo = [a for a in c.arrows if not c.is_identity(a.name)]
-        assign = {
-            c.identity[x]: d.identity[objs[x]] for x in c.objects
-        }
-        used = set(assign.values())
-        return self.match_morphisms(todo, 0, objs, assign, used)
+        n, depth = len(objects), len(objects) + len(todo)
+        objs: dict[str, str] = {}
+        used_objs: set[str] = set()
+        assign: dict[str, str] = {}
+        used: set[str] = set()
+        stack: list[Iterator[str]] = []
+        while True:
+            # Open the level above the stack, unless the last placement
+            # leads nowhere or completes an assignment.
+            level = len(stack)
+            opened = True
+            if level == n:
+                opened = self.homs_agree(objs)
+                if opened:
+                    assign = {c.identity[x]: d.identity[objs[x]] for x in objects}
+                    used = set(assign.values())
+            if opened and level == depth:
+                if self.preserves_composition(assign):
+                    return dict(assign)
+                opened = False
+            if opened:
+                if level < n:
+                    stack.append(iter(buckets[objects[level]]))
+                else:
+                    a = todo[level - n]
+                    key = (objs[a.dom], objs[a.cod], self.power.get(a.name))
+                    stack.append(iter(self.candidates.get(key, ())))
+            # Place the next candidate on the top level, dropping the levels
+            # that run out of candidates.
+            while True:
+                if not stack:
+                    return None
+                top = len(stack) - 1
+                if top < n:
+                    x = objects[top]
+                    if x in objs:
+                        used_objs.discard(objs.pop(x))
+                    for y in stack[-1]:
+                        if y in used_objs:
+                            continue
+                        if not self.tick():
+                            return None
+                        objs[x] = y
+                        used_objs.add(y)
+                        break
+                    else:
+                        stack.pop()
+                        continue
+                    break
+                name = todo[top - n].name
+                if name in assign:
+                    used.discard(assign.pop(name))
+                for cand in stack[-1]:
+                    if cand in used:
+                        continue
+                    if not self.tick():
+                        return None
+                    assign[name] = cand
+                    used.add(cand)
+                    if self.consistent(name, assign):
+                        break
+                    del assign[name]
+                    used.discard(cand)
+                else:
+                    stack.pop()
+                    continue
+                break
 
-    def match_morphisms(self, todo, i, objs, assign, used) -> dict[str, str] | None:
-        if i == len(todo):
-            return dict(assign) if self.preserves_composition(assign) else None
-        a = todo[i]
-        for cand in self.candidates.get((objs[a.dom], objs[a.cod], self.power.get(a.name)), ()):
-            if cand in used:
-                continue
-            if not self.tick():
-                return None
-            assign[a.name] = cand
-            used.add(cand)
-            if self.consistent(a.name, assign):
-                result = self.match_morphisms(todo, i + 1, objs, assign, used)
-                if result is not None or self.out_of_budget:
-                    return result
-            del assign[a.name]
-            used.discard(cand)
-        return None
+    def homs_agree(self, objs: dict[str, str]) -> bool:
+        c, d = self.c, self.d
+        return all(
+            len(c.hom(x, y)) == len(d.hom(objs[x], objs[y])) for x in c.objects for y in c.objects
+        )
 
     def consistent(self, new: str, assign: dict[str, str]) -> bool:
         # Check every composite whose factors are both assigned already.
@@ -244,7 +281,7 @@ def find_isomorphism(
     }
 
     search = _Search(c, d, budget, power_c, power_d)
-    assignment = search.match_objects(0, {}, set(), buckets)
+    assignment = search.run(buckets)
     if search.out_of_budget:
         return BudgetExhausted(search.nodes)
     if assignment is None:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import FinCat, pair_id
+from .core import FinCat, ReadOnly, dict_of, pair_id, read_only_view
 from .errors import (
     CodomainMismatch,
     NotFaithful,
@@ -37,11 +37,17 @@ class FinSetObj:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class FinFn:
+@dataclass(frozen=True, repr=False, init=False)
+class FinFn(ReadOnly):
     dom: FinSetObj
     cod: FinSetObj
-    mapping: dict[str, str]
+    mapping: Mapping[str, str]
+
+    def __init__(self, dom: FinSetObj, cod: FinSetObj, mapping: Mapping[str, str]) -> None:
+        # Functions are made by the thousand in validation and pullbacks,
+        # so each field is set once, as for ``FinCat``.
+        for attr, value in (("dom", dom), ("cod", cod), ("mapping", read_only_view(mapping))):
+            object.__setattr__(self, attr, value)
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]
@@ -68,8 +74,8 @@ def compose_fn(g: FinFn, f: FinFn) -> FinFn:
     return FinFn(f.dom, g.cod, {x: g.mapping[f.mapping[x]] for x in f.dom.elements})
 
 
-@dataclass(frozen=True)
-class ConcreteStructure:
+@dataclass(frozen=True, repr=False)
+class ConcreteStructure(ReadOnly):
     """Sets and functions assigned to a category, the underlying functor.
 
     Faithfulness is the default contract; `warnings` carries the colliding
@@ -77,9 +83,10 @@ class ConcreteStructure:
     """
 
     over: FinCat
-    carrier: dict[str, FinSetObj]
-    action: dict[str, FinFn]
+    carrier: Mapping[str, FinSetObj]
+    action: Mapping[str, FinFn]
     warnings: tuple[str, ...] = ()
+    read_only = ("carrier", "action")
 
     def elements(self, obj: str) -> tuple[str, ...]:
         return self.carrier[obj].elements
@@ -99,14 +106,15 @@ def validate_concrete(
     With `allow_unfaithful`, colliding parallel pairs are downgraded to
     warnings; the functions still define a category action.
     """
-    carrier = dict(carrier)
-    action = dict(action)
+    carrier = dict_of(carrier)
+    action = dict_of(action)
     for o in over.objects:
         if o not in carrier:
             raise UnknownObject(o)
     for o in over.objects:
         ident = over.identity[o]
-        action.setdefault(ident, identity_fn(carrier[o]))
+        if ident not in action:
+            action[ident] = identity_fn(carrier[o])
     for a in over.arrows:
         if a.name not in action:
             raise PartialFunction(a.name, None)
@@ -116,6 +124,8 @@ def validate_concrete(
                 f"function for {a.name!r} is not between the assigned carriers"
             )
         check_total(fn, a.name)
+        # A function built directly wraps its caller's dict; keep a copy.
+        action[a.name] = FinFn(fn.dom, fn.cod, dict_of(fn.mapping))
 
     for o in over.objects:
         fn = action[over.identity[o]]
@@ -123,8 +133,8 @@ def validate_concrete(
             raise NotFunctorial(over.identity[o], over.identity[o])
 
     for (g, f), h in over.compose.items():
-        expected = compose_fn(action[g], action[f])
-        if action[h].mapping != expected.mapping:
+        second, first = action[g].mapping, action[f].mapping
+        if action[h].mapping != {x: second[y] for x, y in first.items()}:
             raise NotFunctorial(g, f)
 
     warnings = []

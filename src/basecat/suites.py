@@ -1,25 +1,35 @@
 """Theorem suites over the corpus: every claim is an exhaustive check at
-desk scale, reported one line per instance."""
+desk scale, reported one line per instance.
+
+Constructions that more than one check reads are made through the corpus
+(``Corpus._built``), once per corpus. A check that builds something only
+it reads is kept by the corpus too, by its claims (``Corpus._checked``
+hands it the shared constructions), so what it built goes once it is
+done, and a suite run a second time on the same corpus builds nothing."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .constructions import (
     ConstructedCategory,
+    GroupAction,
+    _main_prop,
+    _prop4_witness,
+    abstract_left_action,
+    abstract_right_action,
     concrete_graph_category,
+    concrete_left_action,
+    concrete_right_action,
     graph_category,
     grothendieck_strict,
     transformation_groupoid,
-    verify_main_prop,
-    verify_prop4,
-    abstract_left_action,
-    abstract_right_action,
-    concrete_left_action,
-    concrete_right_action,
 )
-from .core import normalize, opposite, same_presentation
+from .core import FinFunctor, normalize, opposite, same_presentation
 from .corpus import Corpus
 from .dsl import decl_of_category, format_declaration
 from .errors import BasecatError
+from .family import IndexedFamily
 from .fibration import (
     check_fibration,
     check_opfibration,
@@ -31,14 +41,20 @@ from .fibration import (
     property_cartesian_over_iso,
     recover_indexed,
 )
-from .report import Report
+from .report import Claim, Report
+from .sets import ConcreteStructure
+
+
+def _add_under(report: Report, prefix: str, sub: Report) -> None:
+    """Add the claims of ``sub`` to ``report``, each id under ``prefix``."""
+    report.claims.extend(Claim(prefix + c.claim_id, c.status, c.detail) for c in sub.claims)
 
 
 def suite_prop2(corpus: Corpus) -> Report:
     """Graph projections are split fibrations and split opfibrations."""
     report = Report("verify prop2")
     for fun in corpus.functors:
-        built = graph_category(fun)
+        built = corpus._built(graph_category, fun)
         p = built.over()
         report.add(f"prop2:{fun.name}:fibration", check_fibration(p))
         report.add(f"prop2:{fun.name}:opfibration", check_opfibration(p))
@@ -51,10 +67,24 @@ def suite_prop3(corpus: Corpus) -> Report:
     """Concrete graph projections are split opfibrations."""
     report = Report("verify prop3")
     for fun, concrete in corpus.concrete_pairs:
-        built = concrete_graph_category(fun, concrete)
+        built = corpus._built(concrete_graph_category, fun, concrete)
         p = built.over()
         report.add(f"prop3:{fun.name}:opfibration", check_opfibration(p))
         report.add(f"prop3:{fun.name}:split-op", check_split_op(p, built.opcleavage))
+    return report
+
+
+def _prop4_claims(act: GroupAction, build: Callable) -> Report:
+    name = act.group.name
+    report = Report(f"prop4 {name}")
+    size = len(act.group.arrows) * len(act.carrier.elements)
+    try:
+        groupoid = _prop4_witness(act, build).forward.source
+        count_ok = len(groupoid.arrows) == size
+        report.add(f"prop4:{name}:witness", True, f"morphisms={len(groupoid.arrows)}")
+        report.add(f"prop4:{name}:count", count_ok, f"expected {size}")
+    except BasecatError as exc:
+        report.add(f"prop4:{name}:witness", False, str(exc))
     return report
 
 
@@ -62,15 +92,7 @@ def suite_prop4(corpus: Corpus) -> Report:
     """Transformation groupoids are base structured categories."""
     report = Report("verify prop4")
     for act in corpus.actions:
-        name = act.group.name
-        size = len(act.group.arrows) * len(act.carrier.elements)
-        try:
-            groupoid = verify_prop4(act).forward.source
-            count_ok = len(groupoid.arrows) == size
-            report.add(f"prop4:{name}:witness", True, f"morphisms={len(groupoid.arrows)}")
-            report.add(f"prop4:{name}:count", count_ok, f"expected {size}")
-        except BasecatError as exc:
-            report.add(f"prop4:{name}:witness", False, str(exc))
+        report.extend(corpus._checked(_prop4_claims, act))
     return report
 
 
@@ -81,11 +103,7 @@ def suite_main(corpus: Corpus) -> Report:
     abstract_only = [(f, None) for f in corpus.functors if id(f) not in seen_concrete]
     for fun, concrete in corpus.concrete_pairs + abstract_only:
         witness = corpus.selfdual_witness(fun.source)
-        sub = verify_main_prop(fun, concrete=concrete, self_dual=witness)
-        for claim in sub.claims:
-            report.claims.append(
-                type(claim)(f"main:{fun.name}:{claim.claim_id}", claim.status, claim.detail)
-            )
+        _add_under(report, f"main:{fun.name}:", corpus._checked(_main_prop, fun, concrete, witness))
     return report
 
 
@@ -93,70 +111,80 @@ def _printed(cat) -> str:
     return format_declaration(decl_of_category(normalize(cat, name="cmp")))
 
 
+def _abstract_duality(fun: FinFunctor, build: Callable) -> bool:
+    return _printed(opposite(abstract_right_action(fun).cat)) == _printed(
+        build(abstract_left_action, fun).cat
+    )
+
+
+def _concrete_duality(fun: FinFunctor, concrete: ConcreteStructure, build: Callable) -> bool:
+    return _printed(opposite(build(concrete_right_action, fun, concrete).cat)) == _printed(
+        build(concrete_left_action, fun, concrete).cat
+    )
+
+
 def suite_duality(corpus: Corpus) -> Report:
     """Right actions are opposite to left actions, byte for byte."""
     report = Report("verify duality")
     for fun in corpus.functors:
-        lhs = _printed(opposite(abstract_right_action(fun).cat))
-        rhs = _printed(abstract_left_action(fun).cat)
-        report.add(f"duality:{fun.name}:abstract", lhs == rhs)
+        report.add(f"duality:{fun.name}:abstract", corpus._checked(_abstract_duality, fun))
     for fun, concrete in corpus.concrete_pairs:
-        lhs = _printed(opposite(concrete_right_action(fun, concrete).cat))
-        rhs = _printed(concrete_left_action(fun, concrete).cat)
-        report.add(f"duality:{fun.name}:concrete", lhs == rhs)
+        report.add(f"duality:{fun.name}:concrete", corpus._checked(_concrete_duality, fun, concrete))
     return report
 
 
-def _corpus_fibrations(
-    corpus: Corpus, totals: list[ConstructedCategory]
-) -> list[tuple[str, ConstructedCategory]]:
-    out = []
-    for fun in corpus.functors:
-        out.append((f"graph_{fun.name}", graph_category(fun)))
-    for fam_index, total in enumerate(totals):
-        out.append((f"total{fam_index}", total))
-    for act in corpus.actions[:4]:
-        out.append((f"tg_{act.group.name}", transformation_groupoid(act)))
-    return out
+def _lemmas(built: ConstructedCategory) -> Report:
+    """Cartesian closure and vertical-cartesian factorization for one
+    projection, each claim named by its lemma."""
+    report = Report("lemmas")
+    p = built.over()
+    report.add("cartesian-compose", property_cartesian_compose(p))
+    report.add("cartesian-over-iso", property_cartesian_over_iso(p))
+    cleavage = find_cleavage(p, built.cleavage)
+    if cleavage is None:
+        report.skip("factorization", "not a fibration")
+        return report
+    ok = True
+    detail = ""
+    for a in built.cat.arrows:
+        try:
+            h, f = factor_vertical_cartesian(p, cleavage, a.name)
+        except BasecatError as exc:
+            ok = False
+            detail = f"{a.name}: {exc}"
+            break
+        if built.cat.compose[(f, h)] != a.name:
+            ok = False
+            detail = f"{a.name}: factorization does not recompose"
+            break
+    report.add("factorization", ok, detail)
+    return report
+
+
+def _family_claims(fam: IndexedFamily) -> tuple[Report, bool]:
+    """The lemmas for the Grothendieck total of ``fam``, and whether the
+    family read back off its split cleavage rebuilds the same total."""
+    total = grothendieck_strict(fam)
+    recovered = recover_indexed(
+        total.over(), total.cleavage, total.object_labels, total.arrow_labels
+    )
+    return _lemmas(total), same_presentation(grothendieck_strict(recovered).cat, total.cat)
 
 
 def suite_appendix_c(corpus: Corpus) -> Report:
     """Factorization, closure and iso-lifting lemmas, plus the strict
     round trip between split fibrations and indexed families."""
     report = Report("verify appendixC")
-    totals = [grothendieck_strict(fam) for fam in corpus.families]
-    for name, built in _corpus_fibrations(corpus, totals):
-        p = built.over()
-        report.add(f"appendixC:{name}:cartesian-compose", property_cartesian_compose(p))
-        report.add(f"appendixC:{name}:cartesian-over-iso", property_cartesian_over_iso(p))
-        cleavage = find_cleavage(p, built.cleavage)
-        if cleavage is None:
-            report.skip(f"appendixC:{name}:factorization", "not a fibration")
-            continue
-        ok = True
-        detail = ""
-        for a in built.cat.arrows:
-            try:
-                h, f = factor_vertical_cartesian(p, cleavage, a.name)
-            except BasecatError as exc:
-                ok = False
-                detail = f"{a.name}: {exc}"
-                break
-            if built.cat.compose[(f, h)] != a.name:
-                ok = False
-                detail = f"{a.name}: factorization does not recompose"
-                break
-        report.add(f"appendixC:{name}:factorization", ok, detail)
-
-    for index, total in enumerate(totals):
-        recovered = recover_indexed(
-            total.over(), total.cleavage, total.object_labels, total.arrow_labels
-        )
-        again = grothendieck_strict(recovered)
-        report.add(
-            f"appendixC:roundtrip{index}",
-            same_presentation(again.cat, total.cat),
-        )
+    families = [corpus._built(_family_claims, fam) for fam in corpus.families]
+    for fun in corpus.functors:
+        _add_under(report, f"appendixC:graph_{fun.name}:", _lemmas(corpus._built(graph_category, fun)))
+    for index, (lemmas, _) in enumerate(families):
+        _add_under(report, f"appendixC:total{index}:", lemmas)
+    for act in corpus.actions[:4]:
+        built = corpus._built(transformation_groupoid, act)
+        _add_under(report, f"appendixC:tg_{act.group.name}:", _lemmas(built))
+    for index, (_, round_trip) in enumerate(families):
+        report.add(f"appendixC:roundtrip{index}", round_trip)
     return report
 
 

@@ -329,3 +329,11 @@ def test_search_goes_on_past_a_completion_that_breaks_a_composite():
     verdict, nodes = search(left, right, iso.DEFAULT_BUDGET)
     assert verdict == iso.NotIsomorphic("no structure-preserving bijection exists")
     assert nodes is not None
+
+
+def test_a_search_deeper_than_the_recursion_limit_finds_a_witness():
+    # One search level per object and per non-identity arrow: 46 + 1,035
+    # levels, more than the interpreter's default recursion limit.
+    c = chain(46)
+    verdict = bc.find_isomorphism(c, shuffled(c, random.Random(46)))
+    assert isinstance(verdict, bc.IsoWitness)

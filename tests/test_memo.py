@@ -1,0 +1,248 @@
+"""Read-only validated values, and the per-corpus memo that shares the
+constructions built from them.
+
+Every mapping a validated value holds is a read-only view, and a validator
+copies what its caller passes, so a value cannot change once it exists.
+That is what lets ``Corpus`` build each construction once and hand the same
+copy to every suite: the suites must report exactly what they report on
+fresh corpora, a second run must build nothing, each construction must be
+built once per distinct argument, and the memo must go with its corpus.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+from collections import Counter
+from types import MappingProxyType
+
+import pytest
+
+import basecat as bc
+from basecat import constructions, corpus as corpus_module, suites
+from basecat.corpus import build_corpus, group_category
+from basecat.suites import SUITES, run_suite
+
+
+# Read-only values.
+
+
+def _mappings(value) -> dict[str, object]:
+    """Each read-only mapping of ``value``, by field name."""
+    fields = {
+        bc.FinCat: ("identity", "compose"),
+        bc.FinFunctor: ("obj_map", "mor_map"),
+        bc.FinFn: ("mapping",),
+        bc.ConcreteStructure: ("carrier", "action"),
+        bc.IndexedFamily: ("fibre", "pull"),
+        bc.GroupAction: ("phi",),
+        bc.ConstructedCategory: ("object_labels", "arrow_labels", "arrow_keys"),
+        bc.Cleavage: ("lift",),
+        bc.OpCleavage: ("lift",),
+    }[type(value)]
+    return {name: getattr(value, name) for name in fields}
+
+
+def _values():
+    """(label, value) for values from every validator and constructor."""
+    two = bc.validate_category("Two", ["X", "Y"], [("f", "X", "Y")])
+    z2 = group_category("Z2")
+    fun = bc.validate_functor("F", two, two, {"X": "X", "Y": "Y"}, {"f": "f"})
+    a, b = bc.FinSetObj("A", ("a0", "a1")), bc.FinSetObj("B", ("b0",))
+    square = bc.pullback_finset(bc.FinFn(a, b, {"a0": "b0", "a1": "b0"}), bc.identity_fn(b))
+    concrete = bc.validate_concrete(
+        two,
+        {"X": a, "Y": b},
+        {"f": bc.FinFn(a, b, {"a0": "b0", "a1": "b0"})},
+    )
+    pset = bc.FinSetObj("P", ("p0", "p1"))
+    act = bc.validate_group_action(z2, pset, {"s": bc.FinFn(pset, pset, {"p0": "p1", "p1": "p0"})})
+    family = bc.family_from_functor(fun)
+    graph = bc.graph_category(fun)
+    total = bc.grothendieck_strict(family)
+    yield from [
+        ("validate_category", two),
+        ("opposite", bc.opposite(two)),
+        ("normalize", bc.normalize(two)),
+        ("product_category", bc.product_category(two, z2)[0]),
+        ("coproduct_categories", bc.coproduct_categories([two, z2])[0]),
+        ("validate_functor", fun),
+        ("identity_functor", bc.identity_functor(two)),
+        ("compose_functors", bc.compose_functors(fun, fun)),
+        ("op_functor", bc.op_functor(fun)),
+        ("relabelling", bc.inverse_witness(z2).forward),
+        ("FinFn", bc.FinFn(a, b, {"a0": "b0", "a1": "b0"})),
+        ("identity_fn", bc.identity_fn(a)),
+        ("compose_fn", bc.compose_fn(bc.identity_fn(b), square.p2)),
+        ("pullback_finset", square.p1),
+        ("validate_concrete", concrete),
+        ("validate_group_action", act),
+        ("validate_family", bc.validate_family(family.base, family.fibre, family.pull)),
+        ("family_from_functor", family),
+        ("discrete_family", bc.discrete_family(bc.identity_functor(two), concrete)),
+        ("recover_indexed", bc.recover_indexed(total.over(), total.cleavage)),
+        ("graph_category", graph),
+        ("abstract_left_action", bc.abstract_left_action(fun)),
+        ("abstract_right_action", bc.abstract_right_action(fun)),
+        ("concrete_graph_category", bc.concrete_graph_category(bc.identity_functor(two), concrete)),
+        ("concrete_left_action", bc.concrete_left_action(bc.identity_functor(two), concrete)),
+        ("concrete_right_action", bc.concrete_right_action(bc.identity_functor(two), concrete)),
+        ("grothendieck_strict", total),
+        ("transformation_groupoid", bc.transformation_groupoid(act)),
+        ("construction cleavage", graph.cleavage),
+        ("construction opcleavage", graph.opcleavage),
+        ("check_fibration", bc.check_fibration(graph.over())),
+        ("check_opfibration", bc.check_opfibration(graph.over())),
+    ]
+
+
+VALUES = list(_values())
+
+
+@pytest.mark.parametrize("label, value", VALUES, ids=[label for label, _ in VALUES])
+def test_every_mapping_of_a_value_is_read_only(label, value):
+    values = [value, *(getattr(value, f) for f in ("cat", "projection") if hasattr(value, f))]
+    checked = 0
+    for v in values:
+        for name, mapping in _mappings(v).items():
+            assert type(mapping) is MappingProxyType, (label, name)
+            key = next(iter(mapping), "absent")
+            with pytest.raises(TypeError):
+                mapping[key] = "changed"
+            with pytest.raises(TypeError):
+                del mapping[key]
+            # A read-only view has no ``update``; the dict method refuses it.
+            with pytest.raises(AttributeError):
+                mapping.update({})
+            with pytest.raises(TypeError):
+                dict.update(mapping, {})
+            checked += 1
+    assert checked >= 1
+
+
+def test_a_read_only_value_prints_as_before():
+    fn = bc.FinFn(bc.FinSetObj("A", ("a",)), bc.FinSetObj("A", ("a",)), {"a": "a"})
+    assert repr(fn) == (
+        "FinFn(dom=FinSetObj(name='A', elements=('a',)), "
+        "cod=FinSetObj(name='A', elements=('a',)), mapping={'a': 'a'})"
+    )
+
+
+def test_changing_what_was_passed_to_a_validator_leaves_the_value_alone():
+    arrows = [("iX", "X", "X"), ("f", "X", "Y"), ("g", "Y", "Z"), ("h", "X", "Z")]
+    compose = {("g", "f"): "h"}
+    identity = {"X": "iX"}
+    cat = bc.validate_category("C", ["X", "Y", "Z"], arrows, compose, identity)
+    compose[("g", "f")] = "f"
+    identity["X"] = "f"
+    assert cat.compose[("g", "f")] == "h" and cat.identity["X"] == "iX"
+
+    obj_map = {x: x for x in cat.objects}
+    mor_map = {a.name: a.name for a in cat.arrows}
+    fun = bc.validate_functor("I", cat, cat, obj_map, mor_map)
+    obj_map["X"] = "Y"
+    mor_map["f"] = "g"
+    assert fun.obj("X") == "X" and fun.mor("f") == "f"
+    assert fun.obj_map["X"] == "X" and fun.mor_map["f"] == "f"
+
+    a = bc.FinSetObj("A", ("a0", "a1"))
+    swap = {"a0": "a1", "a1": "a0"}
+    z2 = group_category("Z2")
+    phi = {"s": bc.FinFn(a, a, swap)}
+    act = bc.validate_group_action(z2, a, phi)
+    carrier = {"*": a}
+    action = {"s": bc.FinFn(a, a, swap)}
+    concrete = bc.validate_concrete(z2, carrier, action)
+    phi["s"] = bc.identity_fn(a)
+    action["s"] = bc.identity_fn(a)
+    carrier["*"] = bc.FinSetObj("B", ("b",))
+    swap["a0"] = "a0"  # the dict both functions were built from
+    for value in (act.phi, concrete.action):
+        assert dict(value["s"].mapping) == {"a0": "a1", "a1": "a0"}
+    assert concrete.carrier["*"] == a
+
+    one = bc.validate_category("One", ["*"], [])
+    fibre = {x: one for x in cat.objects}
+    pull = {a.name: bc.identity_functor(one) for a in cat.arrows}
+    fam = bc.validate_family(cat, fibre, pull)
+    fibre["X"] = cat
+    del pull["f"]
+    assert fam.fibre["X"] is one and "f" in fam.pull
+
+
+# The per-corpus memo.
+
+BUILDERS = (
+    "graph_category",
+    "abstract_left_action",
+    "abstract_right_action",
+    "concrete_graph_category",
+    "concrete_left_action",
+    "concrete_right_action",
+    "transformation_groupoid",
+    "grothendieck_strict",
+    "inverse_witness",
+    "right_action_selfdual",
+    "contravariant_via_witness",
+)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count calls of each construction, by the identities of its arguments.
+
+    One counting wrapper per construction replaces it in every module that
+    names it, so the memo sees one function, as it does unpatched. The
+    arguments are kept, so no id is reused while the test runs."""
+    counts: Counter = Counter()
+    kept = []
+
+    def counting(name, build):
+        def wrapper(*args, **kwargs):
+            kept.append((args, kwargs))
+            counts[(name, tuple(map(id, args)), tuple((k, id(v)) for k, v in kwargs.items()))] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name in BUILDERS:
+        wrapper = counting(name, getattr(constructions, name))
+        for module in (constructions, suites, corpus_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+def test_each_construction_is_built_once_per_distinct_argument(builds):
+    run_suite("all", build_corpus(seed=7))
+    per_builder = Counter(name for name, _, _ in builds)
+    assert set(per_builder) == set(BUILDERS), per_builder
+    repeated = {key: n for key, n in builds.items() if n > 1}
+    assert not repeated, repeated
+
+
+def test_a_second_run_builds_nothing(builds):
+    corpus = build_corpus(seed=3)
+    for name in SUITES:
+        first = run_suite(name, corpus)
+        before = sum(builds.values())
+        again = run_suite(name, corpus)
+        assert sum(builds.values()) == before, name
+        assert again.claims == first.claims
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_shared_constructions_report_what_fresh_corpora_report(seed):
+    shared = build_corpus(seed=seed)
+    together = [claim for name in SUITES for claim in run_suite(name, shared).claims]
+    alone = [claim for name in SUITES for claim in run_suite(name, build_corpus(seed=seed)).claims]
+    assert together == alone
+
+
+def test_the_memo_goes_with_its_corpus():
+    corpus = build_corpus(seed=7)
+    run_suite("all", corpus)
+    built = weakref.ref(corpus._built(bc.graph_category, corpus.functors[0]))
+    assert built() is not None
+    del corpus
+    gc.collect()
+    assert built() is None
