@@ -473,21 +473,22 @@ def validate_functor(
         if obj_map[x] not in target.objects:
             raise UnknownObject(obj_map[x])
 
+    source_ids, target_ids, target_arrows = source.identity, target.identity, target._by_name
     for x in source.objects:
-        mor_map.setdefault(source.identity[x], target.identity[obj_map[x]])
+        mor_map.setdefault(source_ids[x], target_ids[obj_map[x]])
 
     for a in source.arrows:
         if a.name not in mor_map:
             raise UnmappedMorphism(a.name)
         img = mor_map[a.name]
-        if not target.has_arrow(img):
+        ia = target_arrows.get(img)
+        if ia is None:
             raise UnknownMorphism(img)
-        ia = target.arrow(img)
         if ia.dom != obj_map[a.dom] or ia.cod != obj_map[a.cod]:
             raise DomCodNotPreserved(a.name)
 
     for x in source.objects:
-        if mor_map[source.identity[x]] != target.identity[obj_map[x]]:
+        if mor_map[source_ids[x]] != target_ids[obj_map[x]]:
             raise IdentityNotPreserved(x)
 
     table = target.compose.copy()

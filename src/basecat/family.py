@@ -46,7 +46,8 @@ def validate_family(
         if fn.source != fibre[a.cod] or fn.target != fibre[a.dom]:
             raise NotStrict(a.name, a.name)
 
-    # The maps of the functors the laws name are built as dicts only.
+    # Each law is checked against the maps it predicts, built as dicts
+    # rather than as functors.
     for o in base.objects:
         fn, cat = pull[base.identity[o]], fibre[o]
         obj_map = {x: x for x in cat.objects}

@@ -15,7 +15,6 @@ fibres are computable sub-presentations.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -158,21 +157,24 @@ def _cartesian_scan(p: FunctorOver, f: str, op: bool) -> bool | _Factorization:
     scan read in the opposite direction. Each g sharing f's codomain
     (domain), over u∘w (w∘u) with u = P(f), needs exactly one mediating
     morphism h over w with f∘h = g (h∘f = g)."""
-    total, over = p.total, p.proj.mor_of
+    total, over, obj_over = p.total, p.proj.mor_of, p.proj.obj_of
     fa = total.arrow(f)  # raises UnknownMorphism
     ws = _composable(p.base, p.base_table, over[f], op)
     # Mediating morphisms h, counted by (far end z, P(h), f∘h), once per call.
-    mediating = Counter((z, over[h], fh) for h, z, fh in _composable(total, p.total_table, f, op))
+    mediating: dict[tuple[str, str, str], int] = {}
+    for h, z, fh in _composable(total, p.total_table, f, op):
+        key = (z, over[h], fh)
+        mediating[key] = mediating.get(key, 0) + 1
     if op:
         outer = [(g.name, g.cod) for g in total.arrows_from(fa.dom)]
     else:
         outer = [(g.name, g.dom) for g in total.arrows_into(fa.cod)]
     for g, z in outer:
-        pz, pg = p.proj.obj_of[z], over[g]
+        pz, pg = obj_over[z], over[g]
         for w, wz, uw in ws:
             if wz != pz or uw != pg:
                 continue
-            count = mediating[(z, w, g)]
+            count = mediating.get((z, w, g), 0)
             if count != 1:
                 found = CounterexampleOpCartesian if op else CounterexampleCartesian
                 return found(f, g, w, count)

@@ -184,46 +184,39 @@ class _Search:
                     a = todo[level - n]
                     key = (objs[a.dom], objs[a.cod], self.power.get(a.name))
                     stack.append(iter(self.candidates.get(key, ())))
-            # Place the next candidate on the top level, dropping the levels
+            # Move the top level to its next candidate, dropping the levels
             # that run out of candidates.
-            while True:
-                if not stack:
-                    return None
+            while stack:
                 top = len(stack) - 1
                 if top < n:
-                    x = objects[top]
-                    if x in objs:
-                        used_objs.discard(objs.pop(x))
-                    for y in stack[-1]:
-                        if y in used_objs:
-                            continue
-                        if not self.tick():
-                            return None
-                        objs[x] = y
-                        used_objs.add(y)
-                        break
-                    else:
-                        stack.pop()
-                        continue
-                    break
-                name = todo[top - n].name
-                if name in assign:
-                    used.discard(assign.pop(name))
-                for cand in stack[-1]:
-                    if cand in used:
-                        continue
-                    if not self.tick():
-                        return None
-                    assign[name] = cand
-                    used.add(cand)
-                    if self.consistent(name, assign):
-                        break
-                    del assign[name]
-                    used.discard(cand)
+                    moved = self.place(objects[top], stack[-1], objs, used_objs, _anywhere)
                 else:
-                    stack.pop()
-                    continue
-                break
+                    moved = self.place(todo[top - n].name, stack[-1], assign, used, self.consistent)
+                if moved or self.out_of_budget:
+                    break
+                stack.pop()
+            if not stack or self.out_of_budget:
+                return None
+
+    def place(self, key: str, candidates: Iterator[str], placed: dict[str, str],
+              used: set[str], fits) -> bool:
+        """Undo the placement of ``key``, then place it on the next unused
+        candidate that ``fits``; False when none is left or the budget has
+        run out."""
+        if key in placed:
+            used.discard(placed.pop(key))
+        for cand in candidates:
+            if cand in used:
+                continue
+            if not self.tick():
+                return False
+            placed[key] = cand
+            used.add(cand)
+            if fits(key, placed):
+                return True
+            del placed[key]
+            used.discard(cand)
+        return False
 
     def homs_agree(self, objs: dict[str, str]) -> bool:
         c, d = self.c, self.d
@@ -251,6 +244,10 @@ class _Search:
         # both of its factors is first checked here.
         d_after = self.d.after
         return all(d_after[assign[g]][assign[f]] == assign[h] for (g, f), h in self.c.compose.items())
+
+
+def _anywhere(key: str, placed: dict[str, str]) -> bool:
+    return True
 
 
 def find_isomorphism(
