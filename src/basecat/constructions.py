@@ -43,7 +43,6 @@ from .core import (
     op_tag,
     opposite,
     pair_id,
-    read_only_view,
     relabelling,
     same_presentation,
     validate_category,
@@ -61,7 +60,7 @@ from .report import Report
 from .sets import ConcreteStructure, FinFn, FinSetObj, validate_concrete
 
 
-@dataclass(frozen=True, repr=False, init=False)
+@dataclass(frozen=True, repr=False)
 class ConstructedCategory(ReadOnly):
     """A category together with its projection and its provenance labels.
 
@@ -78,31 +77,7 @@ class ConstructedCategory(ReadOnly):
     arrow_keys: Mapping[str, tuple] = field(default_factory=dict)
     cleavage: Cleavage | None = None
     opcleavage: OpCleavage | None = None
-
-    def __init__(
-        self,
-        cat: FinCat,
-        projection: FinFunctor,
-        provenance: str,
-        object_labels: Mapping[str, tuple[str, ...]],
-        arrow_labels: Mapping[str, tuple[str, ...]],
-        arrow_keys: Mapping[str, tuple] | None = None,
-        cleavage: Cleavage | None = None,
-        opcleavage: OpCleavage | None = None,
-    ) -> None:
-        # One is made per construction, so each field is set once, as for
-        # ``FinCat``.
-        for attr, value in (
-            ("cat", cat),
-            ("projection", projection),
-            ("provenance", provenance),
-            ("object_labels", read_only_view(object_labels)),
-            ("arrow_labels", read_only_view(arrow_labels)),
-            ("arrow_keys", read_only_view({} if arrow_keys is None else arrow_keys)),
-            ("cleavage", cleavage),
-            ("opcleavage", opcleavage),
-        ):
-            object.__setattr__(self, attr, value)
+    read_only = ("object_labels", "arrow_labels", "arrow_keys")
 
     @property
     def base(self) -> FinCat:

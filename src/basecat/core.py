@@ -75,33 +75,28 @@ class ReadOnly:
     """Base of the frozen dataclasses whose mapping fields hold read-only
     views (``types.MappingProxyType``).
 
-    A subclass names those fields in ``read_only`` and ``__post_init__``
-    wraps them; the classes made by the thousand (``FinCat``,
-    ``FinFunctor``, ``FinFn``, ``ConstructedCategory``, the cleavages) set
-    each field once in their own ``__init__`` through ``read_only_view``
-    instead. Either way a plain mapping is wrapped, not copied, so a
-    builder hands over a dict it created and keeps no other reference to;
-    validators copy their caller's input once before building, so nothing
-    outside can change a validated value afterwards. The repr shows each
-    view as the dict it wraps, so reprs read as they did with plain dicts.
+    A subclass names those fields in ``read_only``, and ``__post_init__``
+    wraps each. A plain mapping is wrapped, not copied, so a builder hands
+    over a dict it created and keeps no other reference to; validators copy
+    their caller's input once before building, so nothing outside can
+    change a validated value afterwards. A view is kept as it is. The repr
+    shows each view as the dict it wraps, so reprs read as they did with
+    plain dicts.
     """
 
     read_only: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         for name in self.read_only:
-            object.__setattr__(self, name, read_only_view(getattr(self, name)))
+            mapping = getattr(self, name)
+            if type(mapping) is not MappingProxyType:
+                object.__setattr__(self, name, MappingProxyType(mapping))
 
     def __repr__(self) -> str:
         shown = ", ".join(
             f"{f.name}={_unwrapped(getattr(self, f.name))!r}" for f in fields(self) if f.repr
         )
         return f"{type(self).__qualname__}({shown})"
-
-
-def read_only_view(mapping: Mapping) -> MappingProxyType:
-    """``mapping`` behind a read-only view; a view is kept as it is."""
-    return mapping if type(mapping) is MappingProxyType else MappingProxyType(mapping)
 
 
 def _view_and_plain(mapping: Mapping) -> tuple[MappingProxyType, dict]:
@@ -163,7 +158,7 @@ class Arrow:
 _set_name, _set_dom, _set_cod = Arrow.name.__set__, Arrow.dom.__set__, Arrow.cod.__set__
 
 
-@dataclass(frozen=True, repr=False, init=False)
+@dataclass(frozen=True, repr=False)
 class FinCat(ReadOnly):
     """An explicit finite category presentation.
 
@@ -178,26 +173,7 @@ class FinCat(ReadOnly):
     arrows: tuple[Arrow, ...]
     identity: Mapping[str, str]
     compose: Mapping[tuple[str, str], str]
-
-    def __init__(
-        self,
-        name: str,
-        objects: tuple[str, ...],
-        arrows: tuple[Arrow, ...],
-        identity: Mapping[str, str],
-        compose: Mapping[tuple[str, str], str],
-    ) -> None:
-        # Presentations are built by the thousand, so each field is set once,
-        # not set and then wrapped as the generated ``__init__`` and
-        # ``ReadOnly.__post_init__`` would.
-        for attr, value in (
-            ("name", name),
-            ("objects", objects),
-            ("arrows", arrows),
-            ("identity", read_only_view(identity)),
-            ("compose", read_only_view(compose)),
-        ):
-            object.__setattr__(self, attr, value)
+    read_only = ("identity", "compose")
 
     @_once
     def _by_name(self) -> dict[str, Arrow]:
@@ -410,7 +386,7 @@ def validate_category(
     return cat
 
 
-@dataclass(frozen=True, repr=False, init=False)
+@dataclass(frozen=True, repr=False)
 class FinFunctor(ReadOnly):
     """Object and morphism maps between two categories, both read-only."""
 
@@ -420,30 +396,14 @@ class FinFunctor(ReadOnly):
     obj_map: Mapping[str, str]
     mor_map: Mapping[str, str]
 
-    def __init__(
-        self,
-        name: str,
-        source: FinCat,
-        target: FinCat,
-        obj_map: Mapping[str, str],
-        mor_map: Mapping[str, str],
-    ) -> None:
+    def __post_init__(self) -> None:
         # ``obj_of`` and ``mor_of`` hold the maps as plain dicts, for the
         # scans that read them entry by entry; a builder's own dict serves
-        # as both, and nothing writes to it. Attributes are set one by one,
-        # not through ``vars``, which would slow every later method call.
-        obj_map, obj_of = _view_and_plain(obj_map)
-        mor_map, mor_of = _view_and_plain(mor_map)
-        for attr, value in (
-            ("name", name),
-            ("source", source),
-            ("target", target),
-            ("obj_map", obj_map),
-            ("mor_map", mor_map),
-            ("obj_of", obj_of),
-            ("mor_of", mor_of),
-        ):
-            object.__setattr__(self, attr, value)
+        # as both, and nothing writes to it.
+        for kind in ("obj", "mor"):
+            view, plain = _view_and_plain(getattr(self, kind + "_map"))
+            object.__setattr__(self, kind + "_map", view)
+            object.__setattr__(self, kind + "_of", plain)
 
     def obj(self, x: str) -> str:
         return self.obj_of[x]

@@ -18,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import (
-    Arrow,
-    FinCat,
-    FinFunctor,
-    ReadOnly,
-    read_only_view,
-    validate_category,
-    validate_functor,
-)
+from .core import Arrow, FinCat, FinFunctor, ReadOnly, validate_category, validate_functor
 from .errors import NoLiftInCleavage, NotSplit, Refutation
 from .family import IndexedFamily, validate_family
 
@@ -73,24 +65,20 @@ class FunctorOver:
         return self._cartesian
 
 
-@dataclass(frozen=True, repr=False, init=False)
+@dataclass(frozen=True, repr=False)
 class Cleavage(ReadOnly):
     """Chosen cartesian lift for every (base morphism, object above cod)."""
 
     lift: Mapping[tuple[str, str], str]
-
-    def __init__(self, lift: Mapping[tuple[str, str], str]) -> None:
-        object.__setattr__(self, "lift", read_only_view(lift))
+    read_only = ("lift",)
 
 
-@dataclass(frozen=True, repr=False, init=False)
+@dataclass(frozen=True, repr=False)
 class OpCleavage(ReadOnly):
     """Chosen opcartesian lift for every (base morphism, object above dom)."""
 
     lift: Mapping[tuple[str, str], str]
-
-    def __init__(self, lift: Mapping[tuple[str, str], str]) -> None:
-        object.__setattr__(self, "lift", read_only_view(lift))
+    read_only = ("lift",)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import FinCat, ReadOnly, dict_of, pair_id, read_only_view
+from .core import FinCat, ReadOnly, dict_of, pair_id
 from .errors import (
     CodomainMismatch,
     NotFaithful,
@@ -37,17 +37,12 @@ class FinSetObj:
         return len(self.elements)
 
 
-@dataclass(frozen=True, repr=False, init=False)
+@dataclass(frozen=True, repr=False)
 class FinFn(ReadOnly):
     dom: FinSetObj
     cod: FinSetObj
     mapping: Mapping[str, str]
-
-    def __init__(self, dom: FinSetObj, cod: FinSetObj, mapping: Mapping[str, str]) -> None:
-        # Functions are made by the thousand in validation and pullbacks,
-        # so each field is set once, as for ``FinCat``.
-        for attr, value in (("dom", dom), ("cod", cod), ("mapping", read_only_view(mapping))):
-            object.__setattr__(self, attr, value)
+    read_only = ("mapping",)
 
     def __call__(self, x: str) -> str:
         return self.mapping[x]
