@@ -124,9 +124,7 @@ class _Builder:
         self.object_labels[ident] = label
         self.proj_obj[ident] = over
         ident_arrow = identity_id(ident)
-        self.arrow_labels[ident_arrow] = identity_label or tuple(
-            identity_id(part) for part in label
-        )
+        self.arrow_labels[ident_arrow] = identity_label or tuple(map(identity_id, label))
         self.arrow_keys[ident_arrow] = identity_key
         self.proj_mor[ident_arrow] = self.base.identity[over]
         return ident

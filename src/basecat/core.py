@@ -341,20 +341,21 @@ def validate_category(
 
     # Unit-law-forced rows may be omitted from the input table.
     for a in all_arrows:
-        forced = [
-            ((identity[a.cod], a.name), a.name),
-            ((a.name, identity[a.dom]), a.name),
-        ]
-        for key, val in forced:
-            table.setdefault(key, val)
+        table.setdefault((identity[a.cod], a.name), a.name)
+        table.setdefault((a.name, identity[a.dom]), a.name)
 
     # Composable pairs and triples are walked through per-object lists and
     # per-arrow rows, in presentation order, so the first violation found
     # is the one a scan over all pairs and triples would find.
-    # Every object has its identity, so every object has both lists.
-    into = _group((a.cod, a.name) for a in all_arrows)
-    outof = _group((a.dom, a.name) for a in all_arrows)
-    rows = _rows(all_arrows, table)
+    into: dict[str, list[str]] = {o: [] for o in objects}
+    outof: dict[str, list[str]] = {o: [] for o in objects}
+    rows: dict[str, dict[str, str]] = {}
+    for a in all_arrows:
+        into[a.cod].append(a.name)
+        outof[a.dom].append(a.name)
+        rows[a.name] = {}
+    for (g, f), h in table.items():
+        rows[g][f] = h
 
     for g in all_arrows:
         row = rows[g.name]
