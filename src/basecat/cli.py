@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import constructions as cons
-from .core import FinCat
+from .core import FinCat, FinFunctor
 from .corpus import build_corpus, fixture_paths
 from .dot import export_dot
 from .dsl import (
@@ -37,63 +37,54 @@ from .fibration import (
 )
 from .iso import DEFAULT_BUDGET, find_isomorphism
 from .report import Report
+from .sets import ConcreteStructure
 from .suites import SUITES, run_suite
-
-CONSTRUCT_KINDS = (
-    "graph",
-    "concrete-graph",
-    "left",
-    "right",
-    "concrete-left",
-    "concrete-right",
-    "selfdual",
-    "grothendieck",
-    "trans-groupoid",
-)
 
 
 def _load(path: str, allow_unfaithful: bool = False) -> Env:
     return elaborate(parse(read_source(path), path), allow_unfaithful)
 
 
+def _selfdual(fun: FinFunctor, concrete: ConcreteStructure | None = None):
+    witness = cons.inverse_witness(fun.source)
+    fbar = cons.contravariant_via_witness(fun, witness)
+    return cons.right_action_selfdual(fbar, witness, concrete)
+
+
+# What a name given to a construction refers to: the declarations it is
+# looked up in, and the noun an unknown name is reported with.
+FUNCTOR = ("functors", "functor")
+CONCRETE = ("concretes", "concrete structure")
+
+# Each construction kind: its builder, the names it takes, and how many of
+# them it needs at least (the rest may be left off).
+CONSTRUCTIONS = {
+    "graph": (cons.graph_category, (FUNCTOR,), 1),
+    "concrete-graph": (cons.concrete_graph_category, (FUNCTOR, CONCRETE), 2),
+    "left": (cons.abstract_left_action, (FUNCTOR,), 1),
+    "right": (cons.abstract_right_action, (FUNCTOR,), 1),
+    "concrete-left": (cons.concrete_left_action, (FUNCTOR, CONCRETE), 2),
+    "concrete-right": (cons.concrete_right_action, (FUNCTOR, CONCRETE), 2),
+    "selfdual": (_selfdual, (FUNCTOR, CONCRETE), 1),
+    "grothendieck": (cons.grothendieck_strict, (("families", "indexed family"),), 1),
+    "trans-groupoid": (cons.transformation_groupoid, (("actions", "action"),), 1),
+}
+
+
 def _construct(kind: str, names: list[str], env: Env) -> cons.ConstructedCategory:
-    def functor(name: str):
-        if name not in env.functors:
-            raise ValidationError(f"no functor named {name!r}")
-        return env.functors[name]
-
-    def concrete(name: str):
-        if name not in env.concretes:
-            raise ValidationError(f"no concrete structure named {name!r}")
-        return env.concretes[name]
-
-    if kind == "graph":
-        return cons.graph_category(functor(names[0]))
-    if kind == "concrete-graph":
-        return cons.concrete_graph_category(functor(names[0]), concrete(names[1]))
-    if kind == "left":
-        return cons.abstract_left_action(functor(names[0]))
-    if kind == "right":
-        return cons.abstract_right_action(functor(names[0]))
-    if kind == "concrete-left":
-        return cons.concrete_left_action(functor(names[0]), concrete(names[1]))
-    if kind == "concrete-right":
-        return cons.concrete_right_action(functor(names[0]), concrete(names[1]))
-    if kind == "selfdual":
-        fun = functor(names[0])
-        witness = cons.inverse_witness(fun.source)
-        fbar = cons.contravariant_via_witness(fun, witness)
-        structure = concrete(names[1]) if len(names) > 1 else None
-        return cons.right_action_selfdual(fbar, witness, concrete=structure)
-    if kind == "grothendieck":
-        if names[0] not in env.families:
-            raise ValidationError(f"no indexed family named {names[0]!r}")
-        return cons.grothendieck_strict(env.families[names[0]])
-    if kind == "trans-groupoid":
-        if names[0] not in env.actions:
-            raise ValidationError(f"no action named {names[0]!r}")
-        return cons.transformation_groupoid(env.actions[names[0]])
-    raise ValidationError(f"unknown construction kind {kind!r}")
+    if kind not in CONSTRUCTIONS:
+        raise ValidationError(f"unknown construction kind {kind!r}")
+    build, takes, least = CONSTRUCTIONS[kind]
+    if not least <= len(names) <= len(takes):
+        many = f"{least} or {len(takes)}" if least < len(takes) else str(least)
+        raise UsageError(f"{kind} takes {many} name{'s' * (len(takes) > 1)}, got {len(names)}")
+    args = []
+    for name, (table, noun) in zip(names, takes):
+        declared = getattr(env, table)
+        if name not in declared:
+            raise ValidationError(f"no {noun} named {name!r}")
+        args.append(declared[name])
+    return build(*args)
 
 
 def _resolve_over(expr: str, env: Env) -> tuple[FunctorOver, cons.ConstructedCategory | None]:
@@ -280,7 +271,7 @@ def _parser() -> argparse.ArgumentParser:
     construct = sub.add_parser(
         "construct", help="build a category from declarations", parents=[common]
     )
-    construct.add_argument("kind", choices=CONSTRUCT_KINDS)
+    construct.add_argument("kind", choices=tuple(CONSTRUCTIONS))
     construct.add_argument("file")
     construct.add_argument("names", nargs="+")
     construct.add_argument("--out")

@@ -1,12 +1,16 @@
 """Validated finite category and functor presentations.
 
 A category is presented fully explicitly: every object, every morphism and
-the complete composition table. Raw input, constructions and isomorphism
-witnesses are validated by an exhaustive scan of the laws, so a `FinCat`
-value is a proof-carrying presentation that nothing downstream re-checks:
-the structural operations on validated values (``opposite``,
-``op_functor``, ``compose_functors``, ``identity_functor``, ``normalize``)
-build their results directly and check only what they can break.
+the complete composition table. Raw input and constructions are validated
+by an exhaustive scan of the laws, so a `FinCat` value is a proof-carrying
+presentation that nothing downstream re-checks: the structural operations
+on validated values (``opposite``, ``op_functor``, ``compose_functors``,
+``identity_functor``, ``normalize``) build their results directly and
+check only what they can break.
+
+"The same category" has one rule per notion: isomorphic means a validated
+functor bijective on objects and morphisms, its inverse read off it
+(``invert``); the same on the nose means ``same_presentation``.
 
 Identity morphisms may be omitted from raw input; they are synthesised with
 the reserved ids ``id_<object>`` together with the unit-law-forced rows of
@@ -17,6 +21,7 @@ default: the table is data, not something we invent.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -498,19 +503,40 @@ def validate_witness(forward: FinFunctor, backward: FinFunctor) -> IsoWitness:
     """Check that two functors are mutually inverse on the nose."""
     if forward.source != backward.target or forward.target != backward.source:
         raise SourceTargetMismatch("witness functors do not point between the same two categories")
-    for x in forward.source.objects:
-        if backward.obj(forward.obj(x)) != x:
-            raise NotMutuallyInverse(f"object {x!r} does not round-trip")
-    for a in forward.source.arrows:
-        if backward.mor(forward.mor(a.name)) != a.name:
-            raise NotMutuallyInverse(f"morphism {a.name!r} does not round-trip")
-    for y in backward.source.objects:
-        if forward.obj(backward.obj(y)) != y:
-            raise NotMutuallyInverse(f"object {y!r} does not round-trip")
-    for b in backward.source.arrows:
-        if forward.mor(backward.mor(b.name)) != b.name:
-            raise NotMutuallyInverse(f"morphism {b.name!r} does not round-trip")
+    for there, back in ((forward, backward), (backward, forward)):
+        for x in there.source.objects:
+            if back.obj(there.obj(x)) != x:
+                raise NotMutuallyInverse(f"object {x!r} does not round-trip")
+        for a in there.source.arrows:
+            if back.mor(there.mor(a.name)) != a.name:
+                raise NotMutuallyInverse(f"morphism {a.name!r} does not round-trip")
     return IsoWitness(forward, backward)
+
+
+def invert(forward: FinFunctor, back_name: str) -> IsoWitness:
+    """The witness of a functor bijective on objects and on morphisms, its
+    backward functor read off the forward maps.
+
+    The inverse G of a bijective functor F needs no check: F(a) runs from
+    F(dom a) to F(cod a), so G preserves dom/cod; F(id_x) = id_Fx, so G
+    preserves identities; F(a2∘a1) = F(a2)∘F(a1), so G preserves
+    composites. The round trips hold by construction. A map that is not
+    bijective raises ``NotMutuallyInverse`` naming the first target object,
+    then morphism, with no preimage or with several.
+    """
+    target = forward.target
+    obj_back = _preimages(forward.obj_of, target.objects, "object")
+    mor_back = _preimages(forward.mor_of, [a.name for a in target.arrows], "morphism")
+    return IsoWitness(forward, FinFunctor(back_name, target, forward.source, obj_back, mor_back))
+
+
+def _preimages(image_of: dict[str, str], targets: Sequence[str], kind: str) -> dict[str, str]:
+    back = {y: x for x, y in image_of.items()}
+    if len(back) == len(image_of) == len(targets):
+        return back
+    count = Counter(image_of.values())
+    y = next(y for y in targets if count[y] != 1)
+    raise NotMutuallyInverse(f"{kind} {y!r} has {count[y] or 'no'} preimages")
 
 
 def relabelling(
@@ -521,16 +547,9 @@ def relabelling(
     mor_map: Mapping[str, str],
     back_name: str | None = None,
 ) -> IsoWitness:
-    """Validate a bijective relabelling of ``a`` as ``b`` and its inverse."""
-    forward = validate_functor(name, a, b, obj_map, mor_map)
-    backward = validate_functor(
-        back_name or name + "_back",
-        b,
-        a,
-        {v: k for k, v in obj_map.items()},
-        {v: k for k, v in mor_map.items()},
-    )
-    return validate_witness(forward, backward)
+    """Validate a bijective relabelling of ``a`` as ``b``; its inverse is
+    read off it (``invert``)."""
+    return invert(validate_functor(name, a, b, obj_map, mor_map), back_name or name + "_back")
 
 
 def opposite(cat: FinCat) -> FinCat:
@@ -647,9 +666,9 @@ def normalize(cat: FinCat, name: str | None = None) -> FinCat:
     """Canonical presentation: op markers erased, everything sorted by id.
 
     Two constructions agree "on the nose" exactly when their normalized
-    presentations print identically. A bijective relabelling of a valid
-    category is valid, so once the relabelling is known to be injective the
-    copy is built without validating it again.
+    presentations are equal (``same_presentation``). A bijective
+    relabelling of a valid category is valid, so once the relabelling is
+    known to be injective the copy is built without validating it again.
     """
     obj_names = {o: strip_op_marks(o) for o in cat.objects}
     mor_names = {a.name: strip_op_marks(a.name) for a in cat.arrows}

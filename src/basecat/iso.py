@@ -28,15 +28,16 @@ completed assignment is checked against the whole composition table, for
 the composites whose result was assigned after both of their factors;
 one that fails is a dead end and the search goes on. The search keeps
 its own stack, so its depth (one level per object and per arrow) is not
-bounded by the interpreter's recursion limit. A witness is re-validated
-before being handed back.
+bounded by the interpreter's recursion limit. The forward functor of a
+witness is validated, and its inverse is read off it (``core.invert``),
+before the witness is handed back.
 
 Compared with the search that tries every candidate, this one tries the
 same candidates in the same order less those of another colour, which
 lead to no isomorphism. Wherever that search decides, this one visits a
 subsequence of its nodes and returns the same verdict and the same first
 witness; where that search completed an assignment that is no
-isomorphism and stopped with an exception in re-validation, this one
+isomorphism and stopped with an exception in validation, this one
 passes over it. The search is complete: within budget it either returns
 a witness or a definite rejection.
 """
@@ -255,8 +256,8 @@ def find_isomorphism(
 ) -> IsoWitness | NotIsomorphic | BudgetExhausted:
     """Search for an isomorphism of presentations.
 
-    Sound (any witness is re-validated) and complete within the node
-    budget; `BudgetExhausted` means undecided, never "no".
+    Sound (a witness's forward functor is validated) and complete within
+    the node budget; `BudgetExhausted` means undecided, never "no".
     """
     if len(c.objects) != len(d.objects):
         return NotIsomorphic("object counts differ")

@@ -24,13 +24,15 @@ from basecat.core import (
     RawArrow,
     _as_arrows,
     identity_id,
+    normalize,
     op_name,
-    relabelling,
+    opposite,
     validate_category,
     validate_functor,
+    validate_witness,
 )
 from basecat.corpus import build_corpus, fixtures_dir, group_category
-from basecat.dsl import elaborate, parse
+from basecat.dsl import decl_of_category, elaborate, format_declaration, parse
 from basecat.errors import (
     AssociativityViolation,
     DomCodMismatch,
@@ -434,10 +436,74 @@ def oracle_find_isomorphism(
         return NotIsomorphic("no structure-preserving bijection exists"), search.nodes
 
     objs = {x: d.arrow(assignment[c.identity[x]]).dom for x in c.objects}
-    witness = relabelling(
+    witness = oracle_relabelling(
         f"{c.name}~{d.name}", c, d, objs, assignment, back_name=f"{d.name}~{c.name}"
     )
     return witness, search.nodes
+
+
+# The ways "the same category" was decided before ``core.invert`` and
+# ``same_presentation`` decided them: by validating both functors of a
+# witness, by rebuilding a projection's inverse from labels and keys, and by
+# comparing printed declarations.
+
+
+def oracle_relabelling(
+    name: str,
+    a: FinCat,
+    b: FinCat,
+    obj_map: Mapping[str, str],
+    mor_map: Mapping[str, str],
+    back_name: str | None = None,
+) -> IsoWitness:
+    """``core.relabelling`` validating the inverse maps as a functor, then
+    both round trips."""
+    forward = validate_functor(name, a, b, obj_map, mor_map)
+    backward = validate_functor(
+        back_name or name + "_back",
+        b,
+        a,
+        {v: k for k, v in obj_map.items()},
+        {v: k for k, v in mor_map.items()},
+    )
+    return validate_witness(forward, backward)
+
+
+def oracle_projection_witness(c: FinCat, built, name: str) -> IsoWitness:
+    """The base ``c`` relabelled as the one-element-fibre construction
+    ``built``: each object to the first object labelled with it, each arrow
+    to the arrow keyed by it."""
+    by_key = {k: ident for ident, k in built.arrow_keys.items()}
+    obj_map = {
+        x: next(o for o, lbl in built.object_labels.items() if lbl[0] == x)
+        for x in c.objects
+    }
+    mor_map = {a.name: by_key[(a.name,)] for a in c.arrows if (a.name,) in by_key}
+    for x in c.objects:
+        mor_map[c.identity[x]] = built.cat.identity[obj_map[x]]
+    return oracle_relabelling(name, c, built.cat, obj_map, mor_map)
+
+
+def oracle_base_leg(c: FinCat, built, name: str, commutes: bool = True) -> bool:
+    """A base leg of ``verify_main_prop``: the witness validates and, with
+    ``commutes``, the projection undoes it."""
+    try:
+        w = oracle_projection_witness(c, built, name)
+    except ValidationError:
+        return False
+    return not commutes or all(
+        built.projection.mor(w.forward.mor(a.name)) == a.name for a in c.arrows
+    )
+
+
+def oracle_printed(cat: FinCat) -> str:
+    return format_declaration(decl_of_category(normalize(cat, name="cmp")))
+
+
+def oracle_duality(right: FinCat, left: FinCat) -> bool:
+    """Whether the opposite of ``right`` prints as ``left`` once both are
+    normalized."""
+    return oracle_printed(opposite(right)) == oracle_printed(left)
 
 
 # The character-at-a-time tokenizer of the text front-end, kept as the

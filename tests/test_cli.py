@@ -178,6 +178,38 @@ class TestConstruct:
         assert "objects=3 morphisms=9" in out
 
 
+class TestConstructionNames:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "concrete-graph", CORE, "idTwo"],
+            ["construct", "graph", CORE, "idTwo", "U"],
+            ["construct", "selfdual", CORE, "z3inv", "UZ3", "UZ3"],
+            ["check", "fibration", CORE, "concrete-left(idTwo)"],
+            ["check", "fibration", CORE, "graph()"],
+            ["check", "fibration", CORE, "graph(idTwo,extra)"],
+            ["export", CORE, "grothendieck()"],
+        ],
+        ids=[
+            "construct-too-few", "construct-too-many", "selfdual-too-many",
+            "inline-too-few", "inline-none", "inline-too-many", "export-none",
+        ],
+    )
+    def test_a_wrong_name_count_is_a_usage_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert " takes " in captured.err
+
+    def test_an_unknown_inline_kind_is_a_validation_failure(self, capsys):
+        code = main(["check", "fibration", CORE, "nokind(idTwo)"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: unknown construction kind 'nokind'\n"
+
+
 class TestCheck:
     def test_fibration_of_graph(self, capsys):
         code, out = run(

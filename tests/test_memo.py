@@ -12,6 +12,7 @@ built once per distinct argument, and the memo must go with its corpus.
 from __future__ import annotations
 
 import gc
+import sys
 import weakref
 from collections import Counter
 from types import MappingProxyType
@@ -19,7 +20,7 @@ from types import MappingProxyType
 import pytest
 
 import basecat as bc
-from basecat import constructions, corpus as corpus_module, suites
+from basecat import constructions, core, corpus as corpus_module, suites
 from basecat.corpus import build_corpus, group_category
 from basecat.suites import SUITES, run_suite
 
@@ -246,3 +247,24 @@ def test_the_memo_goes_with_its_corpus():
     del corpus
     gc.collect()
     assert built() is None
+
+
+def test_no_category_is_normalized_twice(monkeypatch):
+    """The concrete duality verdict is made once per corpus pair, and the
+    main proposition and the duality suite both read it."""
+    normalize = core.normalize
+    counts: Counter = Counter()
+    kept = {}
+
+    def counting(cat, *args, **kwargs):
+        kept[id(cat)] = cat
+        counts[id(cat)] += 1
+        return normalize(cat, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "basecat" and getattr(module, "normalize", None) is normalize:
+            monkeypatch.setattr(module, "normalize", counting)
+    run_suite("all", build_corpus(seed=7))
+    assert counts
+    twice = {kept[key].name: n for key, n in counts.items() if n > 1}
+    assert not twice, twice
