@@ -137,17 +137,19 @@ def cmd_construct(args) -> Report:
 
 def cmd_check(args) -> Report:
     needed = 2 if args.kind in ("iso", "cartesian") else 1
-    if len(args.args) < needed:
-        raise UsageError(f"check {args.kind} takes {needed} arguments")
+    if len(args.args) != needed:
+        raise UsageError(
+            f"check {args.kind} takes {needed} argument{'s' * (needed > 1)}, got {len(args.args)}"
+        )
     report = Report(f"check {args.kind}")
     env = _load(args.file, args.allow_unfaithful)
     # Each verdict comes with what to say when it holds; a refutation says
     # why it does not.
     if args.kind == "iso":
-        for name in args.args[:2]:
+        for name in args.args:
             if name not in env.categories:
                 raise ValidationError(f"no category named {name!r}")
-        c, d = (env.categories[n] for n in args.args[:2])
+        c, d = (env.categories[n] for n in args.args)
         claim = f"check:iso:{args.args[0]}~{args.args[1]}"
         verdicts = [(
             find_isomorphism(c, d, args.budget),

@@ -51,7 +51,7 @@ from .core import (
     validate_functor,
     validate_witness,
 )
-from .errors import NoSelfDualWitness, SourceTargetMismatch, ValidationError
+from .errors import DuplicateId, NoSelfDualWitness, Refutation, SourceTargetMismatch, ValidationError
 from .family import IndexedFamily, validate_family
 from .fibration import Cleavage, FunctorOver, OpCleavage
 from .report import Report
@@ -647,26 +647,20 @@ def transformation_groupoid(act: GroupAction) -> ConstructedCategory:
     return b.build()
 
 
-def verify_prop4(act: GroupAction) -> IsoWitness:
+def _build_now(construction: Callable, *args):
+    return construction(*args)
+
+
+def verify_prop4(act: GroupAction, build: Callable = _build_now) -> IsoWitness:
     """Match the transformation groupoid with the self-dual right action.
 
     The contravariant data is the action of the inverse element, the
     unique convention under which "x is carried from y" and "y is the
     image of x" agree. The witness relabels by adding or dropping the
     object component; its forward functor is validated and its inverse
-    read off it.
+    read off it. What other checks share (the transformation groupoid,
+    the inverse witness) is made by ``build(construction, *args)``.
     """
-    return _prop4_witness(act, _build_now)
-
-
-def _build_now(construction: Callable, *args):
-    return construction(*args)
-
-
-def _prop4_witness(act: GroupAction, build: Callable) -> IsoWitness:
-    """``verify_prop4``, with the constructions other checks share (the
-    transformation groupoid, the inverse witness) made by
-    ``build(construction, *args)``."""
     grp = act.group
     groupoid = build(transformation_groupoid, act)
     witness = build(inverse_witness, grp)
@@ -703,16 +697,43 @@ def _commutes_with_projections(
     )
 
 
-def _opposite_erases_to(right: ConstructedCategory, left: ConstructedCategory) -> bool:
+@dataclass(frozen=True)
+class NotOnTheNose(Refutation):
+    """Why the opposite of a right action is not its left action."""
+
+    template = "{reason}"
+    reason: str
+
+
+def _opposite_erases_to(
+    right: ConstructedCategory, left: ConstructedCategory
+) -> bool | NotOnTheNose:
     """Whether the opposite of a right action is the left action on the
-    nose, op markers erased."""
-    return same_presentation(opposite(right.cat), left.cat)
+    nose, op markers erased. Ids that collide once their markers are
+    erased refute it, since that side has no erased presentation."""
+    try:
+        if same_presentation(opposite(right.cat), left.cat):
+            return True
+    except DuplicateId as exc:
+        return NotOnTheNose(f"ids collide on {exc.ident!r} after erasing op markers")
+    return NotOnTheNose("the presentations differ after erasing op markers")
+
+
+def _concrete_right_erases_to(
+    left: ConstructedCategory, fun: FinFunctor, concrete: ConcreteStructure
+) -> bool | NotOnTheNose:
+    """``_opposite_erases_to`` for the concrete right action of ``fun``
+    and ``concrete`` and its left action ``left``. The right action is
+    built here and dropped, so whoever keeps the verdict keeps no right
+    action."""
+    return _opposite_erases_to(concrete_right_action(fun, concrete), left)
 
 
 def verify_main_prop(
     fun: FinFunctor,
     concrete: ConcreteStructure | None = None,
     self_dual: IsoWitness | None = None,
+    build: Callable = _build_now,
 ) -> Report:
     """Check every leg of the isomorphism web around one functor.
 
@@ -724,20 +745,11 @@ def verify_main_prop(
     claim is the checkable shadow of "never concretely isomorphic to the
     base": object counts must differ as soon as some carrier has two
     elements.
+
+    What other checks share (graph, left action, concrete graph and left
+    action, the concrete duality verdict) is made by ``build(construction,
+    *args)``; the self-dual right actions are built here.
     """
-    return _main_prop(fun, concrete, self_dual, _build_now)
-
-
-def _main_prop(
-    fun: FinFunctor,
-    concrete: ConcreteStructure | None,
-    self_dual: IsoWitness | None,
-    build: Callable,
-) -> Report:
-    """``verify_main_prop``, with the constructions other checks share
-    (graph, left action, concrete graph and actions) made by
-    ``build(construction, *args)``; the self-dual right actions are
-    built here, since nothing else reads them."""
     report = Report(f"main-prop {fun.name}")
     c = fun.source
 
@@ -777,10 +789,11 @@ def _main_prop(
             except (ValidationError, KeyError) as exc:
                 report.add(claim, False, f"no witness: {exc}")
 
+        dual = build(_concrete_right_erases_to, cleft, fun, concrete)
         report.add(
             "cright-dual~cleft",
-            build(_opposite_erases_to, build(concrete_right_action, fun, concrete), cleft),
-            "opposite of the right action erases to the left action",
+            dual,
+            "opposite of the right action erases to the left action" if dual else str(dual),
         )
 
         sizes = [len(concrete.elements(fun.obj(x))) for x in c.objects]

@@ -41,7 +41,6 @@ from .errors import (
     UnknownObject,
     UnmappedMorphism,
     UnmappedObject,
-    ValidationError,
 )
 
 OP_MARK = "_op"
@@ -662,6 +661,15 @@ def coproduct_categories(cats: Sequence[FinCat]) -> tuple[FinCat, list[FinFuncto
     return total, injections
 
 
+def _erased(ids: Iterable[str]) -> dict[str, str]:
+    """Each id with its op markers erased; two ids that erase to the same
+    one collide, and that id is reported."""
+    erased = {i: strip_op_marks(i) for i in ids}
+    if len(set(erased.values())) != len(erased):
+        raise DuplicateId(next(e for e, n in Counter(erased.values()).items() if n > 1))
+    return erased
+
+
 def normalize(cat: FinCat, name: str | None = None) -> FinCat:
     """Canonical presentation: op markers erased, everything sorted by id.
 
@@ -670,12 +678,8 @@ def normalize(cat: FinCat, name: str | None = None) -> FinCat:
     relabelling of a valid category is valid, so once the relabelling is
     known to be injective the copy is built without validating it again.
     """
-    obj_names = {o: strip_op_marks(o) for o in cat.objects}
-    mor_names = {a.name: strip_op_marks(a.name) for a in cat.arrows}
-    if len(set(obj_names.values())) != len(obj_names):
-        raise DuplicateId("object ids collide after erasing op markers")
-    if len(set(mor_names.values())) != len(mor_names):
-        raise DuplicateId("morphism ids collide after erasing op markers")
+    obj_names = _erased(cat.objects)
+    mor_names = _erased(a.name for a in cat.arrows)
     objects = tuple(sorted(obj_names[o] for o in cat.objects))
     arrows = tuple(sorted(
         (Arrow(mor_names[a.name], obj_names[a.dom], obj_names[a.cod]) for a in cat.arrows),

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .constructions import GroupAction, validate_group_action
+from .constructions import GroupAction, discrete_family, family_from_functor, inverse_witness
+from .constructions import validate_group_action
 from .core import (
     FinCat,
     FinFunctor,
@@ -29,7 +30,6 @@ from .core import (
     validate_category,
     validate_functor,
 )
-from .constructions import discrete_family, family_from_functor, inverse_witness
 from .dsl import Env, elaborate, parse, read_source
 from .family import IndexedFamily, validate_family
 from .sets import ConcreteStructure, FinFn, FinSetObj, validate_concrete
@@ -50,15 +50,13 @@ def fixtures_dir() -> Path:
 class Corpus:
     """The instances the suites check, and what has been built from them.
 
-    Validated values are read-only, so whatever a check builds from them
-    can be kept and shared: ``_built`` makes a construction once per corpus
-    for the same argument objects, and ``_checked`` runs a check once,
-    handing it ``_built`` for the constructions it shares with other
-    checks. A check keeps only its result, so a construction that nothing
-    else reads goes as soon as its check is done. Entries are keyed by the
-    function and the identities of its arguments and keep the arguments
-    alive, so no id in a key is reused while the corpus lives; everything
-    goes when the corpus does.
+    Validated values are read-only, so a construction made from them can
+    be shared: ``_built`` makes it once per corpus for the same argument
+    objects. The suites build through it only what more than one of them
+    reads, so the rest goes as soon as its check is done. Entries are
+    keyed by the construction and the identities of its arguments and
+    keep the arguments alive, so no id in a key is reused while the
+    corpus lives; everything goes when the corpus does.
     """
 
     env: Env
@@ -72,19 +70,11 @@ class Corpus:
 
     def _built(self, construction: Callable, *args):
         """``construction(*args)``, made once per corpus for these arguments."""
-        return self._memoised(construction, args, construction)
-
-    def _checked(self, check: Callable, *args):
-        """``check(*args, self._built)``, run once per corpus for these
-        arguments."""
-        return self._memoised(check, args, lambda *a: check(*a, self._built))
-
-    def _memoised(self, fn: Callable, args: tuple, run: Callable):
-        made = self._memo.setdefault(fn, {})
+        made = self._memo.setdefault(construction, {})
         key = tuple(map(id, args))
         entry = made.get(key)
         if entry is None:
-            entry = made[key] = (run(*args), *args)
+            entry = made[key] = (construction(*args), *args)
         return entry[0]
 
     def selfdual_witness(self, cat: FinCat) -> IsoWitness | None:

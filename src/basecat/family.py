@@ -62,4 +62,9 @@ def validate_family(
         if got.obj_map != obj_map or got.mor_map != mor_map:
             raise NotStrict(v, u)
 
+    # Checked last, so that input breaking a law still reports that law.
+    if len(fibre) > len(base.objects):
+        raise UnknownObject(next(o for o in fibre if o not in base.objects))
+    if len(pull) > len(base.arrows):
+        raise UnknownMorphism(next(m for m in pull if not base.has_arrow(m)))
     return IndexedFamily(base, fibre, pull)

@@ -19,6 +19,7 @@ from .errors import (
     NotFunctorial,
     PartialFunction,
     Refutation,
+    UnknownMorphism,
     UnknownObject,
     ValidationError,
 )
@@ -144,6 +145,11 @@ def validate_concrete(
                         else:
                             raise NotFaithful(f1, f2)
 
+    # Checked last, so that input breaking a law still reports that law.
+    if len(carrier) > len(over.objects):
+        raise UnknownObject(next(o for o in carrier if o not in over.objects))
+    if len(action) > len(over.arrows):
+        raise UnknownMorphism(next(m for m in action if not over.has_arrow(m)))
     return ConcreteStructure(over, carrier, action, tuple(warnings))
 
 

@@ -1,32 +1,29 @@
 """Theorem suites over the corpus: every claim is an exhaustive check at
 desk scale, reported one line per instance.
 
-Constructions that more than one check reads are made through the corpus
-(``Corpus._built``), once per corpus. A check that builds something only
-it reads is kept by the corpus too, by its claims (``Corpus._checked``
-hands it the shared constructions), so what it built goes once it is
-done, and a suite run a second time on the same corpus builds nothing."""
+Each claim is decided by the one function that checks it. What more
+than one suite reads (the graphs, left actions, concrete graphs,
+transformation groupoids, inverse witnesses and the concrete duality
+verdict) is made through the corpus (``Corpus._built``), once per
+corpus; the theorem checks take ``_built`` as their ``build`` hook.
+Everything else a check builds goes once it is done."""
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .constructions import (
     ConstructedCategory,
-    GroupAction,
-    _main_prop,
+    _concrete_right_erases_to,
     _opposite_erases_to,
-    _prop4_witness,
     abstract_left_action,
     abstract_right_action,
     concrete_graph_category,
     concrete_left_action,
-    concrete_right_action,
     graph_category,
     grothendieck_strict,
     transformation_groupoid,
+    verify_main_prop,
+    verify_prop4,
 )
-from .core import FinFunctor, same_presentation
 from .corpus import Corpus
 from .errors import BasecatError
 from .family import IndexedFamily
@@ -73,25 +70,18 @@ def suite_prop3(corpus: Corpus) -> Report:
     return report
 
 
-def _prop4_claims(act: GroupAction, build: Callable) -> Report:
-    name = act.group.name
-    report = Report(f"prop4 {name}")
-    size = len(act.group.arrows) * len(act.carrier.elements)
-    try:
-        groupoid = _prop4_witness(act, build).forward.source
-        count_ok = len(groupoid.arrows) == size
-        report.add(f"prop4:{name}:witness", True, f"morphisms={len(groupoid.arrows)}")
-        report.add(f"prop4:{name}:count", count_ok, f"expected {size}")
-    except BasecatError as exc:
-        report.add(f"prop4:{name}:witness", False, str(exc))
-    return report
-
-
 def suite_prop4(corpus: Corpus) -> Report:
     """Transformation groupoids are base structured categories."""
     report = Report("verify prop4")
     for act in corpus.actions:
-        report.extend(corpus._checked(_prop4_claims, act))
+        name = act.group.name
+        size = len(act.group.arrows) * len(act.carrier.elements)
+        try:
+            groupoid = verify_prop4(act, corpus._built).forward.source
+            report.add(f"prop4:{name}:witness", True, f"morphisms={len(groupoid.arrows)}")
+            report.add(f"prop4:{name}:count", len(groupoid.arrows) == size, f"expected {size}")
+        except BasecatError as exc:
+            report.add(f"prop4:{name}:witness", False, str(exc))
     return report
 
 
@@ -102,12 +92,9 @@ def suite_main(corpus: Corpus) -> Report:
     abstract_only = [(f, None) for f in corpus.functors if id(f) not in seen_concrete]
     for fun, concrete in corpus.concrete_pairs + abstract_only:
         witness = corpus.selfdual_witness(fun.source)
-        _add_under(report, f"main:{fun.name}:", corpus._checked(_main_prop, fun, concrete, witness))
+        web = verify_main_prop(fun, concrete, witness, corpus._built)
+        _add_under(report, f"main:{fun.name}:", web)
     return report
-
-
-def _abstract_duality(fun: FinFunctor, build: Callable) -> bool:
-    return _opposite_erases_to(abstract_right_action(fun), build(abstract_left_action, fun))
 
 
 def suite_duality(corpus: Corpus) -> Report:
@@ -116,11 +103,12 @@ def suite_duality(corpus: Corpus) -> Report:
     report = Report("verify duality")
     built = corpus._built
     for fun in corpus.functors:
-        report.add(f"duality:{fun.name}:abstract", corpus._checked(_abstract_duality, fun))
+        verdict = _opposite_erases_to(abstract_right_action(fun), built(abstract_left_action, fun))
+        report.add(f"duality:{fun.name}:abstract", verdict, "" if verdict else str(verdict))
     for fun, concrete in corpus.concrete_pairs:
-        right = built(concrete_right_action, fun, concrete)
         left = built(concrete_left_action, fun, concrete)
-        report.add(f"duality:{fun.name}:concrete", built(_opposite_erases_to, right, left))
+        verdict = built(_concrete_right_erases_to, left, fun, concrete)
+        report.add(f"duality:{fun.name}:concrete", verdict, "" if verdict else str(verdict))
     return report
 
 
@@ -154,19 +142,20 @@ def _lemmas(built: ConstructedCategory) -> Report:
 
 def _family_claims(fam: IndexedFamily) -> tuple[Report, bool]:
     """The lemmas for the Grothendieck total of ``fam``, and whether the
-    family read back off its split cleavage rebuilds the same total."""
+    family read back off its split cleavage rebuilds the same total, id
+    for id."""
     total = grothendieck_strict(fam)
     recovered = recover_indexed(
         total.over(), total.cleavage, total.object_labels, total.arrow_labels
     )
-    return _lemmas(total), same_presentation(grothendieck_strict(recovered).cat, total.cat)
+    return _lemmas(total), grothendieck_strict(recovered).cat == total.cat
 
 
 def suite_appendix_c(corpus: Corpus) -> Report:
     """Factorization, closure and iso-lifting lemmas, plus the strict
     round trip between split fibrations and indexed families."""
     report = Report("verify appendixC")
-    families = [corpus._built(_family_claims, fam) for fam in corpus.families]
+    families = [_family_claims(fam) for fam in corpus.families]
     for fun in corpus.functors:
         _add_under(report, f"appendixC:graph_{fun.name}:", _lemmas(corpus._built(graph_category, fun)))
     for index, (lemmas, _) in enumerate(families):

@@ -13,7 +13,8 @@ import pytest
 import basecat
 
 from basecat.cli import main
-from basecat.corpus import fixtures_dir
+from basecat.corpus import build_corpus, fixtures_dir
+from basecat.suites import run_suite
 
 CORE = str(fixtures_dir() / "core.bcat")
 
@@ -67,6 +68,57 @@ class TestValidate:
         assert code == 1
         code, _ = run(capsys, "--allow-unfaithful", "validate", str(path))
         assert code == 0
+
+    STRAY_BASES = (
+        "category Z2 { objects: * arrows: s: * -> * compose: s . s = id_* }\n"
+        "category One { objects: * }\n"
+        "category Two { objects: X, Y arrows: f: X -> Y }\n"
+        "functor idOne : One -> One { objects: * |-> * }\n"
+        "functor idZ2 : Z2 -> Z2 { objects: * |-> * arrows: s |-> s }\n"
+    )
+
+    @pytest.mark.parametrize(
+        "decl, kind, message",
+        [
+            ("action a { group: Z2 set: { 0, 1 } "
+             "phi: s: 0 |-> 1, 1 |-> 0 phi: bogus: 0 |-> 0, 1 |-> 1 }",
+             "action:a", "no morphism named 'bogus'"),
+            ("concrete U over Two { X: { x1, x2 } Y: { y1 } Z: { z } "
+             "f: x1 |-> y1, x2 |-> y1 }",
+             "concrete:U", "no object named 'Z'"),
+            ("indexed fam over Two { fibre X = One fibre Y = One fibre Q = Two "
+             "pull f = idOne }",
+             "indexed:fam", "no object named 'Q'"),
+            ("indexed fam over Two { fibre X = One fibre Y = One "
+             "pull f = idOne pull bogus = idZ2 }",
+             "indexed:fam", "no morphism named 'bogus'"),
+        ],
+        ids=["action-phi", "concrete-carrier", "family-fibre", "family-pull"],
+    )
+    def test_stray_keys_are_rejected(self, capsys, tmp_path, decl, kind, message):
+        path = tmp_path / "stray.bcat"
+        path.write_text(self.STRAY_BASES + decl + "\n")
+        code, out = run(capsys, "--format", "machine", "validate", str(path))
+        assert code == 1
+        assert out.splitlines()[-1] == f"validate:{kind}\tfail\t{message}"
+
+    def test_a_broken_law_is_reported_before_a_stray_key(self, capsys, tmp_path):
+        path = tmp_path / "stray.bcat"
+        path.write_text(
+            self.STRAY_BASES
+            + "action a { group: Z2 set: { 0, 1 } "
+            "phi: s: 0 |-> 1, 1 |-> 1 phi: bogus: 0 |-> 0, 1 |-> 1 }\n"
+            "concrete U over Two { X: { x1 } Y: { y1 } Z: { z } f: x1 |-> y1 }\n"
+            "indexed fam over Two { fibre X = One fibre Y = Two fibre Q = Two "
+            "pull f = idOne }\n"
+        )
+        code, out = run(capsys, "--format", "machine", "validate", str(path))
+        assert code == 1
+        assert out.splitlines()[-3:] == [
+            "validate:action:a\tfail\tassigned functions break composition on ('s', 's')",
+            "validate:concrete:U\tfail\tno object named 'Z'",
+            "validate:indexed:fam\tfail\tindexed family is not strict on base pair ('f', 'f')",
+        ]
 
 
 class TestConstruct:
@@ -211,6 +263,30 @@ class TestConstructionNames:
 
 
 class TestCheck:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fibration", CORE, "graph(idTwo)", "junk"],
+            ["opfibration", CORE, "graph(idTwo)", "junk"],
+            ["split", CORE, "graph(idTwo)", "junk"],
+            ["cartesian", CORE, "graph(idTwo)", "id_(X,X)", "junk"],
+            ["iso", CORE, "Two", "Two", "junk"],
+            ["cartesian", CORE, "graph(idTwo)"],
+            ["iso", CORE, "Two"],
+        ],
+        ids=[
+            "fibration-extra", "opfibration-extra", "split-extra", "cartesian-extra",
+            "iso-extra", "cartesian-short", "iso-short",
+        ],
+    )
+    def test_a_wrong_argument_count_is_a_usage_error(self, capsys, argv):
+        code = main(["check", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"check {argv[0]} takes " in captured.err
+
     def test_fibration_of_graph(self, capsys):
         code, out = run(
             capsys, "--format", "machine", "check", "fibration", CORE, "graph(idTwo)"
@@ -360,6 +436,29 @@ class TestVerify:
         )
         assert code == 0
         assert "prop4:Z2:witness\tpass" in out
+
+    @pytest.mark.parametrize("suite", ["duality", "appendixC", "all"])
+    def test_ids_colliding_after_erasing_op_markers_fail_one_claim(self, capsys, tmp_path, suite):
+        # ``f`` and ``f_op`` erase to one id: the abstract duality of idC
+        # fails, naming it, the round trips compare ids as they are, and
+        # every other claim is still decided.
+        (tmp_path / "c.bcat").write_text(
+            "category C { objects: X, Y arrows: f: X -> Y, f_op: X -> Y }\n"
+            "functor idC : C -> C { objects: X |-> X, Y |-> Y arrows: f |-> f, f_op |-> f_op }\n"
+        )
+        code = main(["--format", "machine", "verify", suite, "--corpus", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        claims = [line.split("\t") for line in captured.out.splitlines()]
+        failed = [c for c in claims if c[1] == "fail"]
+        collision = ["duality:idC:abstract", "fail", "ids collide on '(f,id_Y)' after erasing op markers"]
+        assert failed == ([] if suite == "appendixC" else [collision])
+        assert code == (0 if suite == "appendixC" else 1)
+        fresh = build_corpus(seed=7, directory=tmp_path)
+        assert len(claims) == len(run_suite(suite, fresh).claims)
+        roundtrips = [c for c in claims if c[0].startswith("appendixC:roundtrip")]
+        assert all(c[1] == "pass" for c in roundtrips)
+        assert bool(roundtrips) == (suite != "duality")
 
     @pytest.mark.parametrize(
         "make, message",

@@ -5,8 +5,10 @@ Every mapping a validated value holds is a read-only view, and a validator
 copies what its caller passes, so a value cannot change once it exists.
 That is what lets ``Corpus`` build each construction once and hand the same
 copy to every suite: the suites must report exactly what they report on
-fresh corpora, a second run must build nothing, each construction must be
-built once per distinct argument, and the memo must go with its corpus.
+fresh corpora, a second run must rebuild nothing the memo shares, each
+construction must be built once per distinct argument, the memo must keep
+no report and no construction only one check reads, and it must go with
+its corpus.
 """
 
 from __future__ import annotations
@@ -221,14 +223,65 @@ def test_each_construction_is_built_once_per_distinct_argument(builds):
     assert not repeated, repeated
 
 
-def test_a_second_run_builds_nothing(builds):
+# What the memo shares: the constructions ``Corpus._built`` makes, and the
+# concrete right action, which the shared duality verdict builds.
+SHARED = (
+    "graph_category",
+    "abstract_left_action",
+    "concrete_graph_category",
+    "concrete_left_action",
+    "concrete_right_action",
+    "transformation_groupoid",
+    "inverse_witness",
+)
+
+
+def test_a_second_run_rebuilds_no_shared_construction(builds):
     corpus = build_corpus(seed=3)
     for name in SUITES:
         first = run_suite(name, corpus)
-        before = sum(builds.values())
+        before = sum(n for key, n in builds.items() if key[0] in SHARED)
         again = run_suite(name, corpus)
-        assert sum(builds.values()) == before, name
+        assert sum(n for key, n in builds.items() if key[0] in SHARED) == before, name
         assert again.claims == first.claims
+
+
+def _kept(value):
+    """``value`` and, through tuples, everything it holds."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _kept(item)
+
+
+# Built by one check and read by nothing else, so never worth keeping.
+SINGLE_USE = {
+    "right-action",
+    "concrete-right-action",
+    "selfdual-right-action",
+    "selfdual-concrete-right-action",
+    "grothendieck",
+}
+
+
+def test_the_memo_keeps_no_report_and_no_single_use_construction():
+    corpus = build_corpus(seed=7)
+    run_suite("all", corpus)
+    kept = [
+        (fn.__name__, value)
+        for fn, made in corpus._memo.items()
+        for entry in made.values()
+        for value in _kept(entry)
+    ]
+    assert kept
+    reports = [name for name, value in kept if isinstance(value, bc.Report)]
+    assert not reports, reports
+    single = [
+        (name, value.provenance)
+        for name, value in kept
+        if isinstance(value, bc.ConstructedCategory) and value.provenance in SINGLE_USE
+    ]
+    assert not single, single
 
 
 @pytest.mark.parametrize("seed", range(10))
