@@ -22,6 +22,12 @@ The right-action categories live over the opposite of the base; their
 opposites coincide with the left-action categories after erasing op
 markers, which is how the duality statements are checked, on the nose
 (``same_presentation``).
+
+Each construction is made from validated values and satisfies the laws
+by construction, as its docstring says; it is assembled (``assemble``)
+with its projection, and no law is checked again. The entry checks that
+doubt their input stay: ``grothendieck_strict`` re-checks strictness and
+``right_action_selfdual`` its witness.
 """
 
 from __future__ import annotations
@@ -36,10 +42,10 @@ from .core import (
     FinFunctor,
     IsoWitness,
     ReadOnly,
+    assemble,
     compose_functors,
     identity_functor,
     identity_id,
-    invert,
     op_functor,
     op_name,
     op_tag,
@@ -47,8 +53,6 @@ from .core import (
     pair_id,
     relabelling,
     same_presentation,
-    validate_category,
-    validate_functor,
     validate_witness,
 )
 from .errors import DuplicateId, NoSelfDualWitness, Refutation, SourceTargetMismatch, ValidationError
@@ -95,7 +99,8 @@ def _disambiguate(proposals: list[tuple[str, str]]) -> list[str]:
 
 
 class _Builder:
-    """Accumulates a constructed presentation, then validates everything."""
+    """Accumulates a constructed presentation and its projection, then
+    assembles them; the caller's construction is what proves the laws."""
 
     def __init__(self, name: str, base: FinCat, provenance: str):
         self.name = name
@@ -104,19 +109,14 @@ class _Builder:
         self.objects: list[str] = []
         self.object_labels: dict[str, tuple[str, ...]] = {}
         self.proj_obj: dict[str, str] = {}
-        self.arrows: list[tuple[str, str, str]] = []
+        self.arrows: list[Arrow] = []
         self.arrow_labels: dict[str, tuple[str, ...]] = {}
         self.arrow_keys: dict[str, tuple] = {}
         self.proj_mor: dict[str, str] = {}
         self.table: dict[tuple[str, str], str] = {}
 
     def add_object(
-        self,
-        ident: str,
-        label: tuple[str, ...],
-        over: str,
-        identity_key: tuple,
-        identity_label: tuple[str, ...] | None = None,
+        self, ident: str, label: tuple[str, ...], over: str, identity_key: tuple, identity_label: tuple = ()
     ) -> str:
         self.objects.append(ident)
         self.object_labels[ident] = label
@@ -127,39 +127,19 @@ class _Builder:
         self.proj_mor[ident_arrow] = self.base.identity[over]
         return ident
 
-    def add_arrow(
-        self,
-        ident: str,
-        label: tuple[str, ...],
-        dom: str,
-        cod: str,
-        over: str,
-        key: tuple,
-    ) -> None:
-        self.arrows.append((ident, dom, cod))
+    def add_arrow(self, ident: str, label: tuple[str, ...], dom: str, cod: str, over: str, key: tuple) -> None:
+        self.arrows.append(Arrow(ident, dom, cod))
         self.arrow_labels[ident] = label
         self.proj_mor[ident] = over
         self.arrow_keys[ident] = key
 
     def build(
-        self,
-        cleavage: Cleavage | None = None,
-        opcleavage: OpCleavage | None = None,
+        self, cleavage: Cleavage | None = None, opcleavage: OpCleavage | None = None
     ) -> ConstructedCategory:
-        cat = validate_category(self.name, self.objects, self.arrows, self.table)
-        projection = validate_functor(
-            f"proj_{self.name}", cat, self.base, self.proj_obj, self.proj_mor
-        )
-        return ConstructedCategory(
-            cat,
-            projection,
-            self.provenance,
-            self.object_labels,
-            self.arrow_labels,
-            self.arrow_keys,
-            cleavage,
-            opcleavage,
-        )
+        cat = assemble(self.name, self.objects, self.arrows, self.table)
+        projection = FinFunctor(f"proj_{self.name}", cat, self.base, self.proj_obj, self.proj_mor)
+        labels = (self.object_labels, self.arrow_labels, self.arrow_keys)
+        return ConstructedCategory(cat, projection, self.provenance, *labels, cleavage, opcleavage)
 
 
 def _category_of_elements(
@@ -185,6 +165,10 @@ def _category_of_elements(
     is op-tagged and reversed, and so is composition. Keys are (f, x), or
     (f,) without ``element_keys``; a requested (op)cleavage chooses the
     element morphism at each codomain (domain) object.
+
+    When the element morphisms come from a functor or action, above each
+    composite sits exactly the composite of the element morphisms, so the
+    unit and associativity laws are those of ``c``, read element by element.
     """
     flip = opposite_base is not None
     b = _Builder(name, opposite_base or c, provenance)
@@ -293,7 +277,8 @@ def concrete_graph_category(
 
     Objects are pairs (X, x) with x an element of the set under the image
     of X; above a morphism f sit the restrictions of its function, one per
-    element of the domain carrier.
+    element of the domain carrier. It is a category of elements, so the
+    laws hold.
     """
     fibre, images = _acted_on(fun, concrete)
     return _category_of_elements(
@@ -319,21 +304,15 @@ def trivial_categorify(cat: FinCat) -> TrivialCategorification:
     """View each object as the category of itself and its identity.
 
     Each morphism induces the unique functor between the corresponding
-    one-object categories; the functor laws reduce to the unit laws of the
-    original category.
+    one-object categories; a category with one arrow has only the unit
+    laws, and a functor between two such has only identities to preserve.
     """
-    fibres = {
-        o: validate_category(f"triv_{o}", [o], []) for o in cat.objects
-    }
+    fibres = {o: assemble(f"triv_{o}", [o], [], {}) for o in cat.objects}
     functors = {}
     for a in cat.arrows:
-        functors[a.name] = validate_functor(
-            f"triv_{a.name}",
-            fibres[a.dom],
-            fibres[a.cod],
-            {a.dom: a.cod},
-            {},
-        )
+        src, tgt = fibres[a.dom], fibres[a.cod]
+        mor_map = {src.identity[a.dom]: tgt.identity[a.cod]}
+        functors[a.name] = FinFunctor(f"triv_{a.name}", src, tgt, {a.dom: a.cod}, mor_map)
     return TrivialCategorification(fibres, functors)
 
 
@@ -342,14 +321,17 @@ def _family_over_opposite(
 ) -> IndexedFamily:
     """Discrete fibres over the opposite of ``c``: the pull functor of the
     opposite of a: X -> Y maps the objects of the fibre over X by
-    ``along(a)``."""
+    ``along(a)``. A map of objects between discrete categories is a
+    functor, and the family is strict when ``along`` sends identities to
+    identities and composites to composites, as a validated functor or
+    action does."""
     pull = {}
     for a in c.arrows:
         key = op_tag(c, a.name)
-        pull[key] = validate_functor(
-            f"pull_{key}", fibre[a.dom], fibre[a.cod], along(a), {}
-        )
-    return validate_family(opposite(c), fibre, pull)
+        src, tgt, obj_map = fibre[a.dom], fibre[a.cod], along(a)
+        mor_map = {src.identity[x]: tgt.identity[obj_map[x]] for x in src.objects}
+        pull[key] = FinFunctor(f"pull_{key}", src, tgt, obj_map, mor_map)
+    return IndexedFamily(opposite(c), fibre, pull)
 
 
 def family_from_functor(fun: FinFunctor) -> IndexedFamily:
@@ -368,9 +350,10 @@ def family_from_functor(fun: FinFunctor) -> IndexedFamily:
 
 
 def discrete_family(fun: FinFunctor, concrete: ConcreteStructure) -> IndexedFamily:
-    """Underlying sets as discrete fibres over the opposite of the source."""
+    """Underlying sets as discrete fibres over the opposite of the source,
+    pulled along the action, which is strict because the action is a functor."""
     fibre = {
-        x: validate_category(f"disc_{x}", list(elements), [])
+        x: assemble(f"disc_{x}", elements, [], {})
         for x, elements in _acted_on(fun, concrete)[0].items()
     }
     return _family_over_opposite(
@@ -381,9 +364,9 @@ def discrete_family(fun: FinFunctor, concrete: ConcreteStructure) -> IndexedFami
 def grothendieck_strict(fam: IndexedFamily) -> ConstructedCategory:
     """Total category of a strict indexed family, with canonical cleavage.
 
-    Strictness makes the identity pair an identity and composition
-    associative on the nose; the canonical cartesian lift of u at (J, Y)
-    is (u, identity of pull(u)(Y)).
+    Strictness, checked on entry, makes the identity pair an identity and
+    composition associative on the nose; the canonical cartesian lift of u
+    at (J, Y) is (u, identity of pull(u)(Y)).
     """
     fam = validate_family(fam.base, fam.fibre, fam.pull)  # re-check strictness
     base = fam.base
@@ -484,7 +467,8 @@ def concrete_left_action(
 
     A morphism f and an element x of the domain carrier contribute
     (f, y): (X, x) -> (Y, y) with y the image of x; the label carries the
-    image, so colliding labels are tiebroken by the domain element.
+    image, so colliding labels are tiebroken by the domain element. It is a
+    category of elements, so the laws hold.
     """
     fibre, images = _acted_on(fun, concrete)
     return _category_of_elements(
@@ -504,7 +488,8 @@ def concrete_right_action(
 
     A morphism f: X -> Y and an element x of the domain carrier contribute
     (f_op, y): (Y, y) -> (X, x) with y the image of x. The opposite of
-    this category erases to the concrete left action byte for byte.
+    this category erases to the concrete left action byte for byte, so the
+    laws hold as they do there.
     """
     fibre, images = _acted_on(fun, concrete)
     return _category_of_elements(
@@ -554,7 +539,8 @@ def right_action_selfdual(
     opposite of the base; the witness is what entitles the construction to
     land back over the base itself. With a concrete structure the result
     is the category of elements (X, x) with morphisms (f, x): (X, x) ->
-    (Y, y) where x is carried from y against the direction of f.
+    (Y, y) where x is carried from y against the direction of f. Either way
+    it is a category of elements, so the laws hold.
     """
     c = witness.forward.source
     try:
@@ -564,16 +550,11 @@ def right_action_selfdual(
     if witness.forward.target != opposite(c):
         raise NoSelfDualWitness("witness does not target the opposite category")
     if fbar.source != witness.forward.target:
-        raise NoSelfDualWitness(
-            "contravariant data must be presented on the opposite of the base"
-        )
+        raise NoSelfDualWitness("contravariant data must be presented on the opposite of the base")
 
     if concrete is None:
         return _one_element_fibres(
-            f"sdract_{fbar.name}",
-            "selfdual-right-action",
-            c,
-            fbar.obj,
+            f"sdract_{fbar.name}", "selfdual-right-action", c, fbar.obj,
             lambda a: identity_id(fbar.obj(a.dom)),
         )
 
@@ -620,7 +601,8 @@ def transformation_groupoid(act: GroupAction) -> ConstructedCategory:
     """Objects are the set's elements; (g, x) runs from x to its image.
 
     Composition follows the action: (g2, image of x) after (g1, x) is
-    (g2 g1, x). The morphism count is the group order times the set size.
+    (g2 g1, x), so the laws are the group's, read at each element. The
+    morphism count is the group order times the set size.
     """
     grp = act.group
     b = _Builder(f"tg_{grp.name}", grp, "transformation-groupoid")
@@ -668,33 +650,30 @@ def verify_prop4(act: GroupAction, build: Callable = _build_now) -> IsoWitness:
     fbar = contravariant_via_witness(identity_functor(grp), witness)
     selfdual = right_action_selfdual(fbar, witness, concrete=concrete)
 
-    by_key = {k: ident for ident, k in selfdual.arrow_keys.items()}
-    return relabelling(
-        "tg_to_selfdual",
-        groupoid.cat,
-        selfdual.cat,
-        {x: pair_id(act.star, x) for x in act.carrier.elements},
-        {ident: by_key[key] for ident, key in groupoid.arrow_keys.items()},
-        back_name="selfdual_to_tg",
-    )
+    objects = {x: pair_id(act.star, x) for x in act.carrier.elements}
+    return _witness_via_keys(groupoid, selfdual, "tg_to_selfdual", objects, "selfdual_to_tg")
+
+
+def _projection_witness(built: ConstructedCategory, back_name: str) -> IsoWitness:
+    """The projection of a one-element-fibre construction, validated, with
+    its inverse: the witness that the construction is isomorphic to its base."""
+    p = built.projection
+    return relabelling(p.name, p.source, p.target, p.obj_map, p.mor_map, back_name)
 
 
 def _witness_via_keys(
-    a: ConstructedCategory, b: ConstructedCategory, name: str
+    a: ConstructedCategory,
+    b: ConstructedCategory,
+    name: str,
+    objects: Mapping[str, str] | None = None,
+    back_name: str | None = None,
 ) -> IsoWitness:
-    """Isomorphism matching two constructions by their canonical keys."""
+    """Isomorphism matching two constructions by their canonical keys,
+    identity on objects unless ``objects`` says otherwise."""
     by_key = {k: ident for ident, k in b.arrow_keys.items()}
     mor_map = {ident: by_key[key] for ident, key in a.arrow_keys.items()}
-    return relabelling(name, a.cat, b.cat, {o: o for o in a.cat.objects}, mor_map)
-
-
-def _commutes_with_projections(
-    w: IsoWitness, a: ConstructedCategory, b: ConstructedCategory
-) -> bool:
-    return all(
-        b.projection.mor(w.forward.mor(m.name)) == a.projection.mor(m.name)
-        for m in a.cat.arrows
-    )
+    objects = objects or {o: o for o in a.cat.objects}
+    return relabelling(name, a.cat, b.cat, objects, mor_map, back_name)
 
 
 @dataclass(frozen=True)
@@ -756,10 +735,10 @@ def verify_main_prop(
     graph = build(graph_category, fun)
     left = build(abstract_left_action, fun)
 
-    # Isomorphic to the base: the projection, validated when built, is bijective.
+    # Isomorphic to the base: the projection is validated and inverted.
     for claim, built in (("base~graph", graph), ("base~left-action", left)):
         try:
-            invert(built.projection, claim)
+            _projection_witness(built, claim)
             report.add(claim, True, "witness validated")
         except ValidationError as exc:
             report.add(claim, False, str(exc))
@@ -768,7 +747,7 @@ def verify_main_prop(
     if self_dual is not None:
         try:
             fbar = contravariant_via_witness(fun, self_dual)
-            invert(right_action_selfdual(fbar, self_dual).projection, "base~selfdual-right")
+            _projection_witness(right_action_selfdual(fbar, self_dual), "base~selfdual-right")
             report.add("base~selfdual-right", True, "witness validated")
         except ValidationError as exc:
             report.add("base~selfdual-right", False, str(exc))
@@ -783,8 +762,11 @@ def verify_main_prop(
             trio.append(("cleft~selfdual", cleft, csd))
         for claim, first, second in trio:
             try:
-                w = _witness_via_keys(first, second, claim)
-                ok = _commutes_with_projections(w, first, second)
+                w = _witness_via_keys(first, second, claim).forward
+                ok = all(
+                    second.projection.mor(w.mor(m.name)) == first.projection.mor(m.name)
+                    for m in first.cat.arrows
+                )
                 report.add(claim, ok, "witness validated" if ok else "projection broken")
             except (ValidationError, KeyError) as exc:
                 report.add(claim, False, f"no witness: {exc}")

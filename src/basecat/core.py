@@ -1,12 +1,15 @@
 """Validated finite category and functor presentations.
 
 A category is presented fully explicitly: every object, every morphism and
-the complete composition table. Raw input and constructions are validated
-by an exhaustive scan of the laws, so a `FinCat` value is a proof-carrying
-presentation that nothing downstream re-checks: the structural operations
-on validated values (``opposite``, ``op_functor``, ``compose_functors``,
-``identity_functor``, ``normalize``) build their results directly and
-check only what they can break.
+the complete composition table. Outside input (the text front end, random
+generation, caller-supplied witnesses) is validated at run time by an
+exhaustive scan of the laws, so a `FinCat` value is a proof-carrying
+presentation that nothing downstream re-checks. A presentation derived
+from validated values (an opposite, a product, every construction)
+satisfies the laws by construction: ``assemble`` puts it together and
+checks only that its ids are distinct. Functors between such values are
+built directly, and ``normalize`` only checks that relabelled ids stay
+distinct. The tests compare each such build with the validating one.
 
 "The same category" has one rule per notion: isomorphic means a validated
 functor bijective on objects and morphisms, its inverse read off it
@@ -282,6 +285,37 @@ def _as_arrows(arrows: Iterable[RawArrow]) -> list[Arrow]:
     return out
 
 
+def _distinct(ids: Iterable[str]) -> set[str]:
+    """The set of ``ids``; the first id seen twice raises ``DuplicateId``."""
+    seen: set[str] = set()
+    for i in ids:
+        if i in seen:
+            raise DuplicateId(i)
+        seen.add(i)
+    return seen
+
+
+def _with_identities(objects: Sequence[str], declared: Sequence[Arrow], identity: dict) -> tuple:
+    """Complete ``identity`` with ``id_<object>`` for each object it lacks,
+    and return the arrows with those identities first, in object order;
+    an identity id that is already declared is not synthesised again."""
+    missing = [o for o in objects if o not in identity]
+    names = {a.name for a in declared} if missing else set()
+    synthesised = []
+    for o in missing:
+        ident = identity[o] = identity_id(o)
+        if ident not in names:
+            synthesised.append(Arrow(ident, o, o))
+    return (*synthesised, *declared)
+
+
+def _fill_unit_rows(table: dict, arrows: Iterable[Arrow], identity: Mapping[str, str]) -> None:
+    """Add the rows the unit laws force, after the entries ``table`` has."""
+    for a in arrows:
+        table.setdefault((identity[a.cod], a.name), a.name)
+        table.setdefault((a.name, identity[a.dom]), a.name)
+
+
 def validate_category(
     name: str,
     objects: Sequence[str],
@@ -297,23 +331,9 @@ def validate_category(
     """
     objects = tuple(objects)
     declared = _as_arrows(arrows)
-
-    seen_obj: set[str] = set()
-    for o in objects:
-        if o in seen_obj:
-            raise DuplicateId(o)
-        seen_obj.add(o)
-
+    seen_obj = _distinct(objects)
     identity = dict_of(identity) if identity else {}
-    declared_names = {a.name for a in declared}
-    synthesised = []
-    for o in objects:
-        if o not in identity:
-            ident = identity_id(o)
-            identity[o] = ident
-            if ident not in declared_names:
-                synthesised.append(Arrow(ident, o, o))
-    all_arrows = tuple(synthesised) + tuple(declared)
+    all_arrows = _with_identities(objects, declared, identity)
 
     seen_mor: set[str] = set()
     for a in all_arrows:
@@ -344,9 +364,7 @@ def validate_category(
         table[(g, f)] = h
 
     # Unit-law-forced rows may be omitted from the input table.
-    for a in all_arrows:
-        table.setdefault((identity[a.cod], a.name), a.name)
-        table.setdefault((a.name, identity[a.dom]), a.name)
+    _fill_unit_rows(table, all_arrows, identity)
 
     # Composable pairs and triples are walked through per-object lists and
     # per-arrow rows, in presentation order, so the first violation found
@@ -388,6 +406,28 @@ def validate_category(
         raise UnknownObject(next(o for o in identity if o not in seen_obj))
     cat = FinCat(name, objects, all_arrows, identity, table)
     vars(cat)["_by_name"] = by_name  # the index ``_by_name`` would build
+    return cat
+
+
+def assemble(
+    name: str, objects: Sequence[str], arrows: Sequence[Arrow], table: dict, identity: dict | None = None
+) -> FinCat:
+    """A category whose laws its builder proves from validated inputs, so
+    none is checked. It is completed as ``validate_category`` completes raw
+    input (identities missing from ``identity`` synthesised before
+    ``arrows``, unit-law rows after the entries of ``table``), a repeated
+    object or arrow id raises ``DuplicateId``, and the builder's own
+    ``table`` and ``identity`` dicts become the value's."""
+    objects = tuple(objects)
+    _distinct(objects)
+    identity = {} if identity is None else identity
+    arrows = _with_identities(objects, arrows, identity)
+    by_name = {a.name: a for a in arrows}
+    if len(by_name) < len(arrows):
+        _distinct(a.name for a in arrows)
+    _fill_unit_rows(table, arrows, identity)
+    cat = FinCat(name, objects, arrows, identity, table)
+    vars(cat)["_by_name"] = by_name
     return cat
 
 
@@ -564,17 +604,12 @@ def opposite(cat: FinCat) -> FinCat:
 
 def _reversed(cat: FinCat) -> FinCat:
     names = {a.name: op_tag(cat, a.name) for a in cat.arrows}
-    seen: set[str] = set()
-    for tagged in names.values():
-        if tagged in seen:
-            raise DuplicateId(tagged)
-        seen.add(tagged)
-    arrows = tuple(Arrow(names[a.name], a.cod, a.dom) for a in cat.arrows)
+    arrows = [Arrow(names[a.name], a.cod, a.dom) for a in cat.arrows]
     identity = {o: names[m] for o, m in cat.identity.items()}
     table = {
         (names[f], names[g]): names[h] for (g, f), h in cat.compose.items()
     }
-    return FinCat(op_name(cat.name), cat.objects, arrows, identity, table)
+    return assemble(op_name(cat.name), cat.objects, arrows, table, identity)
 
 
 def op_functor(fun: FinFunctor) -> FinFunctor:
@@ -589,49 +624,39 @@ def op_functor(fun: FinFunctor) -> FinFunctor:
 
 
 def product_category(c: FinCat, d: FinCat) -> tuple[FinCat, FinFunctor, FinFunctor]:
-    """Componentwise product with its two projections."""
-    objects = [pair_id(x, y) for x in c.objects for y in d.objects]
+    """Componentwise product with its two projections.
+
+    Pairs compose componentwise, so each law holds because it holds in
+    both factors, and each projection preserves it by reading one
+    component."""
     obj_of = {(x, y): pair_id(x, y) for x in c.objects for y in d.objects}
-
-    def mname(f: Arrow, g: Arrow) -> str:
-        if c.is_identity(f.name) and d.is_identity(g.name):
-            return identity_id(obj_of[(f.dom, g.dom)])
-        return pair_id(f.name, g.name)
-
     arrows = []
     identity = {}
     names: dict[tuple[str, str], str] = {}
     for f in c.arrows:
         for g in d.arrows:
-            nm = mname(f, g)
+            if c.is_identity(f.name) and d.is_identity(g.name):
+                obj = obj_of[(f.dom, g.dom)]
+                nm = identity[obj] = identity_id(obj)
+            else:
+                nm = pair_id(f.name, g.name)
             names[(f.name, g.name)] = nm
             arrows.append(Arrow(nm, obj_of[(f.dom, g.dom)], obj_of[(f.cod, g.cod)]))
-            if c.is_identity(f.name) and d.is_identity(g.name):
-                identity[obj_of[(f.dom, g.dom)]] = nm
     table = {}
     for (g1, f1), h1 in c.compose.items():
         for (g2, f2), h2 in d.compose.items():
             table[(names[(g1, g2)], names[(f1, f2)])] = names[(h1, h2)]
-    prod = validate_category(pair_id(c.name, d.name), objects, arrows, table, identity)
-    p1 = validate_functor(
-        "p1",
-        prod,
-        c,
-        {obj_of[(x, y)]: x for x in c.objects for y in d.objects},
-        {names[(f.name, g.name)]: f.name for f in c.arrows for g in d.arrows},
-    )
-    p2 = validate_functor(
-        "p2",
-        prod,
-        d,
-        {obj_of[(x, y)]: y for x in c.objects for y in d.objects},
-        {names[(f.name, g.name)]: g.name for f in c.arrows for g in d.arrows},
-    )
+    prod = assemble(pair_id(c.name, d.name), obj_of.values(), arrows, table, identity)
+    p1 = FinFunctor("p1", prod, c, {o: x for (x, _), o in obj_of.items()}, {m: f for (f, _), m in names.items()})
+    p2 = FinFunctor("p2", prod, d, {o: y for (_, y), o in obj_of.items()}, {m: g for (_, g), m in names.items()})
     return prod, p1, p2
 
 
 def coproduct_categories(cats: Sequence[FinCat]) -> tuple[FinCat, list[FinFunctor]]:
-    """Disjoint union; ids are relabelled with their summand index."""
+    """Disjoint union; ids are relabelled with their summand index.
+
+    No arrow of one summand composes with another's, so each law is a law
+    of one summand, and each injection is that summand relabelled."""
     objects = []
     arrows = []
     identity = {}
@@ -653,10 +678,9 @@ def coproduct_categories(cats: Sequence[FinCat]) -> tuple[FinCat, list[FinFuncto
         tag_obj.append(objs)
         tag_mor.append(mors)
     name = "(" + "+".join(cat.name for cat in cats) + ")"
-    total = validate_category(name, objects, arrows, table, identity)
+    total = assemble(name, objects, arrows, table, identity)
     injections = [
-        validate_functor(f"inj{i}", cat, total, tag_obj[i], tag_mor[i])
-        for i, cat in enumerate(cats)
+        FinFunctor(f"inj{i}", cat, total, tag_obj[i], tag_mor[i]) for i, cat in enumerate(cats)
     ]
     return total, injections
 

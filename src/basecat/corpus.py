@@ -196,20 +196,10 @@ def _monotone_functor(rng: random.Random, name: str, src: FinCat, tgt: FinCat) -
     """Random structure-preserving map between thin categories, if any."""
     for _ in range(40):
         obj_map = {x: rng.choice(tgt.objects) for x in src.objects}
-        mor_map = {}
-        ok = True
-        for a in src.arrows:
-            images = tgt.hom(obj_map[a.dom], obj_map[a.cod])
-            if not images:
-                ok = False
-                break
-            mor_map[a.name] = images[0]
-        if not ok:
-            continue
-        try:
+        images = [tgt.hom(obj_map[a.dom], obj_map[a.cod]) for a in src.arrows]
+        if all(images):
+            mor_map = {a.name: hom[0] for a, hom in zip(src.arrows, images)}
             return validate_functor(name, src, tgt, obj_map, mor_map)
-        except Exception:
-            continue
     return None
 
 

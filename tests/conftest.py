@@ -31,6 +31,7 @@ from basecat.core import (
     validate_functor,
     validate_witness,
 )
+from basecat.constructions import ConstructedCategory
 from basecat.corpus import build_corpus, fixtures_dir, group_category
 from basecat.dsl import decl_of_category, elaborate, format_declaration, parse
 from basecat.errors import (
@@ -666,6 +667,35 @@ def oracle_compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
         {x: g.obj(f.obj(x)) for x in f.source.objects},
         {a.name: g.mor(f.mor(a.name)) for a in f.source.arrows},
     )
+
+
+# ``constructions._Builder.build`` as it was before derived presentations
+# were assembled: the category and its projection validated again.
+
+
+def oracle_build(builder, cleavage=None, opcleavage=None) -> ConstructedCategory:
+    cat = validate_category(builder.name, builder.objects, builder.arrows, builder.table)
+    projection = validate_functor(
+        f"proj_{builder.name}", cat, builder.base, builder.proj_obj, builder.proj_mor
+    )
+    labels = (builder.object_labels, builder.arrow_labels, builder.arrow_keys)
+    return ConstructedCategory(cat, projection, builder.provenance, *labels, cleavage, opcleavage)
+
+
+def built_form(value) -> tuple:
+    """What a build yields, every mapping in insertion order: a category's
+    ids and table, a functor's maps, a construction's fields, or an
+    error's class and ids."""
+    if isinstance(value, BaseException):
+        return (type(value), value)
+    if isinstance(value, FinCat):
+        return (value.name, value.objects, value.arrows, [*value.identity.items()], [*value.compose.items()])
+    if isinstance(value, FinFunctor):
+        ends = (built_form(value.source), built_form(value.target))
+        return (value.name, ends, [*value.obj_map.items()], [*value.mor_map.items()])
+    lifts = [None if c is None else [*c.lift.items()] for c in (value.cleavage, value.opcleavage)]
+    labels = [[*m.items()] for m in (value.object_labels, value.arrow_labels, value.arrow_keys)]
+    return (built_form(value.cat), built_form(value.projection), value.provenance, labels, lifts)
 
 
 # ``basecat.fibration.recover_indexed`` as it was before the objects,

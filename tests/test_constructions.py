@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,8 @@ from basecat import errors
 from basecat.corpus import build_corpus, group_category
 from basecat.dot import export_dot
 from basecat.dsl import decl_of_category, format_declaration
-from basecat.report import PASS, SKIP
+from basecat.core import invert
+from basecat.report import FAIL, PASS, SKIP
 from basecat.sets import FinFn, FinSetObj
 
 
@@ -429,6 +431,33 @@ class TestMainProp:
         assert report.ok
         negative = [c for c in report.claims if c.claim_id == "concrete-not-base"]
         assert negative and negative[0].status == PASS
+
+    def test_a_base_leg_validates_the_projection_it_inverts(self):
+        # f and g are parallel and h∘f = k, h∘g = l, so a projection that
+        # swaps the images of f and g stays bijective but breaks h∘f.
+        arrows = [("f", "X", "Y"), ("g", "X", "Y"), ("h", "Y", "Z"), ("k", "X", "Z"), ("l", "X", "Z")]
+        cat = bc.validate_category("Par", ["X", "Y", "Z"], arrows, {("h", "f"): "k", ("h", "g"): "l"})
+        fun = bc.identity_functor(cat)
+        graph = bc.graph_category(fun)
+        p = graph.projection
+        swap = {"f": "g", "g": "f"}
+        mor_map = {m: swap.get(u, u) for m, u in p.mor_map.items()}
+        swapped = bc.FinFunctor(p.name, p.source, p.target, p.obj_map, mor_map)
+        invert(swapped, "back")  # bijective
+        with pytest.raises(errors.CompositionNotPreserved) as raised:
+            bc.validate_functor(p.name, p.source, p.target, p.obj_map, mor_map)
+
+        def build(construction, *args):
+            if construction is bc.graph_category:
+                return replace(graph, projection=swapped)
+            return construction(*args)
+
+        claims = {c.claim_id: c for c in bc.verify_main_prop(fun, build=build).claims}
+        assert (claims["base~graph"].status, claims["base~graph"].detail) == (FAIL, str(raised.value))
+        assert (claims["base~left-action"].status, claims["base~left-action"].detail) == (
+            PASS,
+            "witness validated",
+        )
 
     def test_walking_arrow_concrete_trio(self, id_two, walking_concrete):
         report = bc.verify_main_prop(id_two, concrete=walking_concrete)

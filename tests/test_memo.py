@@ -8,7 +8,8 @@ copy to every suite: the suites must report exactly what they report on
 fresh corpora, a second run must rebuild nothing the memo shares, each
 construction must be built once per distinct argument, the memo must keep
 no report and no construction only one check reads, and it must go with
-its corpus.
+its corpus. What a construction builds from them is assembled, never
+validated again.
 """
 
 from __future__ import annotations
@@ -321,3 +322,30 @@ def test_no_category_is_normalized_twice(monkeypatch):
     assert counts
     twice = {kept[key].name: n for key, n in counts.items() if n > 1}
     assert not twice, twice
+
+
+def test_no_construction_validates_what_it_builds(monkeypatch):
+    """Derived presentations are assembled, not validated: over a corpus
+    run, no function of ``constructions`` calls a validator, and in
+    ``core`` only ``relabelling`` does, for the witnesses (the base legs
+    of the main proposition among them)."""
+    callers: Counter = Counter()
+    for name in ("validate_category", "validate_functor"):
+        validate = getattr(core, name)
+
+        def counting(*args, _validate=validate, **kwargs):
+            caller, outer = sys._getframe(1), sys._getframe(2)
+            callers[(caller.f_globals["__name__"], caller.f_code.co_name, outer.f_code.co_name)] += 1
+            return _validate(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "basecat" and getattr(module, name, None) is validate:
+                monkeypatch.setattr(module, name, counting)
+    run_suite("all", build_corpus(seed=7))
+    building = {
+        key: n
+        for key, n in callers.items()
+        if key[0] == "basecat.constructions" or (key[0] == "basecat.core" and key[1] != "relabelling")
+    }
+    assert not building, building
+    assert callers[("basecat.core", "relabelling", "_projection_witness")] > 0, callers
