@@ -2,14 +2,17 @@
 
 A category is presented fully explicitly: every object, every morphism and
 the complete composition table. Outside input (the text front end, random
-generation, caller-supplied witnesses) is validated at run time by an
-exhaustive scan of the laws, so a `FinCat` value is a proof-carrying
-presentation that nothing downstream re-checks. A presentation derived
-from validated values (an opposite, a product, every construction)
-satisfies the laws by construction: ``assemble`` puts it together and
-checks only that its ids are distinct. Functors between such values are
-built directly, and ``normalize`` only checks that relabelled ids stay
-distinct. The tests compare each such build with the validating one.
+generation, caller-supplied witnesses) is validated at run time: the
+composable pairs are scanned, and associativity is proved on a set of
+generators, with an ordered scan of all triples run only to name the
+first violation (``validate_category``). So a `FinCat` value is a
+proof-carrying presentation that nothing downstream re-checks. A
+presentation derived from validated values (an opposite, a product,
+every construction) satisfies the laws by construction: ``assemble``
+puts it together and checks only that its ids are distinct. Functors
+between such values are built directly, and ``normalize`` only checks
+that relabelled ids stay distinct. The tests compare each such build
+with the validating one.
 
 "The same category" has one rule per notion: isomorphic means a validated
 functor bijective on objects and morphisms, its inverse read off it
@@ -26,6 +29,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -328,6 +332,18 @@ def validate_category(
     Raises the first violated law together with the witnessing ids.
     Synthesised identities are placed before the declared morphisms, in
     object order, so that canonical searches meet identities first.
+
+    Associativity is proved on generators (Light's test, as in Clifford
+    and Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2,
+    adapted to partial composition). Let T be the set of arrows a with
+    x∘(a∘y) = (x∘a)∘y for every composable x and y. T holds every
+    identity, because the unit laws are checked first. T is closed under
+    composition: for a and b in T,
+    x∘((a∘b)∘y) = x∘(a∘(b∘y)) = (x∘a)∘(b∘y) = ((x∘a)∘b)∘y = (x∘(a∘b))∘y.
+    So once T holds a set of arrows that generates every arrow
+    (``_generators``), T is every arrow. Only when a generator fails is
+    every composable triple scanned, in table order, so that the
+    violation reported is the first one that scan meets.
     """
     objects = tuple(objects)
     declared = _as_arrows(arrows)
@@ -366,9 +382,9 @@ def validate_category(
     # Unit-law-forced rows may be omitted from the input table.
     _fill_unit_rows(table, all_arrows, identity)
 
-    # Composable pairs and triples are walked through per-object lists and
-    # per-arrow rows, in presentation order, so the first violation found
-    # is the one a scan over all pairs and triples would find.
+    # Composable pairs are walked through per-object lists and per-arrow
+    # rows, in presentation order, so the first violation found is the one
+    # a scan over all pairs would find.
     into: dict[str, list[str]] = {o: [] for o in objects}
     outof: dict[str, list[str]] = {o: [] for o in objects}
     rows: dict[str, dict[str, str]] = {}
@@ -395,18 +411,94 @@ def validate_category(
         if table[(a.name, identity[a.dom])] != a.name:
             raise UnitLawViolation(a.name)
 
-    for (g, f), gf in table.items():
-        for h in outof[by_name[g].cod]:
-            row = rows[h]
-            if row[gf] != rows[row[g]][f]:
-                raise AssociativityViolation(h, g, f)
+    # With identities only, the unit laws already give associativity.
+    if len(all_arrows) > len(objects):
+        generators = _generators(all_arrows, {identity[o] for o in objects}, rows)
+        if not _associative_at(generators, rows, outof):
+            # Name the violation that an ordered scan of all triples meets first.
+            for (g, f), gf in table.items():
+                for h in outof[by_name[g].cod]:
+                    row = rows[h]
+                    if row[gf] != rows[row[g]][f]:
+                        raise AssociativityViolation(h, g, f)
 
     # Checked last, so that input breaking a law still reports that law.
     if len(identity) > len(objects):
         raise UnknownObject(next(o for o in identity if o not in seen_obj))
     cat = FinCat(name, objects, all_arrows, identity, table)
-    vars(cat)["_by_name"] = by_name  # the index ``_by_name`` would build
+    # The indexes ``_by_name`` and ``after`` would build, in the same order.
+    vars(cat)["_by_name"] = by_name
+    vars(cat)["after"] = rows
     return cat
+
+
+def _generators(arrows: Sequence[Arrow], ids: set[str], rows: dict[str, dict[str, str]]) -> list[Arrow]:
+    """Non-identity arrows that, with the identities ``ids``, generate every
+    arrow under composition.
+
+    These are the irreducible arrows (no composite of two non-identities)
+    in presentation order, then, while their closure misses an arrow, the
+    first arrow it misses. The closure is grown by composing each arrow
+    reached with a generator after it; that is a subset of the closure
+    under every composite, so it proves generation whether or not the
+    table is associative.
+    """
+    generators: list[Arrow] = []
+    others: list[Arrow] = []
+    composites: set[str] = set()
+    for a in arrows:
+        if a.name not in ids:
+            others.append(a)
+            for f, h in rows[a.name].items():
+                if f not in ids:
+                    composites.add(h)
+    for a in others:
+        if a.name not in composites:
+            generators.append(a)
+    if len(generators) == len(others):
+        return generators
+
+    reached = set(ids)
+    after: dict[str, list[Arrow]] = {}  # generators by domain
+    todo: list[tuple[str, str]] = []  # arrows reached, each with its codomain
+    for s in generators:
+        reached.add(s.name)
+        after.setdefault(s.dom, []).append(s)
+        todo.append((s.cod, s.name))
+    missed = iter(others)
+    while True:
+        while todo:
+            cod, w = todo.pop()
+            for g in after.get(cod, ()):
+                gw = rows[g.name][w]
+                if gw not in reached:
+                    reached.add(gw)
+                    todo.append((g.cod, gw))
+        if len(reached) == len(arrows):
+            return generators
+        # Closed but short of every arrow: the first arrow missed is added,
+        # with its composites after the arrows already reached.
+        s = next(a for a in missed if a.name not in reached)
+        generators.append(s)
+        after.setdefault(s.dom, []).append(s)
+        for w, sw in rows[s.name].items():
+            if w in reached and sw not in reached:
+                reached.add(sw)
+                todo.append((s.cod, sw))
+
+
+def _associative_at(generators: Iterable[Arrow], rows: dict, outof: dict) -> bool:
+    """Whether x∘(a∘y) = (x∘a)∘y for each generator a, every x out of
+    cod a and every y into dom a (the keys of a's row)."""
+    for a in generators:
+        row = rows[a.name]
+        left = itemgetter(*row.values())  # x∘(a∘y) read off x's row
+        right = itemgetter(*row)  # (x∘a)∘y read off the row of x∘a
+        for x in outof[a.cod]:
+            rx = rows[x]
+            if left(rx) != right(rows[rx[a.name]]):
+                return False
+    return True
 
 
 def assemble(

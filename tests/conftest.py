@@ -93,6 +93,30 @@ def corpus():
     return build_corpus(seed=7)
 
 
+def corpus_categories(seed: int) -> list[bc.FinCat]:
+    """Every category a corpus holds, each once."""
+    corpus = build_corpus(seed=seed)
+    found = list(corpus.env.categories.values())
+    for fun in corpus.functors:
+        found += [fun.source, fun.target]
+    for fun, concrete in corpus.concrete_pairs:
+        found += [fun.source, concrete.over]
+    found += [act.group for act in corpus.actions]
+    for fam in corpus.families:
+        found += [fam.base, *fam.fibre.values()]
+    unique = {id(cat): cat for cat in found}
+    return list(unique.values())
+
+
+@pytest.fixture(scope="session")
+def corpus_cats() -> list[bc.FinCat]:
+    """The categories of corpus seeds 0-9."""
+    cats = []
+    for seed in range(10):
+        cats += corpus_categories(seed)
+    return cats
+
+
 @pytest.fixture
 def one():
     return bc.validate_category("One", ["*"], [])

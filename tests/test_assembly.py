@@ -20,8 +20,8 @@ from basecat.corpus import build_corpus, constant_family
 from basecat.errors import BasecatError, DuplicateId
 from basecat.suites import run_suite
 
-from conftest import built_form, oracle_build
-from test_indexes import chain, corpus_categories, cyclic
+from conftest import built_form, corpus_categories, oracle_build
+from test_indexes import chain, cyclic
 
 
 def attempt(build, *args):
