@@ -410,7 +410,7 @@ def grothendieck_strict(fam: IndexedFamily) -> ConstructedCategory:
         seconds.setdefault((i2, fam.fibre[i2].dom(v2)), []).append((u2, v2, y2, m2))
     base_rows = base.after
     for u1, v1, y1, m1 in nonidentity:
-        fibre_rows, carry = fam.fibre[base.dom(u1)].after, fam.pull[u1].mor_of
+        fibre_rows, carry = fam.fibre[base.dom(u1)].after, fam.pull[u1].mor_map
         for u2, v2, y2, m2 in seconds.get((base.cod(u1), y1), ()):
             u3 = base_rows[u2][u1]
             v3 = fibre_rows[carry[v2]][v1]

@@ -90,7 +90,9 @@ class ReadOnly:
     wraps each. A plain mapping is wrapped, not copied, so a builder hands
     over a dict it created and keeps no other reference to; validators copy
     their caller's input once before building, so nothing outside can
-    change a validated value afterwards. A view is kept as it is. The repr
+    change a validated value afterwards. A view is kept as it is. Scans
+    read the views themselves; no value keeps a plain copy beside one, so
+    none holds a writable alias into what it validated. The repr
     shows each view as the dict it wraps, so reprs read as they did with
     plain dicts.
     """
@@ -108,15 +110,6 @@ class ReadOnly:
             f"{f.name}={_unwrapped(getattr(self, f.name))!r}" for f in fields(self) if f.repr
         )
         return f"{type(self).__qualname__}({shown})"
-
-
-def _view_and_plain(mapping: Mapping) -> tuple[MappingProxyType, dict]:
-    """A read-only view of ``mapping`` and a plain dict with its entries;
-    a dict is wrapped and serves as the plain one."""
-    if type(mapping) is MappingProxyType:
-        return mapping, mapping.copy()
-    plain = mapping if type(mapping) is dict else dict(mapping)
-    return MappingProxyType(plain), plain
 
 
 def _unwrapped(value: object) -> object:
@@ -532,21 +525,13 @@ class FinFunctor(ReadOnly):
     target: FinCat
     obj_map: Mapping[str, str]
     mor_map: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        # ``obj_of`` and ``mor_of`` hold the maps as plain dicts, for the
-        # scans that read them entry by entry; a builder's own dict serves
-        # as both, and nothing writes to it.
-        for kind in ("obj", "mor"):
-            view, plain = _view_and_plain(getattr(self, kind + "_map"))
-            object.__setattr__(self, kind + "_map", view)
-            object.__setattr__(self, kind + "_of", plain)
+    read_only = ("obj_map", "mor_map")
 
     def obj(self, x: str) -> str:
-        return self.obj_of[x]
+        return self.obj_map[x]
 
     def mor(self, m: str) -> str:
-        return self.mor_of[m]
+        return self.mor_map[m]
 
 
 def validate_functor(
@@ -588,7 +573,7 @@ def validate_functor(
         if mor_map[source_ids[x]] != target_ids[obj_map[x]]:
             raise IdentityNotPreserved(x)
 
-    table = target.compose.copy()
+    table = target.compose
     for (g, f), h in source.compose.items():
         if table[(mor_map[g], mor_map[f])] != mor_map[h]:
             raise CompositionNotPreserved(g, f)
@@ -656,12 +641,12 @@ def invert(forward: FinFunctor, back_name: str) -> IsoWitness:
     then morphism, with no preimage or with several.
     """
     target = forward.target
-    obj_back = _preimages(forward.obj_of, target.objects, "object")
-    mor_back = _preimages(forward.mor_of, [a.name for a in target.arrows], "morphism")
+    obj_back = _preimages(forward.obj_map, target.objects, "object")
+    mor_back = _preimages(forward.mor_map, [a.name for a in target.arrows], "morphism")
     return IsoWitness(forward, FinFunctor(back_name, target, forward.source, obj_back, mor_back))
 
 
-def _preimages(image_of: dict[str, str], targets: Sequence[str], kind: str) -> dict[str, str]:
+def _preimages(image_of: Mapping[str, str], targets: Sequence[str], kind: str) -> dict[str, str]:
     back = {y: x for x, y in image_of.items()}
     if len(back) == len(image_of) == len(targets):
         return back

@@ -15,7 +15,7 @@ fibres are computable sub-presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import Arrow, FinCat, FinFunctor, ReadOnly, validate_category, validate_functor
@@ -27,24 +27,21 @@ from .family import IndexedFamily, validate_family
 class FunctorOver:
     """A functor regarded as a projection from a total to a base category.
 
-    Besides ``proj`` it holds the two categories, plain copies of their
-    composition tables, for the scans that read them entry by entry, and
-    the cartesian verdicts, filled in by the first check that asks. All are
-    set with the field, so that attribute lookups stay on the fast path.
+    The scans read the projection's maps and the two composition tables
+    through their read-only views. Besides ``proj`` it holds only the
+    cartesian verdicts, filled in by the first check that asks.
     """
 
     proj: FinFunctor
+    _cartesian: dict[str, bool] = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        total, base = self.proj.source, self.proj.target
-        for attr, value in (
-            ("total", total),
-            ("base", base),
-            ("total_table", total.compose.copy()),
-            ("base_table", base.compose.copy()),
-            ("_cartesian", {}),
-        ):
-            object.__setattr__(self, attr, value)
+    @property
+    def total(self) -> FinCat:
+        return self.proj.source
+
+    @property
+    def base(self) -> FinCat:
+        return self.proj.target
 
     def over(self, morphism: str) -> str:
         return self.proj.mor(morphism)
@@ -129,12 +126,11 @@ class Counterexample(_Detailed):
     """A broken closure property of cartesian morphisms."""
 
 
-def _composable(
-    cat: FinCat, table: dict[tuple[str, str], str], m: str, op: bool
-) -> list[tuple[str, str, str]]:
+def _composable(cat: FinCat, m: str, op: bool) -> list[tuple[str, str, str]]:
     """(x, far end of x, m∘x) for every x ending where ``m`` starts, read in
     the opposite category when ``op``: (x, cod x, x∘m) for x starting
-    where ``m`` ends. ``table`` is the composition table of ``cat``."""
+    where ``m`` ends."""
+    table = cat.compose
     if op:
         return [(x.name, x.cod, table[(x.name, m)]) for x in cat.arrows_from(cat.cod(m))]
     return [(x.name, x.dom, table[(m, x.name)]) for x in cat.arrows_into(cat.dom(m))]
@@ -145,12 +141,12 @@ def _cartesian_scan(p: FunctorOver, f: str, op: bool) -> bool | _Factorization:
     scan read in the opposite direction. Each g sharing f's codomain
     (domain), over u∘w (w∘u) with u = P(f), needs exactly one mediating
     morphism h over w with f∘h = g (h∘f = g)."""
-    total, over, obj_over = p.total, p.proj.mor_of, p.proj.obj_of
+    total, over, obj_over = p.total, p.proj.mor_map, p.proj.obj_map
     fa = total.arrow(f)  # raises UnknownMorphism
-    ws = _composable(p.base, p.base_table, over[f], op)
+    ws = _composable(p.base, over[f], op)
     # Mediating morphisms h, counted by (far end z, P(h), f∘h), once per call.
     mediating: dict[tuple[str, str, str], int] = {}
-    for h, z, fh in _composable(total, p.total_table, f, op):
+    for h, z, fh in _composable(total, f, op):
         key = (z, over[h], fh)
         mediating[key] = mediating.get(key, 0) + 1
     if op:
@@ -183,7 +179,7 @@ def _lift_scan(p: FunctorOver, op: bool) -> Cleavage | OpCleavage | _Unlifted:
     """A cartesian lift of every base morphism at every object above its
     codomain, or an opcartesian one at every object above its domain when
     ``op``; the first lift in presentation order wins."""
-    total, over = p.total, p.proj.mor_of
+    total, over = p.total, p.proj.mor_map
     ends = [(u.name, u.dom if op else u.cod) for u in p.base.arrows]
     near = total.arrows_from if op else total.arrows_into
     lifts: dict[tuple[str, str], str] = {}
@@ -223,7 +219,7 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
     """Identity and composition laws of a cleavage, on the nose; of an
     opcleavage when ``op``, where each pair is lifted from the domain."""
     total, base = p.total, p.base
-    lift, table, obj_over = lift.copy(), p.total_table, p.proj.obj_of
+    lift, table, obj_over = lift.copy(), total.compose, p.proj.obj_map
     kind = "op-lift" if op else "lift"
     for y in total.objects:
         key = (base.identity[obj_over[y]], y)
@@ -268,7 +264,12 @@ def check_split_op(p: FunctorOver, k: OpCleavage) -> bool | SplitViolation:
 
 def _vertical_factors(p: FunctorOver, top: str, outer: str) -> list[str]:
     """Every vertical h with top∘h = outer."""
-    total, base, over, table = p.total, p.base, p.proj.mor_of, p.total_table
+    # Read through ``proj``, not the ``total`` and ``base`` properties:
+    # ``factor_vertical_cartesian`` calls this once per total arrow, and
+    # its calls are short enough for two property calls to show.
+    proj = p.proj
+    total, base, over = proj.source, proj.target, proj.mor_map
+    table = total.compose
     return [
         h
         for h in total.hom(total.dom(outer), total.dom(top))
@@ -280,9 +281,9 @@ def factor_vertical_cartesian(
     p: FunctorOver, c: Cleavage, g: str
 ) -> tuple[str, str]:
     """Split a total morphism as (vertical h, cartesian f) with f∘h = g."""
-    total = p.total
-    ga = total.arrow(g)
-    u = p.over(g)
+    proj = p.proj
+    ga = proj.source.arrow(g)
+    u = proj.mor_map[g]
     f = c.lift.get((u, ga.cod))
     if f is None:
         raise NoLiftInCleavage(u, ga.cod)

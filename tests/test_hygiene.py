@@ -9,9 +9,8 @@ import pytest
 
 import basecat
 
-MODULES = sorted(
-    path for path in Path(basecat.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = sorted(Path(basecat.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -63,3 +62,53 @@ def test_an_unused_import_is_found():
     )
     used = _used(tree)
     assert {name for name in _imported(tree) if name not in used} == {"os", "osp", "Sequence"}
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Every name ``node`` reads, looks up as an attribute or imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _unreferenced_private(trees: dict[str, ast.Module]) -> set[str]:
+    """``module.name`` of each module-level function or class whose name
+    starts with one underscore and that no other top-level statement of any
+    module references."""
+    statements = [(module, node, _referenced(node)) for module, tree in trees.items() for node in tree.body]
+    found = set()
+    for module, node, _ in statements:
+        if not isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        if not any(other is not node and node.name in names for _, other, names in statements):
+            found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_every_private_helper_is_referenced():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in PACKAGE}
+    assert not _unreferenced_private(trees)
+
+
+def test_an_unreferenced_private_helper_is_found():
+    trees = {
+        "a": ast.parse(
+            "def _named(): pass\n"
+            "def _looked_up(): pass\n"
+            "class _Imported: pass\n"
+            "def _recursive(): return _recursive()\n"
+            "def __dunder__(): pass\n"
+            "def public(): pass\n"
+            "x = _named\n"
+        ),
+        "b": ast.parse("import a\nfrom a import _Imported\na._looked_up()\n"),
+    }
+    assert _unreferenced_private(trees) == {"a._recursive"}

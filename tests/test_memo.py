@@ -124,6 +124,47 @@ def test_every_mapping_of_a_value_is_read_only(label, value):
     assert checked >= 1
 
 
+def _copies(value) -> list[str]:
+    """Each attribute of ``value`` that is a plain dict equal to a read-only
+    mapping it holds (a projection: its functor's), or to the composition
+    table of a category it maps from or to."""
+    views = list(_mappings(value.proj if isinstance(value, bc.FunctorOver) else value).values())
+    for end in ("source", "target", "total", "base"):
+        cat = getattr(value, end, None)
+        if isinstance(cat, bc.FinCat):
+            views.append(cat.compose)
+    return [
+        name
+        for name, attr in vars(value).items()
+        if type(attr) is dict and any(attr == view for view in views)
+    ]
+
+
+def test_no_value_keeps_a_copy_of_a_mapping_it_holds():
+    values = dict(VALUES)
+    graph_over, fun_over = values["graph_category"].over(), bc.FunctorOver(values["validate_functor"])
+    for p in (graph_over, fun_over):
+        p.cartesian()  # fills the one cache a projection keeps
+    checked = [
+        (label, v)
+        for label, value in [*VALUES, ("graph over", graph_over), ("functor over", fun_over)]
+        for v in (value, *(getattr(value, f) for f in ("cat", "projection", "proj") if hasattr(value, f)))
+    ]
+    copies = [(label, type(v).__name__, name) for label, v in checked for name in _copies(v)]
+    assert not copies, copies
+
+    # Writing through every dict a validated functor holds leaves its maps alone.
+    two = bc.validate_category("Two", ["X", "Y"], [("f", "X", "Y")])
+    fun = bc.validate_functor("F", two, two, {"X": "X", "Y": "Y"}, {"f": "f"})
+    before = dict(fun.obj_map), dict(fun.mor_map)
+    for attr in vars(fun).values():
+        if isinstance(attr, dict):
+            for key in attr:
+                attr[key] = "Y"
+    assert (dict(fun.obj_map), dict(fun.mor_map)) == before
+    assert fun.obj("X") == "X" and fun.mor("f") == "f"
+
+
 def test_a_read_only_value_prints_as_before():
     fn = bc.FinFn(bc.FinSetObj("A", ("a",)), bc.FinSetObj("A", ("a",)), {"a": "a"})
     assert repr(fn) == (
