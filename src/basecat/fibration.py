@@ -15,7 +15,7 @@ fibres are computable sub-presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .core import Arrow, FinCat, FinFunctor, ReadOnly, validate_category, validate_functor
@@ -27,21 +27,18 @@ from .family import IndexedFamily, validate_family
 class FunctorOver:
     """A functor regarded as a projection from a total to a base category.
 
-    The scans read the projection's maps and the two composition tables
-    through their read-only views. Besides ``proj`` it holds only the
-    cartesian verdicts, filled in by the first check that asks.
+    Besides ``proj`` it holds the two categories and the cartesian
+    verdicts, filled in by the first check that asks. The scans read the
+    projection's maps and the two composition tables through their
+    read-only views.
     """
 
     proj: FinFunctor
-    _cartesian: dict[str, bool] = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def total(self) -> FinCat:
-        return self.proj.source
-
-    @property
-    def base(self) -> FinCat:
-        return self.proj.target
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total", self.proj.source)
+        object.__setattr__(self, "base", self.proj.target)
+        object.__setattr__(self, "_cartesian", {})
 
     def over(self, morphism: str) -> str:
         return self.proj.mor(morphism)
@@ -264,11 +261,7 @@ def check_split_op(p: FunctorOver, k: OpCleavage) -> bool | SplitViolation:
 
 def _vertical_factors(p: FunctorOver, top: str, outer: str) -> list[str]:
     """Every vertical h with top∘h = outer."""
-    # Read through ``proj``, not the ``total`` and ``base`` properties:
-    # ``factor_vertical_cartesian`` calls this once per total arrow, and
-    # its calls are short enough for two property calls to show.
-    proj = p.proj
-    total, base, over = proj.source, proj.target, proj.mor_map
+    total, base, over = p.total, p.base, p.proj.mor_map
     table = total.compose
     return [
         h
@@ -281,9 +274,9 @@ def factor_vertical_cartesian(
     p: FunctorOver, c: Cleavage, g: str
 ) -> tuple[str, str]:
     """Split a total morphism as (vertical h, cartesian f) with f∘h = g."""
-    proj = p.proj
-    ga = proj.source.arrow(g)
-    u = proj.mor_map[g]
+    total = p.total
+    ga = total.arrow(g)
+    u = p.over(g)
     f = c.lift.get((u, ga.cod))
     if f is None:
         raise NoLiftInCleavage(u, ga.cod)
