@@ -42,6 +42,7 @@ from .core import (
     FinFunctor,
     IsoWitness,
     ReadOnly,
+    _rows,
     assemble,
     compose_functors,
     identity_functor,
@@ -80,10 +81,6 @@ class ConstructedCategory(ReadOnly):
     cleavage: Cleavage | None = None
     opcleavage: OpCleavage | None = None
     read_only = ("object_labels", "arrow_labels", "arrow_keys")
-
-    @property
-    def base(self) -> FinCat:
-        return self.projection.target
 
     def over(self) -> FunctorOver:
         return FunctorOver(self.projection)
@@ -384,10 +381,7 @@ def grothendieck_strict(fam: IndexedFamily) -> ConstructedCategory:
         fib_j = fam.fibre[u.cod]
         pull_u = fam.pull[u.name]
         for y in fib_j.objects:
-            tgt = pull_u.obj(y)
-            for v in fib_i.arrows:
-                if v.cod != tgt:
-                    continue
+            for v in fib_i.arrows_into(pull_u.obj(y)):
                 if base.is_identity(u.name) and fib_i.is_identity(v.name) and y == v.dom:
                     continue  # the identity pair is the identity morphism
                 proposals.append((pair_id(u.name, v.name), y))
@@ -408,9 +402,10 @@ def grothendieck_strict(fam: IndexedFamily) -> ConstructedCategory:
     for u2, v2, y2, m2 in nonidentity:
         i2 = base.dom(u2)
         seconds.setdefault((i2, fam.fibre[i2].dom(v2)), []).append((u2, v2, y2, m2))
-    base_rows = base.after
+    base_rows = _rows(base.arrows, base.compose)
+    rows_of = {i: _rows(fib.arrows, fib.compose) for i, fib in fam.fibre.items()}
     for u1, v1, y1, m1 in nonidentity:
-        fibre_rows, carry = fam.fibre[base.dom(u1)].after, fam.pull[u1].mor_map
+        fibre_rows, carry = rows_of[base.dom(u1)], fam.pull[u1].mor_map
         for u2, v2, y2, m2 in seconds.get((base.cod(u1), y1), ()):
             u3 = base_rows[u2][u1]
             v3 = fibre_rows[carry[v2]][v1]

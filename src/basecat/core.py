@@ -6,13 +6,14 @@ generation, caller-supplied witnesses) is validated at run time: the
 composable pairs are scanned, and associativity is proved on a set of
 generators, with an ordered scan of all triples run only to name the
 first violation (``validate_category``). So a `FinCat` value is a
-proof-carrying presentation that nothing downstream re-checks. A
-presentation derived from validated values (an opposite, a product,
-every construction) satisfies the laws by construction: ``assemble``
-puts it together and checks only that its ids are distinct. Functors
-between such values are built directly, and ``normalize`` only checks
-that relabelled ids stay distinct. The tests compare each such build
-with the validating one.
+proof-carrying presentation that nothing downstream re-checks, and that
+nothing can change: its mappings are read-only views, and its composition
+is held once, in ``compose``. A presentation derived from validated
+values (an opposite, a product, every construction) satisfies the laws
+by construction: ``assemble`` puts it together and checks only that its
+ids are distinct. Functors between such values are built directly, and
+``normalize`` only checks that relabelled ids stay distinct. The tests
+compare each such build with the validating one.
 
 "The same category" has one rule per notion: isomorphic means a validated
 functor bijective on objects and morphisms, its inverse read off it
@@ -29,6 +30,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -122,27 +124,6 @@ def dict_of(mapping: Mapping) -> dict:
     return mapping.copy() if type(mapping) is MappingProxyType else dict(mapping)
 
 
-class _once:
-    """``functools.cached_property`` without the lock that Python 3.11
-    takes on every first access (3.12 dropped it): the value is computed
-    on first access and stored in the instance's ``__dict__``, which later
-    lookups read first. A builder that already holds the value may store it
-    there itself."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = vars(obj)[self.name] = self.compute(obj)
-        return value
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class Arrow:
     name: str
@@ -169,7 +150,10 @@ class FinCat(ReadOnly):
     ``compose`` maps ``(g, f)`` with ``cod f = dom g`` to the name of
     ``g`` after ``f``. Both mappings are read-only, so a value is
     immutable once validated; all operations in this package are pure
-    functions of their inputs.
+    functions of their inputs. Composition is held once, in ``compose``:
+    a scan that reads it row by row builds its own rows (``_rows``) once
+    per call. The indexes below are built from the fields on first use
+    (``functools.cached_property``); none copies ``compose``.
     """
 
     name: str
@@ -179,11 +163,11 @@ class FinCat(ReadOnly):
     compose: Mapping[tuple[str, str], str]
     read_only = ("identity", "compose")
 
-    @_once
+    @cached_property
     def _by_name(self) -> dict[str, Arrow]:
         return {a.name: a for a in self.arrows}
 
-    @_once
+    @cached_property
     def _identity_names(self) -> frozenset[str]:
         return frozenset(self.identity.values())
 
@@ -211,22 +195,17 @@ class FinCat(ReadOnly):
     # Indexes are built on first use, each in presentation order, so every
     # tuple they return equals the filter over ``arrows`` it replaces.
 
-    @_once
+    @cached_property
     def _homs(self) -> dict[tuple[str, str], tuple[str, ...]]:
         return _group(((a.dom, a.cod), a.name) for a in self.arrows)
 
-    @_once
+    @cached_property
     def _into(self) -> dict[str, tuple[Arrow, ...]]:
         return _group((a.cod, a) for a in self.arrows)
 
-    @_once
+    @cached_property
     def _from(self) -> dict[str, tuple[Arrow, ...]]:
         return _group((a.dom, a) for a in self.arrows)
-
-    @_once
-    def after(self) -> dict[str, dict[str, str]]:
-        """Composition rows: ``after[g][f]`` is ``g`` after ``f``."""
-        return _rows(self.arrows, self.compose)
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._homs.get((x, y), ())
@@ -251,7 +230,7 @@ class FinCat(ReadOnly):
     def is_groupoid(self) -> bool:
         return all(self.inverse_of(a.name) is not None for a in self.arrows)
 
-    @_once
+    @cached_property
     def _opposite(self) -> FinCat:
         return _reversed(self)
 
@@ -380,13 +359,10 @@ def validate_category(
     # a scan over all pairs would find.
     into: dict[str, list[str]] = {o: [] for o in objects}
     outof: dict[str, list[str]] = {o: [] for o in objects}
-    rows: dict[str, dict[str, str]] = {}
     for a in all_arrows:
         into[a.cod].append(a.name)
         outof[a.dom].append(a.name)
-        rows[a.name] = {}
-    for (g, f), h in table.items():
-        rows[g][f] = h
+    rows = _rows(all_arrows, table)
 
     for g in all_arrows:
         row = rows[g.name]
@@ -419,9 +395,8 @@ def validate_category(
     if len(identity) > len(objects):
         raise UnknownObject(next(o for o in identity if o not in seen_obj))
     cat = FinCat(name, objects, all_arrows, identity, table)
-    # The indexes ``_by_name`` and ``after`` would build, in the same order.
+    # The index ``_by_name`` would build, in the same order.
     vars(cat)["_by_name"] = by_name
-    vars(cat)["after"] = rows
     return cat
 
 

@@ -116,7 +116,7 @@ class _Detailed(Refutation):
 
 
 class SplitViolation(_Detailed):
-    """A broken identity or composition law of a cleavage."""
+    """A broken identity or composition law of a cleavage, or a lift it lacks."""
 
 
 class Counterexample(_Detailed):
@@ -213,12 +213,15 @@ def find_cleavage(p: FunctorOver, chosen: Cleavage | None = None) -> Cleavage | 
 
 
 def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -> bool | SplitViolation:
-    """Identity and composition laws of a cleavage, on the nose; of an
+    """Identity and composition laws of a cleavage, on the nose, and a lift
+    of every base arrow at every object above its codomain; of an
     opcleavage when ``op``, where each pair is lifted from the domain."""
     total, base = p.total, p.base
     lift, table, obj_over = lift.copy(), total.compose, p.proj.obj_map
     kind = "op-lift" if op else "lift"
+    above: dict[str, list[str]] = {}  # total objects by the base object under them
     for y in total.objects:
+        above.setdefault(obj_over[y], []).append(y)
         key = (base.identity[obj_over[y]], y)
         if key not in lift:
             return SplitViolation(f"no {kind} of the identity at {y!r}")
@@ -246,16 +249,27 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
                 return SplitViolation(
                     f"{kind}s of ({g!r}, {f!r}) at {z!r} do not compose to the {kind} of {gf!r}"
                 )
+    # Checked last, so that a broken law still reports that law: every base
+    # arrow has a lift at every object above its codomain (domain), and the
+    # lift lies above the arrow and ends (starts) at that object.
+    over, end = p.proj.mor_map, total.dom if op else total.cod
+    for u in base.arrows:
+        for y in above.get(u.dom if op else u.cod, ()):
+            f = lift.get((u.name, y))
+            if over.get(f) != u.name or end(f) != y:
+                return SplitViolation(f"no {kind} of {u.name!r} at {y!r}")
     return True
 
 
 def check_split(p: FunctorOver, c: Cleavage) -> bool | SplitViolation:
-    """Identity and composition conditions for a cleavage, on the nose."""
+    """Identity and composition conditions for a cleavage, on the nose,
+    and a lift of every base arrow at every object above its codomain."""
     return _split_scan(p, c.lift, False)
 
 
 def check_split_op(p: FunctorOver, k: OpCleavage) -> bool | SplitViolation:
-    """Identity and composition conditions for an opcleavage, on the nose."""
+    """Identity and composition conditions for an opcleavage, on the nose,
+    and an op-lift of every base arrow at every object above its domain."""
     return _split_scan(p, k.lift, True)
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .core import FinCat, IsoWitness, relabelling
+from .core import FinCat, IsoWitness, _rows, relabelling
 from .errors import Refutation
 
 DEFAULT_BUDGET = 100_000
@@ -94,7 +94,7 @@ def _signatures(cat: FinCat, palette: dict) -> dict[str, int]:
     return sig
 
 
-def _power_types(cat: FinCat, endos: tuple[str, ...]) -> dict[str, tuple[int, int]]:
+def _power_types(rows: dict[str, dict[str, str]], endos: tuple[str, ...]) -> dict[str, tuple[int, int]]:
     """(index, period) of the sequence a, a∘a, … of each endomorphism a.
 
     Each walk also types the powers it passes: if a has index i and period
@@ -104,7 +104,7 @@ def _power_types(cat: FinCat, endos: tuple[str, ...]) -> dict[str, tuple[int, in
     for a in endos:
         if a in types:
             continue
-        row, exponent, p = cat.after[a], {}, a
+        row, exponent, p = rows[a], {}, a
         while p not in exponent:
             exponent[p] = len(exponent) + 1
             p = row[p]
@@ -115,22 +115,28 @@ def _power_types(cat: FinCat, endos: tuple[str, ...]) -> dict[str, tuple[int, in
     return types
 
 
-def _colours(cat: FinCat, sig: dict[str, int], palette: dict) -> tuple[dict[str, int], dict[str, tuple[int, int]]]:
-    """Object colours, interned in ``palette``, and power types."""
+def _colours(
+    cat: FinCat, rows: dict[str, dict[str, str]], sig: dict[str, int], palette: dict
+) -> tuple[dict[str, int], dict[str, tuple[int, int]]]:
+    """Object colours, interned in ``palette``, and power types read off
+    the composition ``rows`` of ``cat``."""
     obj: dict[str, int] = {}
     power: dict[str, tuple[int, int]] = {}
     for x in cat.objects:
-        types = _power_types(cat, cat.hom(x, x))
+        types = _power_types(rows, cat.hom(x, x))
         power.update(types)
         obj[x] = _intern(palette, ("obj", sig[x], tuple(sorted(types.values()))))
     return obj, power
 
 
 class _Search:
-    def __init__(self, c: FinCat, d: FinCat, budget: int, c_power: dict[str, tuple[int, int]],
-                 d_power: dict[str, tuple[int, int]]):
+    def __init__(self, c: FinCat, d: FinCat, c_rows: dict[str, dict[str, str]],
+                 d_rows: dict[str, dict[str, str]], budget: int,
+                 c_power: dict[str, tuple[int, int]], d_power: dict[str, tuple[int, int]]):
         self.c = c
         self.d = d
+        self.c_rows = c_rows
+        self.d_rows = d_rows
         self.budget = budget
         self.power = c_power
         # d's morphisms by domain, codomain and power type, in hom-set order.
@@ -227,15 +233,15 @@ class _Search:
 
     def consistent(self, new: str, assign: dict[str, str]) -> bool:
         # Check every composite whose factors are both assigned already.
-        c_after, d_after = self.c.after, self.d.after
-        new_row, new_img = c_after[new], assign[new]
-        d_new_row = d_after[new_img]
+        c_rows, d_rows = self.c_rows, self.d_rows
+        new_row, new_img = c_rows[new], assign[new]
+        d_new_row = d_rows[new_img]
         for other, img in assign.items():
             h = new_row.get(other)
             if h is not None and h in assign and d_new_row[img] != assign[h]:
                 return False
-            h = c_after[other].get(new)
-            if h is not None and h in assign and d_after[img][new_img] != assign[h]:
+            h = c_rows[other].get(new)
+            if h is not None and h in assign and d_rows[img][new_img] != assign[h]:
                 return False
         return True
 
@@ -243,8 +249,8 @@ class _Search:
         # ``consistent`` sees a composite when its later factor is assigned,
         # if its result is assigned by then; one whose result comes after
         # both of its factors is first checked here.
-        d_after = self.d.after
-        return all(d_after[assign[g]][assign[f]] == assign[h] for (g, f), h in self.c.compose.items())
+        d_rows = self.d_rows
+        return all(d_rows[assign[g]][assign[f]] == assign[h] for (g, f), h in self.c.compose.items())
 
 
 def _anywhere(key: str, placed: dict[str, str]) -> bool:
@@ -270,15 +276,17 @@ def find_isomorphism(
     sig_d = _signatures(d, palette)
     if sorted(sig_c.values()) != sorted(sig_d.values()):
         return NotIsomorphic("hom-profile signatures differ")
-    obj_c, power_c = _colours(c, sig_c, palette)
-    obj_d, power_d = _colours(d, sig_d, palette)
+    # Composition rows, built once per side for the colours and the search.
+    rows_c, rows_d = _rows(c.arrows, c.compose), _rows(d.arrows, d.compose)
+    obj_c, power_c = _colours(c, rows_c, sig_c, palette)
+    obj_d, power_d = _colours(d, rows_d, sig_d, palette)
     if sorted(obj_c.values()) != sorted(obj_d.values()):
         return NotIsomorphic("no structure-preserving bijection exists")
     buckets = {
         x: [y for y in d.objects if obj_d[y] == obj_c[x]] for x in c.objects
     }
 
-    search = _Search(c, d, budget, power_c, power_d)
+    search = _Search(c, d, rows_c, rows_d, budget, power_c, power_d)
     assignment = search.run(buckets)
     if search.out_of_budget:
         return BudgetExhausted(search.nodes)

@@ -23,6 +23,7 @@ from basecat.core import (
     IsoWitness,
     RawArrow,
     _as_arrows,
+    _rows,
     identity_id,
     normalize,
     op_name,
@@ -357,6 +358,8 @@ class _OracleSearch:
     def __init__(self, c: FinCat, d: FinCat, budget: int):
         self.c = c
         self.d = d
+        self.c_rows = _rows(c.arrows, c.compose)
+        self.d_rows = _rows(d.arrows, d.compose)
         self.budget = budget
         self.nodes = 0
         self.out_of_budget = False
@@ -422,7 +425,7 @@ class _OracleSearch:
 
     def consistent(self, new: str, assign: dict[str, str]) -> bool:
         # Check every composite whose factors are both assigned already.
-        c_after, d_after = self.c.after, self.d.after
+        c_after, d_after = self.c_rows, self.d_rows
         new_row, new_img = c_after[new], assign[new]
         d_new_row = d_after[new_img]
         for other, img in assign.items():

@@ -13,6 +13,7 @@ from basecat.fibration import (
     CounterexampleOpCartesian,
     MissingLift,
     MissingOpLift,
+    OpCleavage,
     SplitViolation,
     _cartesian_scan,
 )
@@ -145,6 +146,48 @@ class TestCheckSplit:
             built = bc.concrete_graph_category(fun, concrete)
             assert bc.check_split_op(built.over(), built.opcleavage) is True
 
+    def test_a_cleavage_lifts_every_arrow_at_every_object_above_its_end(self, graph_two):
+        # Two's only arrow f: X -> Y; the graph of its identity has one
+        # object above each of X and Y.
+        over = graph_two.over()
+        lift, oplift = dict(graph_two.cleavage.lift), dict(graph_two.opcleavage.lift)
+        assert lift[("f", "(Y,Y)")] == oplift[("f", "(X,X)")] == "(f,f)"
+        cases = [
+            (bc.check_split, Cleavage, lift, ("f", "(Y,Y)"), "no lift of 'f' at '(Y,Y)'"),
+            (bc.check_split_op, OpCleavage, oplift, ("f", "(X,X)"), "no op-lift of 'f' at '(X,X)'"),
+        ]
+        for check, kind, chosen, key, detail in cases:
+            missing = {k: v for k, v in chosen.items() if k != key}
+            not_above = {**chosen, key: "id_(Y,Y)"}  # above id_Y, not f
+            for edited in (missing, not_above):
+                assert check(over, kind(edited)) == SplitViolation(detail)
+
+    def test_a_cleavage_lift_must_end_at_its_object(self):
+        # Above Two, a total with two objects over each of X and Y: a lift
+        # of f chosen at Y1 that ends at Y0 lies above f but is no lift at
+        # Y1, and dually for an op-lift chosen at X1 that starts at X0.
+        two = bc.validate_category("Two", ["X", "Y"], [("f", "X", "Y")])
+        total = bc.validate_category(
+            "E", ["X0", "X1", "Y0", "Y1"], [("f0", "X0", "Y0"), ("f1", "X1", "Y1")]
+        )
+        over = bc.FunctorOver(bc.validate_functor(
+            "p", total, two, {"X0": "X", "X1": "X", "Y0": "Y", "Y1": "Y"}, {"f0": "f", "f1": "f"}
+        ))
+        found = bc.check_fibration(over)
+        assert dict(found.lift) == {
+            ("id_X", "X0"): "id_X0", ("id_X", "X1"): "id_X1",
+            ("id_Y", "Y0"): "id_Y0", ("id_Y", "Y1"): "id_Y1",
+            ("f", "Y0"): "f0", ("f", "Y1"): "f1",
+        }
+        assert bc.check_split(over, found) is True
+        edited = {**found.lift, ("f", "Y1"): "f0"}
+        assert bc.check_split(over, Cleavage(edited)) == SplitViolation("no lift of 'f' at 'Y1'")
+        found_op = bc.check_opfibration(over)
+        assert (found_op.lift[("f", "X0")], found_op.lift[("f", "X1")]) == ("f0", "f1")
+        assert bc.check_split_op(over, found_op) is True
+        edited = {**found_op.lift, ("f", "X1"): "f0"}
+        assert bc.check_split_op(over, OpCleavage(edited)) == SplitViolation("no op-lift of 'f' at 'X1'")
+
 
 class TestFactorisation:
     def test_cartesian_morphism_factors_with_identity_vertical(self, graph_two):
@@ -258,6 +301,12 @@ class TestRecover:
                 recover(over, Cleavage(edited))
             errors_raised.append((type(exc.value), str(exc.value)))
         assert errors_raised[0] == errors_raised[1]
+
+    def test_a_cleavage_missing_a_lift_is_rejected(self, graph_two):
+        lift = {k: v for k, v in graph_two.cleavage.lift.items() if k != ("f", "(Y,Y)")}
+        for recover in (bc.recover_indexed, oracle_recover_indexed):
+            with pytest.raises(errors.NotSplit, match="no lift of 'f' at '\\(Y,Y\\)'"):
+                recover(graph_two.over(), Cleavage(lift))
 
 
 def _chain(name: str, n: int) -> bc.FinCat:

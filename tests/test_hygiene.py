@@ -112,3 +112,32 @@ def test_an_unreferenced_private_helper_is_found():
         "b": ast.parse("import a\nfrom a import _Imported\na._looked_up()\n"),
     }
     assert _unreferenced_private(trees) == {"a._recursive"}
+
+
+def _descriptor_classes(tree: ast.Module) -> set[str]:
+    """Each class that defines ``__get__``, which makes it a descriptor."""
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__get__" for f in node.body)
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_defines_a_descriptor(path):
+    # Values derived on first use keep to ``functools.cached_property``.
+    found = _descriptor_classes(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    assert not found, f"{path.name}: descriptor classes {found}"
+
+
+def test_a_descriptor_class_is_found():
+    tree = ast.parse(
+        "class Lazy:\n"
+        "    def __get__(self, obj, owner=None): return self\n"
+        "class Plain:\n"
+        "    def get(self): pass\n"
+        "    class Inner:\n"
+        "        def __get__(self, obj, owner=None): pass\n"
+    )
+    assert _descriptor_classes(tree) == {"Lazy", "Inner"}

@@ -215,6 +215,29 @@ def test_changing_what_was_passed_to_a_validator_leaves_the_value_alone():
     assert fam.fibre["X"] is one and "f" in fam.pull
 
 
+def test_no_category_exposes_a_writable_index():
+    # Composition is held once, in the read-only ``compose``; what a
+    # category builds on first use stays private to it.
+    two = bc.validate_category("Two", ["X", "Y"], [("f", "X", "Y")])
+    cats = {
+        "validated": two,
+        "assembled": bc.product_category(two, group_category("Z2"))[0],
+        "constructed": bc.graph_category(bc.identity_functor(two)).cat,
+    }
+    for label, cat in cats.items():
+        for a in cat.arrows:
+            cat.arrow(a.name), cat.is_identity(a.name), cat.inverse_of(a.name)
+        for x in cat.objects:
+            cat.arrows_into(x), cat.arrows_from(x)
+            for y in cat.objects:
+                cat.hom(x, y)
+        bc.opposite(cat)
+        assert {"_by_name", "_identity_names", "_homs", "_into", "_from", "_opposite"} <= set(vars(cat))
+        public = {name: getattr(cat, name) for name in dir(cat) if not name.startswith("_")}
+        writable = [name for name, attr in public.items() if isinstance(attr, dict | list)]
+        assert not writable, (label, writable)
+
+
 # The per-corpus memo.
 
 BUILDERS = (
