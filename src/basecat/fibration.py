@@ -1,13 +1,17 @@
-"""Brute-force verification of cartesian structure for a functor.
+"""Verification of cartesian structure for a functor.
 
-Every quantifier in the definitions is a finite scan here: a morphism is
-cartesian when each qualifying (g, w) factorization admits exactly one
-mediating morphism, and a functor is a fibration when a cartesian lift
-exists for every (base morphism, object above its codomain) pair. When a
-base factorization u∘w = P(g) holds for several w, each w is checked
-independently. Each dual check (opcartesian, opfibration, split
-opcleavage) is the forward scan read in the opposite direction: one scan
-per notion takes an ``op`` flag, fixed once per call.
+A morphism is cartesian when each qualifying (g, w) factorization admits
+exactly one mediating morphism, and a functor is a fibration when a
+cartesian lift exists for every (base morphism, object above its codomain)
+pair. Both are finite scans here, except in one case decided by counting:
+when exactly one arrow lies above each base arrow u at each object y above
+its codomain, P is a discrete fibration and every arrow is cartesian. For f
+over u and g over u∘w at y, the one h over w at dom f gives f∘h over u∘w
+at y, so f∘h = g and h is unique. When a base factorization u∘w = P(g)
+holds for several w, each w is checked independently. Each dual check
+(opcartesian, opfibration, split opcleavage) is the forward one read in
+the opposite direction: one function per notion takes an ``op`` flag,
+fixed once per call.
 
 "Vertical" means the projection sends the morphism to an identity, so
 fibres are computable sub-presentations.
@@ -16,6 +20,7 @@ fibres are computable sub-presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from .core import Arrow, FinCat, FinFunctor, ReadOnly, validate_category, validate_functor
@@ -27,10 +32,10 @@ from .family import IndexedFamily, validate_family
 class FunctorOver:
     """A functor regarded as a projection from a total to a base category.
 
-    Besides ``proj`` it holds the two categories and the cartesian
-    verdicts, filled in by the first check that asks. The scans read the
-    projection's maps and the two composition tables through their
-    read-only views.
+    Besides ``proj`` it holds the two categories and one memo of verdicts
+    per direction, cartesian then opcartesian, each filled in by the scans
+    that decide them. The scans read the projection's maps and the two
+    composition tables through their read-only views.
     """
 
     proj: FinFunctor
@@ -38,7 +43,7 @@ class FunctorOver:
     def __post_init__(self) -> None:
         object.__setattr__(self, "total", self.proj.source)
         object.__setattr__(self, "base", self.proj.target)
-        object.__setattr__(self, "_cartesian", {})
+        object.__setattr__(self, "_verdicts", ({}, {}))
 
     def over(self, morphism: str) -> str:
         return self.proj.mor(morphism)
@@ -49,14 +54,19 @@ class FunctorOver:
     def is_vertical(self, morphism: str) -> bool:
         return self.base.is_identity(self.over(morphism))
 
-    def cartesian(self) -> dict[str, bool]:
-        """Whether each total morphism is cartesian, scanned once for all
-        the checks that ask."""
-        if not self._cartesian:
-            self._cartesian.update(
-                (a.name, bool(_cartesian_scan(self, a.name, False))) for a in self.total.arrows
-            )
-        return self._cartesian
+    def cartesian(self) -> Mapping[str, bool]:
+        """Whether each total morphism is cartesian, decided once for all
+        the checks that ask, as a read-only view of the memo. When exactly
+        one arrow lies above each base arrow at each object above its
+        codomain, every arrow is cartesian and nothing is scanned;
+        otherwise each missing verdict is."""
+        memo, arrows = self._verdicts[False], self.total.arrows
+        if len(memo) < len(arrows):
+            every = _unique_lifts(self, False) is not None
+            for a in arrows:
+                if a.name not in memo:
+                    memo[a.name] = every or bool(_cartesian_scan(self, a.name, False))
+        return MappingProxyType(memo)
 
 
 @dataclass(frozen=True, repr=False)
@@ -116,7 +126,8 @@ class _Detailed(Refutation):
 
 
 class SplitViolation(_Detailed):
-    """A broken identity or composition law of a cleavage, or a lift it lacks."""
+    """A broken identity or composition law of a cleavage, a lift it lacks,
+    or a lift it chose that is not (op)cartesian."""
 
 
 class Counterexample(_Detailed):
@@ -172,10 +183,47 @@ def is_opcartesian(p: FunctorOver, f: str) -> bool | CounterexampleOpCartesian:
     return _cartesian_scan(p, f, True)
 
 
+def _verdict(p: FunctorOver, f: str, op: bool) -> bool:
+    """Whether ``f`` is (op)cartesian, scanned once per projection."""
+    memo = p._verdicts[op]
+    if f not in memo:
+        memo[f] = bool(_cartesian_scan(p, f, op))
+    return memo[f]
+
+
+def _unique_lifts(p: FunctorOver, op: bool) -> dict[tuple[str, str], str] | None:
+    """The one arrow above each base arrow u ending at each object y above
+    cod u (starting at each y above dom u when ``op``), keyed (u, y) in
+    the lift scan's order; None when some pair has two arrows or none.
+
+    Each arrow has one key and lies at a pair, so no repeated key and as
+    many arrows as pairs means every pair is lifted exactly once."""
+    total, over = p.total, p.proj.mor_map
+    found: dict[tuple[str, str], str] = {}
+    for a in total.arrows:
+        key = (over[a.name], a.dom if op else a.cod)
+        if key in found:
+            return None
+        found[key] = a.name
+    near, obj_over = p.base.arrows_from if op else p.base.arrows_into, p.proj.obj_map
+    pairs = [(u.name, y) for y in total.objects for u in near(obj_over[y])]
+    if len(pairs) != len(found):
+        return None
+    return {pair: found[pair] for pair in pairs}
+
+
 def _lift_scan(p: FunctorOver, op: bool) -> Cleavage | OpCleavage | _Unlifted:
     """A cartesian lift of every base morphism at every object above its
     codomain, or an opcartesian one at every object above its domain when
-    ``op``; the first lift in presentation order wins."""
+    ``op``; the first lift in presentation order wins.
+
+    When each pair has exactly one arrow above it, that arrow is the only
+    candidate and it is (op)cartesian, so the count is the cleavage.
+    Otherwise the candidates are scanned in order, and the scan names the
+    first pair without a lift."""
+    unique = _unique_lifts(p, op)
+    if unique is not None:
+        return (OpCleavage if op else Cleavage)(unique)
     total, over = p.total, p.proj.mor_map
     ends = [(u.name, u.dom if op else u.cod) for u in p.base.arrows]
     near = total.arrows_from if op else total.arrows_into
@@ -186,7 +234,7 @@ def _lift_scan(p: FunctorOver, op: bool) -> Cleavage | OpCleavage | _Unlifted:
             if end != over_y:
                 continue
             for cand in candidates:
-                if over[cand.name] == u and _cartesian_scan(p, cand.name, op):
+                if over[cand.name] == u and _verdict(p, cand.name, op):
                     lifts[(u, y)] = cand.name
                     break
             else:
@@ -213,9 +261,10 @@ def find_cleavage(p: FunctorOver, chosen: Cleavage | None = None) -> Cleavage | 
 
 
 def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -> bool | SplitViolation:
-    """Identity and composition laws of a cleavage, on the nose, and a lift
-    of every base arrow at every object above its codomain; of an
-    opcleavage when ``op``, where each pair is lifted from the domain."""
+    """Identity and composition laws of a cleavage, on the nose, and a
+    cartesian lift of every base arrow at every object above its codomain;
+    of an opcleavage when ``op``, where each pair is lifted from the domain
+    and every lift is opcartesian."""
     total, base = p.total, p.base
     lift, table, obj_over = lift.copy(), total.compose, p.proj.obj_map
     kind = "op-lift" if op else "lift"
@@ -253,23 +302,36 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
     # arrow has a lift at every object above its codomain (domain), and the
     # lift lies above the arrow and ends (starts) at that object.
     over, end = p.proj.mor_map, total.dom if op else total.cod
+    chosen = []
     for u in base.arrows:
         for y in above.get(u.dom if op else u.cod, ()):
             f = lift.get((u.name, y))
             if over.get(f) != u.name or end(f) != y:
                 return SplitViolation(f"no {kind} of {u.name!r} at {y!r}")
+            chosen.append((u.name, y, f))
+    # Then every lift is (op)cartesian. The chosen lifts are distinct
+    # arrows, one at each pair, so when they are all the arrows each pair
+    # has exactly one arrow above it, and it is (op)cartesian. Otherwise
+    # each verdict is read, from an earlier scan or a scan now.
+    if len(chosen) < len(total.arrows):
+        notion = "opcartesian" if op else "cartesian"
+        for u, y, f in chosen:
+            if not _verdict(p, f, op):
+                return SplitViolation(f"{kind} {f!r} of {u!r} at {y!r} is not {notion}")
     return True
 
 
 def check_split(p: FunctorOver, c: Cleavage) -> bool | SplitViolation:
     """Identity and composition conditions for a cleavage, on the nose,
-    and a lift of every base arrow at every object above its codomain."""
+    and a cartesian lift of every base arrow at every object above its
+    codomain."""
     return _split_scan(p, c.lift, False)
 
 
 def check_split_op(p: FunctorOver, k: OpCleavage) -> bool | SplitViolation:
     """Identity and composition conditions for an opcleavage, on the nose,
-    and an op-lift of every base arrow at every object above its domain."""
+    and an opcartesian lift of every base arrow at every object above its
+    domain."""
     return _split_scan(p, k.lift, True)
 
 
@@ -315,8 +377,9 @@ def property_cartesian_compose(p: FunctorOver) -> bool | Counterexample:
 
 def property_cartesian_over_iso(p: FunctorOver) -> bool | Counterexample:
     """Cartesian morphisms above invertible base morphisms must be invertible."""
+    cartesian = p.cartesian()
     for a in p.total.arrows:
-        if not p.cartesian()[a.name]:
+        if not cartesian[a.name]:
             continue
         if p.base.inverse_of(p.over(a.name)) is None:
             continue

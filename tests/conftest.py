@@ -55,6 +55,9 @@ from basecat.fibration import (
     CounterexampleCartesian,
     CounterexampleOpCartesian,
     FunctorOver,
+    MissingLift,
+    MissingOpLift,
+    OpCleavage,
     _vertical_factors,
     check_split,
 )
@@ -654,6 +657,30 @@ def oracle_cartesian_scan(p: FunctorOver, f: str, op: bool):
                 found = CounterexampleOpCartesian if op else CounterexampleCartesian
                 return found(f, g, w, len(mediating))
     return True
+
+
+# The lift scan of ``basecat.fibration`` as it was before discrete
+# (op)fibrations were decided by counting lifts: at each pair, the
+# candidates are scanned in presentation order until one is (op)cartesian.
+
+
+def oracle_lift_scan(p: FunctorOver, op: bool):
+    total, over = p.total, p.proj.mor_map
+    ends = [(u.name, u.dom if op else u.cod) for u in p.base.arrows]
+    near = total.arrows_from if op else total.arrows_into
+    lifts: dict[tuple[str, str], str] = {}
+    for y in total.objects:
+        over_y, candidates = p.obj_over(y), near(y)
+        for u, end in ends:
+            if end != over_y:
+                continue
+            for cand in candidates:
+                if over[cand.name] == u and oracle_cartesian_scan(p, cand.name, op) is True:
+                    lifts[(u, y)] = cand.name
+                    break
+            else:
+                return (MissingOpLift if op else MissingLift)(u, y)
+    return (OpCleavage if op else Cleavage)(lifts)
 
 
 # The structural operations of ``basecat.core`` as they were when each one

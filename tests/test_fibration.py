@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import basecat as bc
-from basecat import errors
+from basecat import errors, fibration
 from basecat.corpus import _thin_from_relation, build_corpus, constant_family, group_category
 from basecat.fibration import (
     Cleavage,
@@ -18,7 +18,7 @@ from basecat.fibration import (
     _cartesian_scan,
 )
 
-from conftest import oracle_cartesian_scan, oracle_recover_indexed
+from conftest import all_functors, oracle_cartesian_scan, oracle_lift_scan, oracle_recover_indexed
 
 
 @pytest.fixture
@@ -187,6 +187,35 @@ class TestCheckSplit:
         assert bc.check_split_op(over, found_op) is True
         edited = {**found_op.lift, ("f", "X1"): "f0"}
         assert bc.check_split_op(over, OpCleavage(edited)) == SplitViolation("no op-lift of 'f' at 'X1'")
+
+    def test_a_split_cleavage_must_choose_cartesian_lifts(self, twin_lift):
+        # ETwin lifts every pair and keeps the laws, but its lift f1 of f
+        # at Y0 is not cartesian (f2 does not factor through it), so this
+        # is no cleavage and no family can be read off it.
+        chosen = Cleavage({
+            ("id_X", "Z"): "id_Z", ("id_X", "X0"): "id_X0",
+            ("id_Y", "Y0"): "id_Y0", ("f", "Y0"): "f1",
+        })
+        detail = "lift 'f1' of 'f' at 'Y0' is not cartesian"
+        assert bc.check_split(twin_lift, chosen) == SplitViolation(detail)
+        with pytest.raises(errors.NotSplit, match=detail):
+            bc.recover_indexed(twin_lift, chosen)
+        # The same verdict read from the scan check_fibration recorded, which
+        # no caller can rewrite through cartesian().
+        assert isinstance(bc.check_fibration(twin_lift), MissingLift)
+        with pytest.raises(TypeError):
+            twin_lift.cartesian()["f1"] = True
+        assert bc.check_split(twin_lift, chosen) == SplitViolation(detail)
+
+    def test_a_split_opcleavage_must_choose_opcartesian_lifts(self, twin_lift):
+        q = bc.FunctorOver(bc.op_functor(twin_lift.proj))
+        chosen = OpCleavage({
+            ("id_X", "Z"): "id_Z", ("id_X", "X0"): "id_X0",
+            ("id_Y", "Y0"): "id_Y0", ("f_op", "Y0"): "f1_op",
+        })
+        assert bc.check_split_op(q, chosen) == SplitViolation(
+            "op-lift 'f1_op' of 'f_op' at 'Y0' is not opcartesian"
+        )
 
 
 class TestFactorisation:
@@ -428,3 +457,78 @@ def test_cartesian_scan_matches_the_oracle(seed, two):
                     if expected is not True:
                         counts.add(expected.mediating_count)
     assert counts == {0, 2}
+
+
+def _rotation_groupoid(n: int) -> bc.ConstructedCategory:
+    """The transformation groupoid of Z_n rotating n points."""
+    names = ["id_*"] + [f"r{k}" for k in range(1, n)]
+    group = bc.validate_category(
+        f"Z{n}", ["*"], [(names[k], "*", "*") for k in range(1, n)],
+        {(names[a], names[b]): names[(a + b) % n] for a in range(1, n) for b in range(1, n)},
+    )
+    points = bc.FinSetObj(f"points{n}", tuple(f"x{i}" for i in range(n)))
+    phi = {
+        names[k]: bc.FinFn(points, points, {f"x{i}": f"x{(i + k) % n}" for i in range(n)})
+        for k in range(1, n)
+    }
+    return bc.transformation_groupoid(bc.validate_group_action(group, points, phi))
+
+
+def _lift_scans_match_the_oracle(p: bc.FunctorOver) -> set[bool]:
+    """Check both lift scans and the cartesian verdicts of ``p`` against
+    the ordered oracle scans; return whether the count decided each
+    direction."""
+    decided = set()
+    for op, check in ((False, bc.check_fibration), (True, bc.check_opfibration)):
+        decided.add(fibration._unique_lifts(p, op) is not None)
+        got, expected = check(p), oracle_lift_scan(p, op)
+        assert type(got) is type(expected)
+        if expected:
+            assert list(got.lift.items()) == list(expected.lift.items())
+        else:
+            assert got == expected
+    verdicts = {a.name: oracle_cartesian_scan(p, a.name, False) is True for a in p.total.arrows}
+    assert dict(bc.FunctorOver(p.proj).cartesian()) == verdicts == dict(p.cartesian())
+    return decided
+
+
+def test_lift_scans_match_the_oracle_on_every_small_functor(corpus):
+    # Every functor between the fixture categories of at most four arrows:
+    # both ways of deciding occur.
+    small = [c for c in corpus.env.categories.values() if len(c.arrows) <= 4]
+    decided = set()
+    for src in small:
+        for tgt in small:
+            for fun in all_functors(src, tgt):
+                decided |= _lift_scans_match_the_oracle(bc.FunctorOver(fun))
+    assert decided == {False, True}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lift_scans_match_the_oracle_on_corpus_projections(seed):
+    for built in _corpus_projections(seed):
+        _lift_scans_match_the_oracle(built.over())
+
+
+def test_lift_scans_match_the_oracle_on_groupoids_and_a_twin_lift(twin_lift):
+    for n in (8, 12):
+        assert _lift_scans_match_the_oracle(_rotation_groupoid(n).over()) == {True}
+    # Two arrows above f end at Y0, so the forward count falls back to the scan.
+    assert fibration._unique_lifts(twin_lift, False) is None
+    _lift_scans_match_the_oracle(twin_lift)
+
+
+def test_discrete_fibrations_are_decided_without_a_cartesian_scan(monkeypatch, corpus, twin_lift):
+    def refuse(*args):
+        raise AssertionError("cartesian scan")
+
+    monkeypatch.setattr(fibration, "_cartesian_scan", refuse)
+    for built in (bc.graph_category(corpus.functors[0]), _rotation_groupoid(8)):
+        p = built.over()
+        cleavage, opcleavage = bc.check_fibration(p), bc.check_opfibration(p)
+        assert isinstance(cleavage, Cleavage) and isinstance(opcleavage, OpCleavage)
+        assert bc.check_split(p, cleavage) is True
+        assert bc.check_split_op(p, opcleavage) is True
+        assert all(p.cartesian().values())
+    with pytest.raises(AssertionError, match="cartesian scan"):
+        bc.check_fibration(twin_lift)

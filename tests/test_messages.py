@@ -13,14 +13,18 @@ from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
 
-from basecat import errors
+from basecat import dsl, errors
+from basecat.corpus import fixtures_dir
 from basecat.fibration import (
+    Cleavage,
     Counterexample,
     CounterexampleCartesian,
     CounterexampleOpCartesian,
+    FunctorOver,
     MissingLift,
     MissingOpLift,
     SplitViolation,
+    check_split,
 )
 from basecat.iso import BudgetExhausted, NotIsomorphic
 from basecat.sets import ConeCounterexample, FinFn, FinSetObj
@@ -89,8 +93,22 @@ REFUTATION_CLASSES = [
     BudgetExhausted,
 ]
 
+
+
+def _produced_cases() -> list[tuple[str, object]]:
+    """Refutations as the checks word them, each on an input that
+    produces it."""
+    path = fixtures_dir() / "negative_noncartesian.bcat"
+    twin = FunctorOver(dsl.elaborate(dsl.parse(path.read_text(), path.name)).functors["twinProj"])
+    not_cartesian = Cleavage({
+        ("id_X", "Z"): "id_Z", ("id_X", "X0"): "id_X0",
+        ("id_Y", "Y0"): "id_Y0", ("f", "Y0"): "f1",
+    })
+    return [("SplitViolation[lift not cartesian]", check_split(twin, not_cartesian))]
+
+
 ERROR_CASES = [case for cls in ERROR_CLASSES for case in _cases(cls)]
-REFUTATION_CASES = [case for cls in REFUTATION_CLASSES for case in _cases(cls)]
+REFUTATION_CASES = [case for cls in REFUTATION_CLASSES for case in _cases(cls)] + _produced_cases()
 
 PINNED: dict[str, tuple[str, str]] = {
     'AssociativityViolation': (
@@ -232,6 +250,10 @@ PINNED: dict[str, tuple[str, str]] = {
     'BudgetExhausted': (
         'BudgetExhausted(nodes=2)',
         'BudgetExhausted(nodes=2)',
+    ),
+    'SplitViolation[lift not cartesian]': (
+        'SplitViolation(detail="lift \'f1\' of \'f\' at \'Y0\' is not cartesian")',
+        'SplitViolation(detail="lift \'f1\' of \'f\' at \'Y0\' is not cartesian")',
     ),
 }
 
