@@ -8,14 +8,24 @@ names, and composition entries may refer to them.
 
 Ids are either simple tokens over ``[A-Za-z0-9_*']`` or balanced
 parenthesised pair labels as emitted by the constructions.
+
+The whole text is tokenized before parsing, so a lexical error anywhere
+wins over a parse error. Tokens come in bulk: one ``findall`` of a
+compiled pattern per window of about 8 KB cut at a newline, kinds from one
+dict lookup each, offsets as running sums of lengths. A pair id nested
+deeper than the pattern takes is measured by bracket counting, and the
+window's matches after it are read on, not rescanned. Tokens carry only an
+offset; a line and column are counted from the text only for an error or a
+declaration's name.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .constructions import GroupAction, validate_group_action
@@ -30,36 +40,50 @@ KEYWORDS = {
     "fibre", "pull",
 }
 
-# One match per token, whitespace and comments before it included. A pair id
-# matches only up to its first "(", and ``_pair_end`` finds where it closes.
+# Pair ids nested up to this depth are tokens of the pattern itself.
+_PAIR_DEPTH = 4
+_PAIR_CHAR = "[A-Za-z0-9_*'|,@]"
+_PAIR = rf"\({_PAIR_CHAR}*\)"
+for _ in range(_PAIR_DEPTH - 1):
+    _PAIR = rf"\({_PAIR_CHAR}*(?:{_PAIR}{_PAIR_CHAR}*)*\)"
+
+# One match per token: (skipped whitespace and comments, token). Where no
+# ordinary token starts, the token is the "(" or "id_(" of a pair the
+# pattern cannot take, another character a pair may hold, or empty: at any
+# other character and at the end. Matches stay contiguous up to the first
+# empty token, so each offset is the running sum of the lengths before it.
 _TOKEN = re.compile(
-    r"""(?:[ \t\r\n]+|\#[^\n]*)*
-    (?:(?P<pair>(?:id_)?\()
-    |(?P<word>[A-Za-z0-9_*']+)
-    |(?P<punct>\|->|->|[{}:,.=])
-    |(?P<end>\Z)
-    |(?P<bad>.))""",
-    re.VERBOSE | re.DOTALL,
+    rf"""([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+    ((?!id_\()[A-Za-z0-9_*']+|\|->|->|[{{}}:,.=]|(?:id_)?{_PAIR}|(?:id_)?\(|[)|@]|)""",
+    re.VERBOSE,
 )
+
+# A token's kind is its entry here, or 'id' (words and pair ids alike);
+# None marks where no ordinary token starts.
+_KINDS = {
+    **dict.fromkeys(KEYWORDS, "kw"),
+    **{p: p for p in ("|->", "->", "{", "}", ":", ",", ".", "=")},
+    **dict.fromkeys(("", "(", "id_(", ")", "|", "@")),
+}
 _PAIR_STOP = re.compile(r"[()]|[ \t\r\n]")
 _PAIR_BODY = re.compile(r"[A-Za-z0-9_*'|,@()]+")
-_NEWLINE = re.compile(r"\n")
+
+# Every token ends before a newline, so a window cut just after one is
+# tokenized as it would be in the whole text.
+_WINDOW = 8192
 
 
-def _line_starts(text: str) -> list[int]:
-    return [0, *(m.end() for m in _NEWLINE.finditer(text))]
-
-
-def _span(filename: str, line_starts: list[int], offset: int, length: int) -> SourceSpan:
+def _span(filename: str, text: str, offset: int, length: int) -> SourceSpan:
     """Lines are counted at newlines only; a tab or carriage return is one column."""
-    line = bisect_right(line_starts, offset)
-    return SourceSpan(filename, line, offset - line_starts[line - 1] + 1, length)
+    return SourceSpan(
+        filename, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset), length
+    )
 
 
 def _error_at(
     text: str, filename: str, offset: int, length: int, expected: str, found: str
 ) -> ParseError:
-    return ParseError(_span(filename, _line_starts(text), offset, length), expected, found)
+    return ParseError(_span(filename, text, offset, length), expected, found)
 
 
 def _pair_end(text: str, filename: str, start: int, opening: int) -> int:
@@ -86,35 +110,48 @@ def _pair_end(text: str, filename: str, start: int, opening: int) -> int:
     raise _error_at(text, filename, start, len(text) - start, "a closing ')'", "end of input")
 
 
-def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]]:
-    """Each token as a plain (kind, text, offset) tuple: kind is 'id', 'kw'
-    or the punctuation itself, and offset is where the text starts."""
-    tokens = []
-    match = _TOKEN.match
-    pos = 0
-    while True:
-        m = match(text, pos)
-        kind = m.lastgroup
-        start, pos = m.start(kind), m.end()
-        if kind == "word":
-            word = m.group(kind)
-            tokens.append(("kw" if word in KEYWORDS else "id", word, start))
-        elif kind == "punct":
-            punct = m.group(kind)
-            tokens.append((punct, punct, start))
-        elif kind == "pair":
+def _tokenize(text: str, filename: str) -> tuple[list[str], list[str], array]:
+    """The kind, text and offset of every token, as three parallel
+    sequences: kind is 'id', 'kw' or the punctuation itself, and offset is
+    where the text starts."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    offsets = array("q")
+    findall, size, pos = _TOKEN.findall, len(text), 0
+    while pos < size:
+        cut = text.find("\n", pos + _WINDOW) + 1 or size
+        found = findall(text, pos, cut)
+        words = list(map(itemgetter(1), found))
+        window = list(map(_KINDS.get, words, repeat("id")))
+        # Match j starts at bounds[2 * j] and its token at bounds[2 * j + 1].
+        bounds = list(accumulate(map(len, chain.from_iterable(found)), initial=pos))
+        starts = array("q", bounds[1::2])
+        i = 0
+        while True:
+            k = window.index(None, i)
+            kinds += window[i:k]
+            texts += words[i:k]
+            offsets += starts[i:k]
+            start = starts[k]
+            if start == cut:
+                break
+            if words[k] not in ("(", "id_("):
+                raise _error_at(text, filename, start, 1, "a token", repr(text[start]))
             # Identity ids of pair-named objects look like id_(X,x): a
             # reserved prefix glued to a balanced pair token.
-            pos = _pair_end(text, filename, start, pos - 1)
-            tokens.append(("id", text[start:pos], start))
-        elif kind == "end":
-            return tokens
-        else:
-            raise _error_at(text, filename, start, 1, "a token", repr(text[start]))
+            end = _pair_end(text, filename, start, start + len(words[k]) - 1)
+            kinds.append("id")
+            texts.append(text[start:end])
+            offsets.append(start)
+            # No match inside the pair reaches past its end or skips any text,
+            # so the first place in bounds that holds the end starts a match.
+            i = bounds.index(end, 2 * k + 2) // 2
+        pos = cut
+    return kinds, texts, offsets
 
 
-# The parser reads past the last token only onto this one.
-_END = ("end of input", "", -1)
+# The parser reads past the last token only onto a token of this kind.
+_END = "end of input"
 
 
 # Declarations. Spans do not take part in structural equality.
@@ -174,54 +211,59 @@ class Document:
     declarations: tuple[Declaration, ...]
 
 
+# The kinds of a list item's tokens, and what each is expected to be.
+_ARROW = (["id", ":", "id", "->", "id"],
+          ("an identifier", None, "a domain object", None, "a codomain object"))
+_COMPOSITE = (["id", ".", "id", "=", "id"],
+              ("an identifier", None, "the earlier morphism", None, "the composite morphism"))
+_MAPLET = (["id", "|->", "id"], ("an identifier", None, "the image"))
+
+
 class _Parser:
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
-        self.tokens = _tokenize(text, filename)
-        self.tokens.append(_END)
+        self.kinds, self.texts, self.offsets = _tokenize(text, filename)
+        self.kinds.append(_END)
+        self.texts.append("")
         self.pos = 0
-
-    @cached_property
-    def line_starts(self) -> list[int]:
-        return _line_starts(self.text)
+        # An offset, and the newlines before it: spans are asked for in
+        # text order, so each counts on from the last.
+        self.counted = (0, 0)
 
     def span(self, i: int) -> SourceSpan:
         """The span of the ``i``-th token."""
-        _, text, offset = self.tokens[i]
-        return _span(self.filename, self.line_starts, offset, len(text))
+        offset = self.offsets[i]
+        start, lines = self.counted if offset >= self.counted[0] else (0, 0)
+        lines += self.text.count("\n", start, offset)
+        self.counted = (offset, lines)
+        column = offset - self.text.rfind("\n", 0, offset)
+        return SourceSpan(self.filename, lines + 1, column, len(self.texts[i]))
 
     def error(self, expected: str) -> ParseError:
-        tok = self.tokens[self.pos]
-        if tok is _END:
+        if self.kinds[self.pos] == _END:
             lines = self.text.splitlines() or [""]
             eof_span = SourceSpan(self.filename, len(lines), max(1, len(lines[-1])), 1)
             return ParseError(eof_span, expected, "end of input")
-        return ParseError(self.span(self.pos), expected, repr(tok[1]))
+        return ParseError(self.span(self.pos), expected, repr(self.texts[self.pos]))
 
     def take(self, kind: str, expected: str | None = None) -> str:
         """The text of the next token, which must be of ``kind``."""
-        tok_kind, text, _ = self.tokens[self.pos]
-        if tok_kind != kind:
+        if self.kinds[self.pos] != kind:
             raise self.error(expected or repr(kind))
         self.pos += 1
-        return text
+        return self.texts[self.pos - 1]
 
     def take_kw(self, word: str) -> None:
-        if self.tokens[self.pos][:2] != ("kw", word):
+        if not self.at_kw(word):
             raise self.error(repr(word))
         self.pos += 1
 
     def at_kw(self, *words: str) -> bool:
-        kind, text, _ = self.tokens[self.pos]
-        return kind == "kw" and text in words
+        return self.kinds[self.pos] == "kw" and self.texts[self.pos] in words
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.pos][0] == kind
-
-    def skip_commas(self) -> None:
-        while self.at(","):
-            self.pos += 1
+        return self.kinds[self.pos] == kind
 
     def ident(self, expected: str = "an identifier") -> str:
         return self.take("id", expected)
@@ -229,6 +271,28 @@ class _Parser:
     def name(self, expected: str) -> tuple[str, SourceSpan]:
         """A declaration's name, and its span."""
         return self.ident(expected), self.span(self.pos - 1)
+
+    def items(
+        self, item: tuple[list[str], tuple[str | None, ...]], lead: int = 1
+    ) -> list[tuple[str, ...]]:
+        """The ids of each item of a comma-separated list, while the next
+        ``lead`` tokens have the kinds an item starts with. An item's ids
+        are every other token of it, from the first."""
+        shape, expected = item
+        kinds, texts, width, head = self.kinds, self.texts, len(shape), shape[:lead]
+        out = []
+        i = self.pos
+        while kinds[i : i + lead] == head:
+            if kinds[i : i + width] != shape:
+                self.pos = i
+                for kind, what in zip(shape, expected):
+                    self.take(kind, what)  # raises at the first token out of shape
+            out.append(tuple(texts[i : i + width : 2]))
+            i += width
+            while kinds[i] == ",":
+                i += 1
+        self.pos = i
+        return out
 
     # Declarations
 
@@ -238,7 +302,7 @@ class _Parser:
             "category": set(), "functor": set(), "concrete": set(),
             "action": set(), "indexed": set(),
         }
-        while self.tokens[self.pos] is not _END:
+        while self.kinds[self.pos] != _END:
             if not self.at_kw("category", "functor", "concrete", "action", "indexed"):
                 raise self.error("a declaration keyword")
             kind = self.take("kw")  # each decl_* method starts at the name
@@ -261,30 +325,16 @@ class _Parser:
         self.take_kw("objects")
         self.take(":")
         objects = self.id_list()
-        arrows: list[tuple[str, str, str]] = []
+        arrows: list[tuple[str, ...]] = []
         if self.at_kw("arrows"):
             self.pos += 1
             self.take(":")
-            while self.at("id"):
-                nm = self.ident()
-                self.take(":")
-                dom = self.ident("a domain object")
-                self.take("->")
-                cod = self.ident("a codomain object")
-                arrows.append((nm, dom, cod))
-                self.skip_commas()
-        compose: list[tuple[str, str, str]] = []
+            arrows = self.items(_ARROW)
+        compose: list[tuple[str, ...]] = []
         if self.at_kw("compose"):
             self.pos += 1
             self.take(":")
-            while self.at("id"):
-                g = self.ident()
-                self.take(".")
-                f = self.ident("the earlier morphism")
-                self.take("=")
-                h = self.ident("the composite morphism")
-                compose.append((g, f, h))
-                self.skip_commas()
+            compose = self.items(_COMPOSITE)
         self.take("}")
         return CategoryDecl(name, tuple(objects), tuple(arrows), tuple(compose), span)
 
@@ -366,25 +416,21 @@ class _Parser:
         return IndexedDecl(name, base, tuple(fibres), tuple(pulls), span)
 
     def id_list(self) -> list[str]:
+        kinds, texts = self.kinds, self.texts
         out = []
-        while self.at("id"):
-            out.append(self.ident())
-            self.skip_commas()
+        i = self.pos
+        while kinds[i] == "id":
+            out.append(texts[i])
+            i += 1
+            while kinds[i] == ",":
+                i += 1
+        self.pos = i
         return out
 
-    def maplet_list(self) -> list[tuple[str, str]]:
+    def maplet_list(self) -> list[tuple[str, ...]]:
         # An id opens a maplet only when "|->" follows; otherwise it is the
         # head of the next block (e.g. another carrier or action entry).
-        out = []
-        while self.at("id"):
-            if self.tokens[self.pos + 1][0] != "|->":
-                break
-            lhs = self.ident()
-            self.take("|->")
-            rhs = self.ident("the image")
-            out.append((lhs, rhs))
-            self.skip_commas()
-        return out
+        return self.items(_MAPLET, lead=2)
 
 
 def parse(text: str, filename: str = "<string>") -> Document:

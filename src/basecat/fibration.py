@@ -378,15 +378,12 @@ def property_cartesian_compose(p: FunctorOver) -> bool | Counterexample:
 def property_cartesian_over_iso(p: FunctorOver) -> bool | Counterexample:
     """Cartesian morphisms above invertible base morphisms must be invertible."""
     cartesian = p.cartesian()
-    for a in p.total.arrows:
-        if not cartesian[a.name]:
-            continue
-        if p.base.inverse_of(p.over(a.name)) is None:
-            continue
-        if p.total.inverse_of(a.name) is None:
-            return Counterexample(
-                f"{a.name!r} lies above an isomorphism but has no inverse"
-            )
+    above = [a.name for a in p.total.arrows if cartesian[a.name]]
+    # Whether each base arrow under a cartesian one is invertible, decided once.
+    invertible = {m: p.base.inverse_of(m) is not None for m in set(map(p.over, above))}
+    for name in above:
+        if invertible[p.over(name)] and p.total.inverse_of(name) is None:
+            return Counterexample(f"{name!r} lies above an isomorphism but has no inverse")
     return True
 
 

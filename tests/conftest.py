@@ -9,6 +9,7 @@ path replaced, kept as they were.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Mapping, Sequence
@@ -52,6 +53,7 @@ from basecat.errors import (
 from basecat.family import IndexedFamily, validate_family
 from basecat.fibration import (
     Cleavage,
+    Counterexample,
     CounterexampleCartesian,
     CounterexampleOpCartesian,
     FunctorOver,
@@ -627,6 +629,16 @@ def oracle_tokenize(text: str, filename: str) -> list[Token]:
     return tokens
 
 
+# The span of an offset as ``basecat.dsl`` found it before spans were
+# counted: from a table of line starts, by bisection.
+
+
+def oracle_span(filename: str, text: str, offset: int, length: int) -> SourceSpan:
+    line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
+    line = bisect_right(line_starts, offset)
+    return SourceSpan(filename, line, offset - line_starts[line - 1] + 1, length)
+
+
 # The cartesian scan of ``basecat.fibration`` as it was before the mediating
 # morphisms were counted once per call: the list is rebuilt for every
 # (g, w) pair.
@@ -681,6 +693,24 @@ def oracle_lift_scan(p: FunctorOver, op: bool):
             else:
                 return (MissingOpLift if op else MissingLift)(u, y)
     return (OpCleavage if op else Cleavage)(lifts)
+
+
+# The lemma check of ``basecat.fibration`` as it was before each base
+# arrow's invertibility was decided once per call.
+
+
+def oracle_cartesian_over_iso(p: FunctorOver):
+    cartesian = p.cartesian()
+    for a in p.total.arrows:
+        if not cartesian[a.name]:
+            continue
+        if p.base.inverse_of(p.over(a.name)) is None:
+            continue
+        if p.total.inverse_of(a.name) is None:
+            return Counterexample(
+                f"{a.name!r} lies above an isomorphism but has no inverse"
+            )
+    return True
 
 
 # The structural operations of ``basecat.core`` as they were when each one

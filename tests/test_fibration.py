@@ -18,7 +18,13 @@ from basecat.fibration import (
     _cartesian_scan,
 )
 
-from conftest import all_functors, oracle_cartesian_scan, oracle_lift_scan, oracle_recover_indexed
+from conftest import (
+    all_functors,
+    oracle_cartesian_over_iso,
+    oracle_cartesian_scan,
+    oracle_lift_scan,
+    oracle_recover_indexed,
+)
 
 
 @pytest.fixture
@@ -516,6 +522,32 @@ def test_lift_scans_match_the_oracle_on_groupoids_and_a_twin_lift(twin_lift):
     # Two arrows above f end at Y0, so the forward count falls back to the scan.
     assert fibration._unique_lifts(twin_lift, False) is None
     _lift_scans_match_the_oracle(twin_lift)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cartesian_over_iso_matches_the_oracle_on_corpus_projections(seed):
+    for built in _corpus_projections(seed):
+        p = built.over()
+        for q in (p, bc.FunctorOver(bc.op_functor(p.proj))):
+            assert bc.property_cartesian_over_iso(q) == oracle_cartesian_over_iso(q) is True
+
+
+def test_cartesian_over_iso_matches_the_oracle_on_groupoids_and_forced_verdicts(
+    monkeypatch, corpus
+):
+    for n in (8, 12, 16):
+        p = _rotation_groupoid(n).over()
+        assert bc.property_cartesian_over_iso(p) == oracle_cartesian_over_iso(p) is True
+    # With every arrow taken as cartesian, the first one above an
+    # isomorphism without an inverse is the counterexample of both.
+    monkeypatch.setattr(bc.FunctorOver, "cartesian", lambda p: {a.name: True for a in p.total.arrows})
+    found = set()
+    for fun in corpus.functors:
+        p = bc.FunctorOver(fun)
+        got, expected = bc.property_cartesian_over_iso(p), oracle_cartesian_over_iso(p)
+        assert type(got) is type(expected) and got == expected
+        found.add(got is True)
+    assert found == {False, True}
 
 
 def test_discrete_fibrations_are_decided_without_a_cartesian_scan(monkeypatch, corpus, twin_lift):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -141,3 +143,45 @@ def test_a_descriptor_class_is_found():
         "        def __get__(self, obj, owner=None): pass\n"
     )
     assert _descriptor_classes(tree) == {"Lazy", "Inner"}
+
+
+# Possessive quantifiers and atomic groups, which need Python 3.11; the
+# package supports 3.10.
+_NEWER_REGEX_SYNTAX = re.compile(r"[*+?}]\+|\(\?>")
+
+
+def _newer_regex_syntax(pattern: str) -> list[str]:
+    """Each possessive quantifier or atomic group in ``pattern``, read with
+    escapes and character classes blanked out."""
+    plain = re.sub(r"\\.", "e", pattern)
+    plain = re.sub(r"\[\^?\]?[^\]]*\]", "c", plain)
+    return _NEWER_REGEX_SYNTAX.findall(plain)
+
+
+def _regex_sources(path: Path):
+    """The pattern of every compiled regex a module binds at its top level,
+    and every string literal it passes straight to a ``re`` function."""
+    module = importlib.import_module(f"basecat.{path.stem}")
+    yield from (v.pattern for v in vars(module).values() if isinstance(v, re.Pattern))
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            yield node.args[0].value
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_regex_needs_a_newer_python(path):
+    found = [(pattern, _newer_regex_syntax(pattern)) for pattern in _regex_sources(path)]
+    assert not [f for f in found if f[1]], f"{path.name}: {found}"
+
+
+def test_newer_regex_syntax_is_found():
+    assert _newer_regex_syntax(r"a*+b++c?+d{2}+(?>e)") == ["*+", "++", "?+", "}+", "(?>"]
+    assert _newer_regex_syntax(r"\++[*+?]+[^\]+]+(?:x)+(?=y)") == []

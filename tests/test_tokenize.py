@@ -8,17 +8,24 @@ tokenizer error (class, span, expected, found) must agree; a parser error
 must name an oracle token or the end of input. The parse outcome of every
 input, errors and declaration spans included, is pinned by a digest
 recorded from the character-at-a-time front end on the same inputs.
+
+Pair ids nested past the depth the compiled pattern takes are measured by
+bracket counting; they are compared with the oracle separately, and two
+inputs full of them or of comments must tokenize in linear time. Spans,
+counted from the text, are compared with ``conftest.oracle_span`` at every
+offset.
 """
 
 from __future__ import annotations
 
 import hashlib
+import time
 
 from basecat import dsl
 from basecat.corpus import fixtures_dir
 from basecat.errors import ParseError
 
-from conftest import KEYWORDS, oracle_tokenize
+from conftest import KEYWORDS, oracle_span, oracle_tokenize
 
 INSERTED = ("(", ")", "\t", "\r", "#", "\f", "é")
 
@@ -105,7 +112,7 @@ def _oracle_view(tokens, text: str) -> list[tuple]:
 def _view(tokens, text: str) -> list[tuple]:
     """Line and column of each token's offset, counted at newlines only."""
     out, line, counted = [], 1, 0
-    for kind, word, offset in tokens:
+    for kind, word, offset in zip(*tokens):
         line += text.count("\n", counted, offset)
         counted = offset
         out.append((kind, word, line, offset - text.rfind("\n", 0, offset), len(word)))
@@ -158,3 +165,95 @@ def test_tokens_errors_and_outcomes_match_the_oracle(chunk_deletions):
         checked += 1
     assert (checked, lex_errors, parse_errors) == (860, 326, 220)
     assert digest.hexdigest() == OUTCOME_DIGEST
+
+
+def _nested(depth: int, prefix: str = "") -> str:
+    """A pair id ``depth`` brackets deep, each level with its own ids and
+    the characters a pair id may hold that are no token on their own."""
+    body = "y"
+    for level in range(1, depth + 1):
+        body = f"(x{level},{body},z{level}|@)"
+    return prefix + body
+
+
+def _pair_cases():
+    """(depth, text) of pair ids in and out of context, broken and not."""
+    for depth in range(1, 9):
+        for prefix in ("", "id_"):
+            pair = _nested(depth, prefix)
+            cases = [pair, f"category C {{ objects: {pair} }}"]
+            for after in ("(", ")", "w", "|->", "(a,b)", "\f", "\v", "\ufeff", "\x00", "é"):
+                cases += [pair + after, f"category C {{ objects: a, {pair}{after} }}"]
+            # Unbalanced at the end of input, by one bracket and by all.
+            cases += [f"category C {{ objects: {pair[:-1]}", f"objects: {pair[:len(prefix) + 4]}"]
+            # Whitespace, or a character no id holds, inside at each depth.
+            for level in range(depth):
+                cut = pair.index("(x", len(prefix) + 4 * level) + 1
+                cases += [pair[:cut] + ch + pair[cut:] for ch in (" ", "\t", "\n", "\r", "\f", "é")]
+            yield from ((depth, text) for text in cases)
+
+
+def test_pair_ids_at_every_depth_match_the_oracle():
+    depths, outcomes = set(), set()
+    for depth, text in _pair_cases():
+        expected = _tokens(oracle_tokenize, _oracle_view, text, "pairs.bcat")
+        assert _tokens(dsl._tokenize, _view, text, "pairs.bcat") == expected, text
+        depths.add(depth)
+        outcomes.add(expected[5] if isinstance(expected, tuple) else "tokens")
+    assert max(depths) > dsl._PAIR_DEPTH
+    assert outcomes == {"tokens", "a token", "a pair id", "a balanced pair id", "a closing ')'"}
+
+
+def test_deep_pair_ids_in_later_windows_match_the_oracle():
+    # Ids before and after a deep pair, far enough in for the text to be
+    # cut into windows, and the pair's end read on without a rescan.
+    filler = "".join(f"  a{i}: X -> Y\n" for i in range(900))
+    deep = _nested(dsl._PAIR_DEPTH + 2, "id_")
+    for text in (
+        f"{filler}{deep} -> {deep}, b\n{filler}# {deep}\n{deep}",
+        f"{filler}{deep}{deep}(a,b) {deep}é",
+        filler + "(" * 12,
+    ):
+        expected = _tokens(oracle_tokenize, _oracle_view, text, "windows.bcat")
+        assert _tokens(dsl._tokenize, _view, text, "windows.bcat") == expected
+
+
+def test_tokenizing_is_linear_in_deep_pairs_and_comments():
+    # A rescan of the rest of the text after each deep id, or after each
+    # comment, would take tens of seconds on these.
+    deep = _nested(dsl._PAIR_DEPTH + 3)
+    ids = "category C { objects: " + ", ".join([deep] * 5000) + " }"
+    comments = "".join(f"# comment {i} with (a,b) and id_(\n" for i in range(5000)) + "category C { }"
+    for text, count in ((ids, 10005), (comments, 4)):
+        start = time.perf_counter()
+        kinds, texts, offsets = dsl._tokenize(text, "linear.bcat")
+        assert time.perf_counter() - start < 3.0
+        assert len(kinds) == len(texts) == len(offsets) == count
+
+
+SPAN_TEXTS = (
+    "",
+    "a",
+    "\n",
+    "category C {\r\n\tobjects: a,\tb\r\n}\r\n",
+    "category C {\r\tobjects: a\r}",
+    "a\n\n\tb\n  c",
+    "\t\t\n\r\n\r",
+)
+
+
+def test_counted_spans_match_the_line_start_table():
+    for text in SPAN_TEXTS:
+        for offset in range(len(text) + 1):
+            assert dsl._span("s.bcat", text, offset, 2) == oracle_span("s.bcat", text, offset, 2)
+
+
+def test_parser_spans_match_the_line_start_table_in_any_order():
+    # The parser counts lines on from the last span it made, and from the
+    # start again when asked for an earlier one.
+    for text in (*SPAN_TEXTS[1:], (fixtures_dir() / "core.bcat").read_text()):
+        parser = dsl._Parser(text, "s.bcat")
+        count = len(parser.offsets)
+        for i in [*range(count), *reversed(range(count)), *range(0, count, 7)]:
+            expected = oracle_span("s.bcat", text, parser.offsets[i], len(parser.texts[i]))
+            assert parser.span(i) == expected
