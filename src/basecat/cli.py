@@ -32,7 +32,6 @@ from .fibration import (
     check_opfibration,
     check_split,
     check_split_op,
-    find_cleavage,
     is_cartesian,
 )
 from .iso import DEFAULT_BUDGET, find_isomorphism
@@ -166,7 +165,7 @@ def cmd_check(args) -> Report:
             verdicts = [(is_cartesian(over, args.args[1]), lambda _: "")]
         elif args.kind == "split":
             verdicts = []
-            cleavage = find_cleavage(over, built.cleavage if built else None)
+            cleavage = (built and built.cleavage) or check_fibration(over)
             if cleavage:
                 verdicts.append((check_split(over, cleavage), lambda _: "cleavage"))
             if built and built.opcleavage:

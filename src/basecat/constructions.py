@@ -1,13 +1,15 @@
 """Categories built out of a functor: graphs, category actions, the strict
 Grothendieck construction and transformation groupoids.
 
-The graph, the left and right actions (abstract and concrete) and the
-right action over a self-dual base are all one construction, the category
-of elements of a fibre over each base object: the concrete versions spread
-an object over the elements of its underlying set, the abstract versions
-are the same category with one-element fibres, and the right actions are
-read over the opposite base. Composition is looked up among the element
-morphisms, so no variant carries composition code of its own.
+The graph, the left and right actions (abstract and concrete), the right
+action over a self-dual base and the transformation groupoid are all one
+construction, the category of elements of a fibre over each base object:
+the concrete versions spread an object over the elements of its
+underlying set, the abstract versions are the same category with
+one-element fibres, the right actions are read over the opposite base, and
+the transformation groupoid is the concrete left action of a group.
+Composition is looked up among the element morphisms, so no variant
+carries composition code of its own.
 
 Every constructed object or morphism is named by the canonical string of
 its pair label, e.g. ``(X,x1)`` or ``(f_op,y)``, so that claims of the
@@ -149,19 +151,21 @@ def _category_of_elements(
     element_keys: bool = True,
     cleavage: bool = False,
     opcleavage: bool = False,
+    object_id: Callable[[str, str], str] = pair_id,
 ) -> ConstructedCategory:
     """The category of elements of ``fibre`` over ``c``.
 
-    Objects are the pairs (X, x) with x in ``fibre[X]``. Each element
-    morphism (f, x, y, label, tiebreak) above a non-identity arrow f of ``c``
-    becomes the morphism (f, label): (dom f, x) -> (cod f, y), with
-    colliding ids tiebroken. Composites are looked up, never computed: the
-    composite of the element morphisms above f and g is the element
-    morphism above g∘f between the outer endpoints (an identity when g∘f
-    is one). Over ``opposite_base``, the opposite of ``c``, every morphism
-    is op-tagged and reversed, and so is composition. Keys are (f, x), or
-    (f,) without ``element_keys``; a requested (op)cleavage chooses the
-    element morphism at each codomain (domain) object.
+    Objects are the pairs (X, x) with x in ``fibre[X]``, named
+    ``object_id(X, x)``. Each element morphism (f, x, y, label, tiebreak)
+    above a non-identity arrow f of ``c`` becomes the morphism (f, label):
+    (dom f, x) -> (cod f, y), with colliding ids tiebroken. Composites are
+    looked up, never computed: the composite of the element morphisms
+    above f and g is the element morphism above g∘f between the outer
+    endpoints (an identity when g∘f is one). Over ``opposite_base``, the
+    opposite of ``c``, every morphism is op-tagged and reversed, and so is
+    composition. Keys are (f, x), or (f,) without ``element_keys``; a
+    requested (op)cleavage chooses the element morphism at each codomain
+    (domain) object.
 
     When the element morphisms come from a functor or action, above each
     composite sits exactly the composite of the element morphisms, so the
@@ -177,29 +181,30 @@ def _category_of_elements(
         ms[ident] = []
         for x in fibre[X]:
             key = (ident, x) if element_keys else (ident,)
-            obj[X, x] = b.add_object(pair_id(X, x), (X, x), X, key)
+            obj[X, x] = b.add_object(object_id(X, x), (X, x), X, key)
             ms[ident].append((x, x, identity_id(obj[X, x])))
 
     tags = [op_name(a.name) if flip else a.name for a, *_ in above]
     names = _disambiguate(
         [(pair_id(t, label), tiebreak) for t, (_, _, _, label, tiebreak) in zip(tags, above)]
     )
-    starting: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    starting: dict[str, dict[str, list[tuple[str, str]]]] = {}
     for ident, t, (a, x, y, label, _) in zip(names, tags, above):
         f, dom, cod = a.name, obj[a.dom, x], obj[a.cod, y]
         if flip:
             dom, cod = cod, dom
         b.add_arrow(ident, (t, label), dom, cod, t, key=(f, x) if element_keys else (f,))
         ms.setdefault(f, []).append((x, y, ident))
-        starting.setdefault((f, x), []).append((y, ident))
+        starting.setdefault(f, {}).setdefault(x, []).append((y, ident))
 
-    at = {(f, x, y): m for f, lst in ms.items() for x, y, m in lst}
+    at = {f: {(x, y): m for x, y, m in lst} for f, lst in ms.items()}
     for (g, f), h in c.compose.items():
         if c.is_identity(g) or c.is_identity(f):
             continue
+        from_f, at_g = starting.get(f, {}), at.get(g, {})
         for x, z, gf in ms.get(h, ()):
-            for y, first in starting.get((f, x), ()):
-                second = at.get((g, y, z))
+            for y, first in from_f.get(x, ()):
+                second = at_g.get((y, z))
                 if second is not None:
                     b.table[(first, second) if flip else (second, first)] = gf
 
@@ -593,35 +598,21 @@ def validate_group_action(
 
 
 def transformation_groupoid(act: GroupAction) -> ConstructedCategory:
-    """Objects are the set's elements; (g, x) runs from x to its image.
+    """The concrete left action of the group on its carrier, objects named
+    by the bare elements: (g, x) runs from x to its image.
 
-    Composition follows the action: (g2, image of x) after (g1, x) is
-    (g2 g1, x), so the laws are the group's, read at each element. The
-    morphism count is the group order times the set size.
+    It is a category of elements, so the laws are the group's, read at each
+    element: (g2, image of x) after (g1, x) is (g2 g1, x). Each g acts
+    bijectively, so exactly one morphism above g ends at each element and
+    one starts there: they are the lifts of the split cleavage and
+    opcleavage it carries.
     """
-    grp = act.group
-    b = _Builder(f"tg_{grp.name}", grp, "transformation-groupoid")
-    for x in act.carrier.elements:
-        b.add_object(x, (x,), act.star, (grp.identity[act.star], x))
-    name_of = {}
-    for g in grp.arrows:
-        if grp.is_identity(g.name):
-            for x in act.carrier.elements:
-                name_of[(g.name, x)] = identity_id(x)
-            continue
-        for x in act.carrier.elements:
-            ident = pair_id(g.name, x)
-            name_of[(g.name, x)] = ident
-            b.add_arrow(
-                ident, (g.name, x), x, act.phi[g.name].mapping[x], g.name, key=(g.name, x)
-            )
-    for (g2, g1), g3 in grp.compose.items():
-        if grp.is_identity(g2) or grp.is_identity(g1):
-            continue
-        for x in act.carrier.elements:
-            mid = act.phi[g1].mapping[x]
-            b.table[(name_of[(g2, mid)], name_of[(g1, x)])] = name_of[(g3, x)]
-    return b.build()
+    grp, elements = act.group, act.carrier.elements
+    moves = [(g, x, act.phi[g.name].mapping[x], x, x) for g in grp.non_identity_arrows() for x in elements]
+    return _category_of_elements(
+        f"tg_{grp.name}", "transformation-groupoid", grp, {act.star: elements}, moves,
+        cleavage=True, opcleavage=True, object_id=lambda _, x: x,
+    )
 
 
 def _build_now(construction: Callable, *args):

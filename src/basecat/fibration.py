@@ -254,12 +254,6 @@ def check_opfibration(p: FunctorOver) -> OpCleavage | MissingOpLift:
     return _lift_scan(p, True)
 
 
-def find_cleavage(p: FunctorOver, chosen: Cleavage | None = None) -> Cleavage | None:
-    """The ``chosen`` cleavage, else the first one ``check_fibration``
-    finds, else None when ``p`` is not a fibration."""
-    return chosen or check_fibration(p) or None
-
-
 def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -> bool | SplitViolation:
     """Identity and composition laws of a cleavage, on the nose, and a
     cartesian lift of every base arrow at every object above its codomain;

@@ -29,11 +29,12 @@ from basecat.core import (
     normalize,
     op_name,
     opposite,
+    pair_id,
     validate_category,
     validate_functor,
     validate_witness,
 )
-from basecat.constructions import ConstructedCategory
+from basecat.constructions import ConstructedCategory, GroupAction, _Builder
 from basecat.corpus import build_corpus, fixtures_dir, group_category
 from basecat.dsl import decl_of_category, elaborate, format_declaration, parse
 from basecat.errors import (
@@ -780,6 +781,43 @@ def built_form(value) -> tuple:
     lifts = [None if c is None else [*c.lift.items()] for c in (value.cleavage, value.opcleavage)]
     labels = [[*m.items()] for m in (value.object_labels, value.arrow_labels, value.arrow_keys)]
     return (built_form(value.cat), built_form(value.projection), value.provenance, labels, lifts)
+
+
+# ``constructions.transformation_groupoid`` as it was before it was built
+# as a category of elements: its own builder, objects labelled ``(x,)``,
+# no cleavages.
+
+
+def oracle_transformation_groupoid(act: GroupAction) -> ConstructedCategory:
+    """Objects are the set's elements; (g, x) runs from x to its image.
+
+    Composition follows the action: (g2, image of x) after (g1, x) is
+    (g2 g1, x), so the laws are the group's, read at each element. The
+    morphism count is the group order times the set size.
+    """
+    grp = act.group
+    b = _Builder(f"tg_{grp.name}", grp, "transformation-groupoid")
+    for x in act.carrier.elements:
+        b.add_object(x, (x,), act.star, (grp.identity[act.star], x))
+    name_of = {}
+    for g in grp.arrows:
+        if grp.is_identity(g.name):
+            for x in act.carrier.elements:
+                name_of[(g.name, x)] = identity_id(x)
+            continue
+        for x in act.carrier.elements:
+            ident = pair_id(g.name, x)
+            name_of[(g.name, x)] = ident
+            b.add_arrow(
+                ident, (g.name, x), x, act.phi[g.name].mapping[x], g.name, key=(g.name, x)
+            )
+    for (g2, g1), g3 in grp.compose.items():
+        if grp.is_identity(g2) or grp.is_identity(g1):
+            continue
+        for x in act.carrier.elements:
+            mid = act.phi[g1].mapping[x]
+            b.table[(name_of[(g2, mid)], name_of[(g1, x)])] = name_of[(g3, x)]
+    return b.build()
 
 
 # ``basecat.fibration.recover_indexed`` as it was before the objects,

@@ -366,6 +366,20 @@ class TestCheck:
         )
         assert code == 0
 
+    def test_split_of_trans_groupoid_checks_both_cleavages(self, capsys):
+        # The transformation groupoid carries its cleavage and opcleavage.
+        assert run(
+            capsys, "--format", "machine", "check", "split", CORE, "trans-groupoid(z2swap)"
+        ) == (0, "check:split:trans-groupoid(z2swap)\tpass\tcleavage; opcleavage\n")
+
+    def test_split_of_a_non_fibration_has_no_cleavage(self, capsys):
+        # No cleavage is built and none is found, so there is nothing to check.
+        path = str(fixtures_dir() / "negative_missing_lift.bcat")
+        assert run(capsys, "--format", "machine", "check", "split", path, "partialTotal") == (
+            1,
+            "check:split:partialTotal\tfail\tno cleavage available\n",
+        )
+
     def test_opfibration_of_trans_groupoid(self, capsys):
         code, _ = run(
             capsys, "check", "opfibration", CORE, "trans-groupoid(z2swap)"

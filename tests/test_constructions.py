@@ -12,9 +12,12 @@ from basecat import errors
 from basecat.corpus import build_corpus, group_category
 from basecat.dot import export_dot
 from basecat.dsl import decl_of_category, format_declaration
-from basecat.core import invert
+from basecat.core import identity_id, invert
 from basecat.report import FAIL, PASS, SKIP
 from basecat.sets import FinFn, FinSetObj
+
+from conftest import built_form, oracle_transformation_groupoid
+from test_assembly import regular_action
 
 
 @pytest.fixture
@@ -387,6 +390,33 @@ class TestTransformationGroupoid:
                 act.carrier.elements
             )
 
+    def test_matches_its_own_builder_but_for_labels_and_lifts(self, one, z2):
+        # As a category of elements the groupoid keeps the ids, orders,
+        # projection and keys of the builder it replaced; its provenance
+        # labels gain the group's object, and it carries the cleavages
+        # that the lift scans find.
+        acts = [act for seed in range(10) for act in build_corpus(seed=seed).actions]
+        acts += [regular_action(n) for n in (8, 12, 16)]
+        acts.append(bc.validate_group_action(one, FinSetObj("three", ("p", "q", "r")), {}))
+        bits = FinSetObj("bits", ("0", "1"))
+        acts.append(bc.validate_group_action(z2, bits, {"s": FinFn(bits, bits, {"0": "0", "1": "1"})}))
+        for act in acts:
+            built, old = bc.transformation_groupoid(act), oracle_transformation_groupoid(act)
+            cat, proj, provenance, (objects, arrows, keys), _ = built_form(built)
+            *same, (old_objects, old_arrows, old_keys), old_lifts = built_form(old)
+            assert [cat, proj, provenance] == same and keys == old_keys
+            assert objects == [(x, (act.star, *label)) for x, label in old_objects]
+            identities, id_star = set(built.cat.identity.values()), identity_id(act.star)
+            assert arrows == [
+                (m, (id_star, *label) if m in identities else label) for m, label in old_arrows
+            ]
+            assert old_lifts == [None, None]
+            p = built.over()
+            assert dict(built.cleavage.lift) == dict(bc.check_fibration(p).lift)
+            assert dict(built.opcleavage.lift) == dict(bc.check_opfibration(p).lift)
+            assert bc.check_split(p, built.cleavage) is True
+            assert bc.check_split_op(p, built.opcleavage) is True
+
 
 class TestProp4:
     def test_z2_swap(self, swap_action):
@@ -531,5 +561,5 @@ def test_constructions_are_pinned_byte_for_byte():
     assert tiebroken > 0 and selfdual_concrete > 0
     assert (builds, digest.hexdigest()) == (
         2013,
-        "96d14b70948ef4e0586bf1abbaaaacb80ebba213a00a31d929098c237d1fc78d",
+        "630afdb0afdd4bb81f21a305a727468c4969276373e1962488a17259f83a65cc",
     )

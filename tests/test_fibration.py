@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import basecat as bc
-from basecat import errors, fibration
+from basecat import errors, fibration, suites
 from basecat.corpus import _thin_from_relation, build_corpus, constant_family, group_category
 from basecat.fibration import (
     Cleavage,
@@ -17,6 +17,7 @@ from basecat.fibration import (
     SplitViolation,
     _cartesian_scan,
 )
+from basecat.report import PASS
 
 from conftest import (
     all_functors,
@@ -564,3 +565,27 @@ def test_discrete_fibrations_are_decided_without_a_cartesian_scan(monkeypatch, c
         assert all(p.cartesian().values())
     with pytest.raises(AssertionError, match="cartesian scan"):
         bc.check_fibration(twin_lift)
+
+
+def test_every_construction_the_lemmas_read_carries_a_split_cleavage(monkeypatch):
+    # The factorization lemma reads the construction's own cleavage, so
+    # every construction handed to the lemmas must carry one, and each
+    # factorization claim is decided, never skipped.
+    handed = []
+    lemmas = suites._lemmas
+
+    def recorded(built, p):
+        handed.append((built, p))
+        return lemmas(built, p)
+
+    monkeypatch.setattr(suites, "_lemmas", recorded)
+    for seed in range(10):
+        handed.clear()
+        report = suites.run_suite("appendixC", build_corpus(seed=seed))
+        for built, p in handed:
+            assert built.cleavage and bc.check_split(p, built.cleavage) is True, built.cat.name
+        factorizations = [c for c in report.claims if c.claim_id.endswith(":factorization")]
+        assert len(factorizations) == len(handed) > 0
+        assert all(c.status == PASS for c in factorizations), seed
+        kinds = {built.provenance for built, _ in handed}
+        assert kinds == {"graph", "grothendieck", "transformation-groupoid"}, seed
