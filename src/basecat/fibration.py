@@ -7,11 +7,12 @@ pair. Both are finite scans here, except in one case decided by counting:
 when exactly one arrow lies above each base arrow u at each object y above
 its codomain, P is a discrete fibration and every arrow is cartesian. For f
 over u and g over u∘w at y, the one h over w at dom f gives f∘h over u∘w
-at y, so f∘h = g and h is unique. When a base factorization u∘w = P(g)
-holds for several w, each w is checked independently. Each dual check
-(opcartesian, opfibration, split opcleavage) is the forward one read in
-the opposite direction: one function per notion takes an ``op`` flag,
-fixed once per call.
+at y, so f∘h = g and h is unique. ``_lift_index`` makes that count, once
+per projection and direction, and every (op)cartesian verdict is read
+through one memo, ``_verdict``. When a base factorization u∘w = P(g) holds
+for several w, each w is checked independently. Each dual check
+(opcartesian, opfibration, split opcleavage) is the forward one read in the
+opposite direction: one function per notion takes an ``op`` flag.
 
 "Vertical" means the projection sends the morphism to an identity, so
 fibres are computable sub-presentations.
@@ -20,6 +21,7 @@ fibres are computable sub-presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -32,10 +34,11 @@ from .family import IndexedFamily, validate_family
 class FunctorOver:
     """A functor regarded as a projection from a total to a base category.
 
-    Besides ``proj`` it holds the two categories and one memo of verdicts
-    per direction, cartesian then opcartesian, each filled in by the scans
-    that decide them. The scans read the projection's maps and the two
-    composition tables through their read-only views.
+    Besides ``proj`` it holds the two categories, the total objects above
+    each base object, and per direction (cartesian, then opcartesian) one
+    lift index and one memo of verdicts, each built when first read. The
+    scans read the projection's maps and the two composition tables
+    through their read-only views.
     """
 
     proj: FinFunctor
@@ -44,6 +47,7 @@ class FunctorOver:
         object.__setattr__(self, "total", self.proj.source)
         object.__setattr__(self, "base", self.proj.target)
         object.__setattr__(self, "_verdicts", ({}, {}))
+        object.__setattr__(self, "_lifts", {})
 
     def over(self, morphism: str) -> str:
         return self.proj.mor(morphism)
@@ -54,18 +58,21 @@ class FunctorOver:
     def is_vertical(self, morphism: str) -> bool:
         return self.base.is_identity(self.over(morphism))
 
+    @cached_property
+    def _above(self) -> dict[str, list[str]]:
+        above: dict[str, list[str]] = {i: [] for i in self.base.objects}
+        for y in self.total.objects:
+            above[self.proj.obj_map[y]].append(y)
+        return above
+
     def cartesian(self) -> Mapping[str, bool]:
-        """Whether each total morphism is cartesian, decided once for all
-        the checks that ask, as a read-only view of the memo. When exactly
-        one arrow lies above each base arrow at each object above its
-        codomain, every arrow is cartesian and nothing is scanned;
-        otherwise each missing verdict is."""
-        memo, arrows = self._verdicts[False], self.total.arrows
-        if len(memo) < len(arrows):
-            every = _unique_lifts(self, False) is not None
-            for a in arrows:
-                if a.name not in memo:
-                    memo[a.name] = every or bool(_cartesian_scan(self, a.name, False))
+        """Whether each total morphism is cartesian, as a read-only view of
+        the memo every check shares: each missing verdict is read through
+        ``_verdict``, so nothing is scanned for a discrete fibration."""
+        memo = self._verdicts[False]
+        if len(memo) < len(self.total.arrows):
+            for a in self.total.arrows:
+                _verdict(self, a.name, False)
         return MappingProxyType(memo)
 
 
@@ -183,33 +190,29 @@ def is_opcartesian(p: FunctorOver, f: str) -> bool | CounterexampleOpCartesian:
     return _cartesian_scan(p, f, True)
 
 
+def _lift_index(p: FunctorOver, op: bool) -> tuple[dict[tuple[str, str], list[str]], bool]:
+    """The arrows above each base arrow u ending at each object y above
+    cod u (starting at each y above dom u when ``op``), in presentation
+    order and keyed (u, y) by y, then u, in presentation order; and whether
+    P is a discrete (op)fibration: each arrow lies at one pair, so as many
+    pairs as arrows, none of them empty, means one arrow at each."""
+    if op not in p._lifts:
+        total, over, obj_over = p.total, p.proj.mor_map, p.proj.obj_map
+        near = p.base.arrows_from if op else p.base.arrows_into
+        index = {(u.name, y): [] for y in total.objects for u in near(obj_over[y])}
+        for a in total.arrows:
+            index[(over[a.name], a.dom if op else a.cod)].append(a.name)
+        p._lifts[op] = index, len(index) == len(total.arrows) and all(index.values())
+    return p._lifts[op]
+
+
 def _verdict(p: FunctorOver, f: str, op: bool) -> bool:
-    """Whether ``f`` is (op)cartesian, scanned once per projection."""
+    """Whether ``f`` is (op)cartesian, decided once per projection: every
+    arrow of a discrete (op)fibration is, and any other arrow is scanned."""
     memo = p._verdicts[op]
     if f not in memo:
-        memo[f] = bool(_cartesian_scan(p, f, op))
+        memo[f] = _lift_index(p, op)[1] or bool(_cartesian_scan(p, f, op))
     return memo[f]
-
-
-def _unique_lifts(p: FunctorOver, op: bool) -> dict[tuple[str, str], str] | None:
-    """The one arrow above each base arrow u ending at each object y above
-    cod u (starting at each y above dom u when ``op``), keyed (u, y) in
-    the lift scan's order; None when some pair has two arrows or none.
-
-    Each arrow has one key and lies at a pair, so no repeated key and as
-    many arrows as pairs means every pair is lifted exactly once."""
-    total, over = p.total, p.proj.mor_map
-    found: dict[tuple[str, str], str] = {}
-    for a in total.arrows:
-        key = (over[a.name], a.dom if op else a.cod)
-        if key in found:
-            return None
-        found[key] = a.name
-    near, obj_over = p.base.arrows_from if op else p.base.arrows_into, p.proj.obj_map
-    pairs = [(u.name, y) for y in total.objects for u in near(obj_over[y])]
-    if len(pairs) != len(found):
-        return None
-    return {pair: found[pair] for pair in pairs}
 
 
 def _lift_scan(p: FunctorOver, op: bool) -> Cleavage | OpCleavage | _Unlifted:
@@ -217,28 +220,20 @@ def _lift_scan(p: FunctorOver, op: bool) -> Cleavage | OpCleavage | _Unlifted:
     codomain, or an opcartesian one at every object above its domain when
     ``op``; the first lift in presentation order wins.
 
-    When each pair has exactly one arrow above it, that arrow is the only
-    candidate and it is (op)cartesian, so the count is the cleavage.
-    Otherwise the candidates are scanned in order, and the scan names the
-    first pair without a lift."""
-    unique = _unique_lifts(p, op)
-    if unique is not None:
-        return (OpCleavage if op else Cleavage)(unique)
-    total, over = p.total, p.proj.mor_map
-    ends = [(u.name, u.dom if op else u.cod) for u in p.base.arrows]
-    near = total.arrows_from if op else total.arrows_into
+    When ``_lift_index`` finds one arrow at each pair, those arrows are the
+    cleavage. Otherwise each pair's arrows are tried in order through
+    ``_verdict``, and the scan names the first pair without a lift."""
+    index, discrete = _lift_index(p, op)
+    if discrete:
+        return (OpCleavage if op else Cleavage)({pair: arrows[0] for pair, arrows in index.items()})
     lifts: dict[tuple[str, str], str] = {}
-    for y in total.objects:
-        over_y, candidates = p.obj_over(y), near(y)
-        for u, end in ends:
-            if end != over_y:
-                continue
-            for cand in candidates:
-                if over[cand.name] == u and _verdict(p, cand.name, op):
-                    lifts[(u, y)] = cand.name
-                    break
-            else:
-                return (MissingOpLift if op else MissingLift)(u, y)
+    for pair, arrows in index.items():
+        for f in arrows:
+            if _verdict(p, f, op):
+                lifts[pair] = f
+                break
+        else:
+            return (MissingOpLift if op else MissingLift)(*pair)
     return (OpCleavage if op else Cleavage)(lifts)
 
 
@@ -258,13 +253,15 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
     """Identity and composition laws of a cleavage, on the nose, and a
     cartesian lift of every base arrow at every object above its codomain;
     of an opcleavage when ``op``, where each pair is lifted from the domain
-    and every lift is opcartesian."""
-    total, base = p.total, p.base
+    and every lift is opcartesian. Each composite law is checked at the
+    objects above the base object its lifts are chosen at, and each verdict
+    is read through ``_verdict``."""
+    total, base, above = p.total, p.base, p._above
     lift, table, obj_over = lift.copy(), total.compose, p.proj.obj_map
+    # each arrow's end away from the object a lift of it is chosen at
+    other_end = {a.name: a.cod if op else a.dom for a in total.arrows}
     kind = "op-lift" if op else "lift"
-    above: dict[str, list[str]] = {}  # total objects by the base object under them
     for y in total.objects:
-        above.setdefault(obj_over[y], []).append(y)
         key = (base.identity[obj_over[y]], y)
         if key not in lift:
             return SplitViolation(f"no {kind} of the identity at {y!r}")
@@ -273,22 +270,21 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
     for (g, f), gf in base.compose.items():
         if base.is_identity(g) or base.is_identity(f):
             continue
-        # lift ``first`` at z, then ``second`` at the far end of that lift
+        # lift ``first`` at z, then ``second`` at the far end of that lift;
+        # a lift that names no arrow of the total is no lift
         first, second, end = (f, g, base.dom(f)) if op else (g, f, base.cod(g))
-        for z in total.objects:
-            if obj_over[z] != end:
-                continue
+        for z in above[end]:
             near = lift.get((first, z))
-            if near is None:
+            if near not in other_end:
                 return SplitViolation(f"no {kind} of {first!r} at {z!r}")
-            mid = total.cod(near) if op else total.dom(near)
+            mid = other_end[near]
             far = lift.get((second, mid))
-            if far is None:
+            if far not in other_end:
                 return SplitViolation(f"no {kind} of {second!r} at {mid!r}")
             direct = lift.get((gf, z))
             if direct is None:
                 return SplitViolation(f"no {kind} of {gf!r} at {z!r}")
-            if table[(far, near) if op else (near, far)] != direct:
+            if table.get((far, near) if op else (near, far)) != direct:
                 return SplitViolation(
                     f"{kind}s of ({g!r}, {f!r}) at {z!r} do not compose to the {kind} of {gf!r}"
                 )
@@ -298,20 +294,21 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
     over, end = p.proj.mor_map, total.dom if op else total.cod
     chosen = []
     for u in base.arrows:
-        for y in above.get(u.dom if op else u.cod, ()):
+        for y in above[u.dom if op else u.cod]:
             f = lift.get((u.name, y))
             if over.get(f) != u.name or end(f) != y:
                 return SplitViolation(f"no {kind} of {u.name!r} at {y!r}")
             chosen.append((u.name, y, f))
-    # Then every lift is (op)cartesian. The chosen lifts are distinct
-    # arrows, one at each pair, so when they are all the arrows each pair
-    # has exactly one arrow above it, and it is (op)cartesian. Otherwise
-    # each verdict is read, from an earlier scan or a scan now.
-    if len(chosen) < len(total.arrows):
-        notion = "opcartesian" if op else "cartesian"
-        for u, y, f in chosen:
-            if not _verdict(p, f, op):
-                return SplitViolation(f"{kind} {f!r} of {u!r} at {y!r} is not {notion}")
+    # Then every lift is (op)cartesian,
+    notion = "opcartesian" if op else "cartesian"
+    for u, y, f in chosen:
+        if not _verdict(p, f, op):
+            return SplitViolation(f"{kind} {f!r} of {u!r} at {y!r} is not {notion}")
+    # and no lift is chosen at anything but such a pair.
+    index, side = _lift_index(p, op)[0], "domain" if op else "codomain"
+    for key in lift:
+        if key not in index:
+            return SplitViolation(f"{kind} at {key!r}, not a (base arrow, object above its {side}) pair")
     return True
 
 
@@ -413,12 +410,10 @@ def recover_indexed(
             return arrow_labels[m][-1]
         return m
 
-    # Grouped once, each group in presentation (table) order: the objects
-    # above each base object, the vertical arrows above its identity, and
-    # the composites of two such arrows.
-    objs: dict[str, list[str]] = {i: [] for i in base.objects}
-    for y in total.objects:
-        objs[p.obj_over(y)].append(y)
+    # Grouped once, each group in presentation (table) order: the vertical
+    # arrows above each base identity, and the composites of two such
+    # arrows; the objects above each base object are the projection's.
+    objs = p._above
     verticals: dict[str, list[Arrow]] = {i: [] for i in base.objects}
     fibre_of: dict[str, str] = {}  # vertical arrow -> base object under it
     for a in total.arrows:

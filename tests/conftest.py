@@ -61,6 +61,7 @@ from basecat.fibration import (
     MissingLift,
     MissingOpLift,
     OpCleavage,
+    SplitViolation,
     _vertical_factors,
     check_split,
 )
@@ -694,6 +695,61 @@ def oracle_lift_scan(p: FunctorOver, op: bool):
             else:
                 return (MissingOpLift if op else MissingLift)(u, y)
     return (OpCleavage if op else Cleavage)(lifts)
+
+
+# The split check of ``basecat.fibration`` as it was before the objects
+# were grouped once per projection and every verdict was read through one
+# memo: each base composite walks every total object, and the lifts are
+# taken as (op)cartesian without a scan when they are all the arrows.
+
+
+def oracle_split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool):
+    total, base = p.total, p.base
+    lift, table, obj_over = dict(lift), total.compose, p.proj.obj_map
+    kind = "op-lift" if op else "lift"
+    above: dict[str, list[str]] = {}
+    for y in total.objects:
+        above.setdefault(obj_over[y], []).append(y)
+        key = (base.identity[obj_over[y]], y)
+        if key not in lift:
+            return SplitViolation(f"no {kind} of the identity at {y!r}")
+        if lift[key] != total.identity[y]:
+            return SplitViolation(f"{kind} of the identity at {y!r} is {lift[key]!r}")
+    for (g, f), gf in base.compose.items():
+        if base.is_identity(g) or base.is_identity(f):
+            continue
+        first, second, end = (f, g, base.dom(f)) if op else (g, f, base.cod(g))
+        for z in total.objects:
+            if obj_over[z] != end:
+                continue
+            near = lift.get((first, z))
+            if near is None:
+                return SplitViolation(f"no {kind} of {first!r} at {z!r}")
+            mid = total.cod(near) if op else total.dom(near)
+            far = lift.get((second, mid))
+            if far is None:
+                return SplitViolation(f"no {kind} of {second!r} at {mid!r}")
+            direct = lift.get((gf, z))
+            if direct is None:
+                return SplitViolation(f"no {kind} of {gf!r} at {z!r}")
+            if table[(far, near) if op else (near, far)] != direct:
+                return SplitViolation(
+                    f"{kind}s of ({g!r}, {f!r}) at {z!r} do not compose to the {kind} of {gf!r}"
+                )
+    over, end = p.proj.mor_map, total.dom if op else total.cod
+    chosen = []
+    for u in base.arrows:
+        for y in above.get(u.dom if op else u.cod, ()):
+            f = lift.get((u.name, y))
+            if over.get(f) != u.name or end(f) != y:
+                return SplitViolation(f"no {kind} of {u.name!r} at {y!r}")
+            chosen.append((u.name, y, f))
+    if len(chosen) < len(total.arrows):
+        notion = "opcartesian" if op else "cartesian"
+        for u, y, f in chosen:
+            if oracle_cartesian_scan(p, f, op) is not True:
+                return SplitViolation(f"{kind} {f!r} of {u!r} at {y!r} is not {notion}")
+    return True
 
 
 # The lemma check of ``basecat.fibration`` as it was before each base

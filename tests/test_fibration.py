@@ -25,6 +25,7 @@ from conftest import (
     oracle_cartesian_scan,
     oracle_lift_scan,
     oracle_recover_indexed,
+    oracle_split_scan,
 )
 
 
@@ -194,6 +195,52 @@ class TestCheckSplit:
         assert bc.check_split_op(over, found_op) is True
         edited = {**found_op.lift, ("f", "X1"): "f0"}
         assert bc.check_split_op(over, OpCleavage(edited)) == SplitViolation("no op-lift of 'f' at 'X1'")
+
+    def test_a_lift_at_no_pair_is_rejected(self, graph_two):
+        # Two's only arrow f ends at Y, so a lift of f at (X,X) answers no
+        # pair, and nor does a lift of an arrow Two does not have. The
+        # first such key, in the cleavage's own order, is named.
+        over = graph_two.over()
+        cases = [
+            (bc.check_split, Cleavage, graph_two.cleavage, "(X,X)", "lift", "codomain"),
+            (bc.check_split_op, OpCleavage, graph_two.opcleavage, "(Y,Y)", "op-lift", "domain"),
+        ]
+        for check, kind, own, obj, name, side in cases:
+            bad = [("nonsense", "(X,X)"), ("f", obj)]
+            for first, second in (bad, bad[::-1]):
+                edited = kind({**own.lift, first: "(f,f)", second: "(f,f)"})
+                detail = f"{name} at {first!r}, not a (base arrow, object above its {side}) pair"
+                assert check(over, edited) == SplitViolation(detail)
+        edited = Cleavage({**graph_two.cleavage.lift, ("f", "(X,X)"): "(f,f)"})
+        with pytest.raises(errors.NotSplit, match="not a \\(base arrow"):
+            bc.recover_indexed(over, edited)
+
+    def test_a_lift_the_laws_cannot_read_is_a_violation(self):
+        # Over A -> B -> C with g.f = h: a lift that names no arrow of the
+        # total, read as the first or the second lift of the composite law,
+        # is no lift; a lift of f that ends at (C,C), not (B,B), does not
+        # compose with the lift of g.
+        abc = bc.validate_category(
+            "ABC", ["A", "B", "C"], [("f", "A", "B"), ("g", "B", "C"), ("h", "A", "C")],
+            {("g", "f"): "h"},
+        )
+        built = bc.graph_category(bc.identity_functor(abc))
+        over, lift, oplift = built.over(), dict(built.cleavage.lift), dict(built.opcleavage.lift)
+        cases = [
+            (bc.check_split, Cleavage, lift, ("g", "(C,C)"), "bogus", "no lift of 'g' at '(C,C)'"),
+            (bc.check_split, Cleavage, lift, ("f", "(B,B)"), "bogus", "no lift of 'f' at '(B,B)'"),
+            (
+                bc.check_split, Cleavage, lift, ("f", "(B,B)"), "(g,g)",
+                "lifts of ('g', 'f') at '(C,C)' do not compose to the lift of 'h'",
+            ),
+            (bc.check_split_op, OpCleavage, oplift, ("f", "(A,A)"), "bogus", "no op-lift of 'f' at '(A,A)'"),
+            (bc.check_split_op, OpCleavage, oplift, ("g", "(B,B)"), "bogus", "no op-lift of 'g' at '(B,B)'"),
+        ]
+        for check, kind, own, key, value, detail in cases:
+            assert check(over, kind(own)) is True
+            assert check(over, kind({**own, key: value})) == SplitViolation(detail)
+        with pytest.raises(errors.NotSplit, match="no lift of 'g'"):
+            bc.recover_indexed(over, Cleavage({**lift, ("g", "(C,C)"): "bogus"}))
 
     def test_a_split_cleavage_must_choose_cartesian_lifts(self, twin_lift):
         # ETwin lifts every pair and keeps the laws, but its lift f1 of f
@@ -487,7 +534,7 @@ def _lift_scans_match_the_oracle(p: bc.FunctorOver) -> set[bool]:
     direction."""
     decided = set()
     for op, check in ((False, bc.check_fibration), (True, bc.check_opfibration)):
-        decided.add(fibration._unique_lifts(p, op) is not None)
+        decided.add(fibration._lift_index(p, op)[1])
         got, expected = check(p), oracle_lift_scan(p, op)
         assert type(got) is type(expected)
         if expected:
@@ -521,8 +568,60 @@ def test_lift_scans_match_the_oracle_on_groupoids_and_a_twin_lift(twin_lift):
     for n in (8, 12):
         assert _lift_scans_match_the_oracle(_rotation_groupoid(n).over()) == {True}
     # Two arrows above f end at Y0, so the forward count falls back to the scan.
-    assert fibration._unique_lifts(twin_lift, False) is None
+    assert not fibration._lift_index(twin_lift, False)[1]
     _lift_scans_match_the_oracle(twin_lift)
+
+
+def _split_edits(p: bc.FunctorOver, lift: dict, op: bool):
+    """(name, lifts): ``lift`` itself, then with its last non-identity lift
+    dropped, with the first one that can be redirected to another arrow
+    above the same base arrow redirected, and with the lift of the first
+    base composite at the last object above its end replaced by the lift
+    of one of its factors there, which breaks the composite law."""
+    total, base, over = p.total, p.base, p.proj.mor_map
+    yield "own", lift
+    keys = [key for key in lift if not base.is_identity(key[0])]
+    if keys:
+        yield "dropped", {k: v for k, v in lift.items() if k != keys[-1]}
+    for key in keys:
+        others = [a.name for a in total.arrows if over[a.name] == key[0] and a.name != lift[key]]
+        if others:
+            yield "redirected", {**lift, key: others[0]}
+            break
+    for (g, f), gf in base.compose.items():
+        if base.is_identity(g) or base.is_identity(f):
+            continue
+        first, end = (f, base.dom(f)) if op else (g, base.cod(g))
+        z = next((y for y in reversed(total.objects) if p.obj_over(y) == end), None)
+        if z is not None and lift[(gf, z)] != lift[(first, z)]:
+            yield "composite", {**lift, (gf, z): lift[(first, z)]}
+            break
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_split_scans_match_the_oracle_on_corpus_projections(seed):
+    # Each construction's own cleavage and opcleavage, and edited copies of
+    # them, checked by both scans: the same verdict and the same message.
+    # Where the oracle looks up the composite of two lifts that do not
+    # compose, it raises; the scan reports that the lifts do not compose.
+    outcomes = set()
+    for built in _corpus_projections(seed):
+        p = built.over()
+        for op, own in ((False, built.cleavage), (True, built.opcleavage)):
+            if own is None:
+                continue
+            kind, check = (OpCleavage, bc.check_split_op) if op else (Cleavage, bc.check_split)
+            for name, lift in _split_edits(p, dict(own.lift), op):
+                got = check(p, kind(lift))
+                try:
+                    expected = oracle_split_scan(p, lift, op)
+                except KeyError:
+                    assert isinstance(got, SplitViolation) and "do not compose" in got.detail, got
+                    outcomes.add((name, "raised"))
+                    continue
+                assert type(got) is type(expected) and got == expected, (built.cat.name, name, got, expected)
+                outcomes.add((name, got is True))
+    assert {("own", True), ("dropped", False), ("redirected", False), ("composite", False)} <= outcomes
 
 
 @pytest.mark.parametrize("seed", range(10))

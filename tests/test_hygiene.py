@@ -116,6 +116,41 @@ def test_an_unreferenced_private_helper_is_found():
     assert _unreferenced_private(trees) == {"a._recursive"}
 
 
+def _callers(tree: ast.Module, name: str) -> set[str]:
+    """The innermost function around each reference to ``name``, read as a
+    name or an attribute; ``<module>`` outside every function."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if getattr(child, "id", None) == name or getattr(child, "attr", None) == name:
+                found.add(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef) else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_cartesian_verdict_goes_through_the_memo():
+    # Inside ``fibration``, only the memo and the two public scans run the
+    # cartesian scan, so discrete (op)fibrations are decided in one place.
+    path = Path(basecat.__file__).parent / "fibration.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert _callers(tree, "_cartesian_scan") <= {"_verdict", "is_cartesian", "is_opcartesian"}
+
+
+def test_a_cartesian_scan_outside_the_memo_is_found():
+    tree = ast.parse(
+        "def _verdict(p, f, op): return _cartesian_scan(p, f, op)\n"
+        "class FunctorOver:\n"
+        "    def cartesian(self): return {a: _cartesian_scan(self, a, False) for a in ()}\n"
+        "def _lift_scan(p, op):\n"
+        "    scan = fibration._cartesian_scan\n"
+        "default = _cartesian_scan\n"
+    )
+    assert _callers(tree, "_cartesian_scan") == {"_verdict", "cartesian", "_lift_scan", "<module>"}
+
+
 def _descriptor_classes(tree: ast.Module) -> set[str]:
     """Each class that defines ``__get__``, which makes it a descriptor."""
     return {

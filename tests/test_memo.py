@@ -144,7 +144,11 @@ def test_no_value_keeps_a_copy_of_a_mapping_it_holds():
     values = dict(VALUES)
     graph_over, fun_over = values["graph_category"].over(), bc.FunctorOver(values["validate_functor"])
     for p in (graph_over, fun_over):
-        p.cartesian()  # fills the one cache a projection keeps
+        # fills every cache a projection keeps: its verdicts and lift
+        # indexes in both directions, and its objects by base object
+        p.cartesian()
+        bc.check_opfibration(p)
+        assert bc.check_split(p, bc.check_fibration(p)) is True
     checked = [
         (label, v)
         for label, value in [*VALUES, ("graph over", graph_over), ("functor over", fun_over)]
