@@ -2,10 +2,16 @@
 
 A category is presented fully explicitly: every object, every morphism and
 the complete composition table. Outside input (the text front end, random
-generation, caller-supplied witnesses) is validated at run time: the
-composable pairs are scanned, and associativity is proved on a set of
-generators, with an ordered scan of all triples run only to name the
-first violation (``validate_category``). So a `FinCat` value is a
+generation, caller-supplied witnesses) is validated at run time by
+``validate_category``, which decides each law by reading only what can
+fail: one pass over the table checks each entry's ids and ends, a count
+decides that every composable pair has an entry, and associativity is
+proved on a set of generators (Light's test). The ordered scans of the
+composable pairs and of all triples run only to name the first failure. Every category keeps its generators (``FinCat._generating``,
+stored by the validator, built on first use for any other category), and
+the laws of ``family`` and ``fibration`` are decided on them too: a law of
+composition that holds when the outer factor is a generator holds for
+every pair. So a `FinCat` value is a
 proof-carrying presentation that nothing downstream re-checks, and that
 nothing can change: its mappings are read-only views, and its composition
 is held once, in ``compose``. A presentation derived from validated
@@ -31,6 +37,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -171,6 +178,15 @@ class FinCat(ReadOnly):
     def _identity_names(self) -> frozenset[str]:
         return frozenset(self.identity.values())
 
+    @cached_property
+    def _generating(self) -> frozenset[str]:
+        """Names of non-identity arrows that generate every arrow under
+        composition (``_generators``): a law of composition that holds
+        when the outer (or the inner) factor is one of them holds for
+        every pair."""
+        rows = _rows(self.arrows, self.compose)
+        return frozenset(a.name for a in _generators(self.arrows, self._identity_names, rows))
+
     def arrow(self, name: str) -> Arrow:
         try:
             return self._by_name[name]
@@ -305,6 +321,10 @@ def validate_category(
     Synthesised identities are placed before the declared morphisms, in
     object order, so that canonical searches meet identities first.
 
+    The table is checked in one pass, and a count decides that every
+    composable pair has an entry (``_checked_table``); the composable
+    pairs are scanned only to name a missing one.
+
     Associativity is proved on generators (Light's test, as in Clifford
     and Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2,
     adapted to partial composition). Let T be the set of arrows a with
@@ -342,37 +362,12 @@ def validate_category(
         if ia.dom != o or ia.cod != o:
             raise UnitLawViolation(ident)
 
-    table: dict[tuple[str, str], str] = {}
-    for (g, f), h in (compose or {}).items():
-        for m in (g, f, h):
-            if m not in by_name:
-                raise UnknownMorphism(m)
-        if by_name[f].cod != by_name[g].dom:
-            raise DomCodMismatch(g, f, "pair is not composable")
-        table[(g, f)] = h
-
-    # Unit-law-forced rows may be omitted from the input table.
-    _fill_unit_rows(table, all_arrows, identity)
-
-    # Composable pairs are walked through per-object lists and per-arrow
-    # rows, in presentation order, so the first violation found is the one
-    # a scan over all pairs would find.
     into: dict[str, list[str]] = {o: [] for o in objects}
     outof: dict[str, list[str]] = {o: [] for o in objects}
     for a in all_arrows:
         into[a.cod].append(a.name)
         outof[a.dom].append(a.name)
-    rows = _rows(all_arrows, table)
-
-    for g in all_arrows:
-        row = rows[g.name]
-        for f in into[g.dom]:
-            if f not in row:
-                raise MissingComposite(g.name, f)
-
-    for (g, f), h in table.items():
-        if by_name[h].dom != by_name[f].dom or by_name[h].cod != by_name[g].cod:
-            raise DomCodMismatch(g, f, f"composite {h!r} has the wrong dom/cod")
+    table, rows = _checked_table(compose, by_name, all_arrows, identity, into, outof)
 
     for a in all_arrows:
         if table[(identity[a.cod], a.name)] != a.name:
@@ -381,6 +376,7 @@ def validate_category(
             raise UnitLawViolation(a.name)
 
     # With identities only, the unit laws already give associativity.
+    generators: list[Arrow] = []
     if len(all_arrows) > len(objects):
         generators = _generators(all_arrows, {identity[o] for o in objects}, rows)
         if not _associative_at(generators, rows, outof):
@@ -395,9 +391,55 @@ def validate_category(
     if len(identity) > len(objects):
         raise UnknownObject(next(o for o in identity if o not in seen_obj))
     cat = FinCat(name, objects, all_arrows, identity, table)
-    # The index ``_by_name`` would build, in the same order.
+    # The indexes ``_by_name`` and ``_generating`` would build.
     vars(cat)["_by_name"] = by_name
+    vars(cat)["_generating"] = frozenset(a.name for a in generators)
     return cat
+
+
+def _checked_table(
+    compose: Mapping | None, by_name: dict[str, Arrow], arrows: Sequence[Arrow], identity: dict, into: dict, outof: dict
+) -> tuple[dict[tuple[str, str], str], dict[str, dict[str, str]]]:
+    """The table completed with its unit rows, and its rows (``_rows``).
+
+    One pass over the entries, in table order, raises an unknown id or a
+    pair that is not composable where it meets it, and remembers the first
+    composite with the wrong ends. Every entry is then a distinct composable
+    pair, so every composable pair has an entry exactly when the table has
+    Σ over objects of |arrows into|·|arrows out of| entries; only when it
+    has fewer are the pairs scanned, in presentation order, for the first
+    missing one. The unit rows always have the right ends, so the composite
+    remembered is the first one a scan of the completed table would meet;
+    it is raised last, as that scan came last.
+    """
+    table = dict_of(compose) if compose else {}
+    rows: dict[str, dict[str, str]] = {a.name: {} for a in arrows}
+    wrong_ends = None
+    for (g, f), h in table.items():
+        try:
+            ga, fa, ha = by_name[g], by_name[f], by_name[h]
+        except KeyError:
+            raise UnknownMorphism(next(m for m in (g, f, h) if m not in by_name)) from None
+        if fa.cod != ga.dom:
+            raise DomCodMismatch(g, f, "pair is not composable")
+        if wrong_ends is None and (ha.dom != fa.dom or ha.cod != ga.cod):
+            wrong_ends = g, f, h
+        rows[g][f] = h
+
+    # Unit-law-forced rows may be omitted from the input table.
+    given = len(table)
+    _fill_unit_rows(table, arrows, identity)
+    if len(table) != sum(len(into[o]) * len(outof[o]) for o in into):
+        for g in arrows:
+            for f in into[g.dom]:
+                if (g.name, f) not in table:
+                    raise MissingComposite(g.name, f)
+    if wrong_ends is not None:
+        g, f, h = wrong_ends
+        raise DomCodMismatch(g, f, f"composite {h!r} has the wrong dom/cod")
+    for (g, f), h in islice(table.items(), given, None):
+        rows[g][f] = h
+    return table, rows
 
 
 def _generators(arrows: Sequence[Arrow], ids: set[str], rows: dict[str, dict[str, str]]) -> list[Arrow]:
@@ -769,7 +811,20 @@ def normalize(cat: FinCat, name: str | None = None) -> FinCat:
 
 
 def same_presentation(a: FinCat, b: FinCat) -> bool:
-    """Equality of normalized presentations, ignoring the category name."""
+    """Equality of normalized presentations, ignoring the category name.
+
+    Equal raw presentations normalize alike, so they are compared first;
+    when an id holds an op marker, both are still normalized, so that ids
+    colliding once their markers are erased raise ``DuplicateId``."""
+    if (
+        a.objects == b.objects
+        and a.arrows == b.arrows
+        and a.identity == b.identity
+        and a.compose == b.compose
+        and not any(OP_MARK in o for o in a.objects)
+        and not any(OP_MARK in m for m in a._by_name)
+    ):
+        return True
     na = normalize(a, name="_")
     nb = normalize(b, name="_")
     return (

@@ -14,6 +14,14 @@ for several w, each w is checked independently. Each dual check
 (opcartesian, opfibration, split opcleavage) is the forward one read in the
 opposite direction: one function per notion takes an ``op`` flag.
 
+The split laws of a cleavage are decided on generators of the base
+(``FinCat._generating``): once the cleavage is total and well placed, the
+composition law holds for every pair when it holds for the pairs whose outer
+factor g is a generator (the inner factor, for an opcleavage). With
+g = s∘w, lift(s∘w∘f) = lift(s)∘lift(w∘f) = lift(s)∘lift(w)∘lift(f)
+= lift(g)∘lift(f), by associativity of the total. The ordered scan of every
+base composite runs only to name the first fault.
+
 "Vertical" means the projection sends the morphism to an identity, so
 fibres are computable sub-presentations.
 """
@@ -255,7 +263,10 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
     of an opcleavage when ``op``, where each pair is lifted from the domain
     and every lift is opcartesian. Each composite law is checked at the
     objects above the base object its lifts are chosen at, and each verdict
-    is read through ``_verdict``."""
+    is read through ``_verdict``. The composition law is proved on
+    generators (``_split_on_generators``) when every lift is in place
+    (``_misplaced``); otherwise every base composite is scanned, in table
+    order, to name the first fault."""
     total, base, above = p.total, p.base, p._above
     lift, table, obj_over = lift.copy(), total.compose, p.proj.obj_map
     # each arrow's end away from the object a lift of it is chosen at
@@ -267,48 +278,88 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
             return SplitViolation(f"no {kind} of the identity at {y!r}")
         if lift[key] != total.identity[y]:
             return SplitViolation(f"{kind} of the identity at {y!r} is {lift[key]!r}")
-    for (g, f), gf in base.compose.items():
-        if base.is_identity(g) or base.is_identity(f):
-            continue
-        # lift ``first`` at z, then ``second`` at the far end of that lift;
-        # a lift that names no arrow of the total is no lift
-        first, second, end = (f, g, base.dom(f)) if op else (g, f, base.cod(g))
-        for z in above[end]:
-            near = lift.get((first, z))
-            if near not in other_end:
-                return SplitViolation(f"no {kind} of {first!r} at {z!r}")
-            mid = other_end[near]
-            far = lift.get((second, mid))
-            if far not in other_end:
-                return SplitViolation(f"no {kind} of {second!r} at {mid!r}")
-            direct = lift.get((gf, z))
-            if direct is None:
-                return SplitViolation(f"no {kind} of {gf!r} at {z!r}")
-            if table.get((far, near) if op else (near, far)) != direct:
-                return SplitViolation(
-                    f"{kind}s of ({g!r}, {f!r}) at {z!r} do not compose to the {kind} of {gf!r}"
-                )
-    # Checked last, so that a broken law still reports that law: every base
-    # arrow has a lift at every object above its codomain (domain), and the
-    # lift lies above the arrow and ends (starts) at that object.
-    over, end = p.proj.mor_map, total.dom if op else total.cod
-    chosen = []
-    for u in base.arrows:
-        for y in above[u.dom if op else u.cod]:
-            f = lift.get((u.name, y))
-            if over.get(f) != u.name or end(f) != y:
-                return SplitViolation(f"no {kind} of {u.name!r} at {y!r}")
-            chosen.append((u.name, y, f))
+    misplaced = _misplaced(p, lift, op)
+    if misplaced is not None or not _split_on_generators(p, lift, op, other_end):
+        for (g, f), gf in base.compose.items():
+            if base.is_identity(g) or base.is_identity(f):
+                continue
+            # lift ``first`` at z, then ``second`` at the far end of that
+            # lift; a lift that names no arrow of the total is no lift
+            first, second, end = (f, g, base.dom(f)) if op else (g, f, base.cod(g))
+            for z in above[end]:
+                near = lift.get((first, z))
+                if near not in other_end:
+                    return SplitViolation(f"no {kind} of {first!r} at {z!r}")
+                mid = other_end[near]
+                far = lift.get((second, mid))
+                if far not in other_end:
+                    return SplitViolation(f"no {kind} of {second!r} at {mid!r}")
+                direct = lift.get((gf, z))
+                if direct is None:
+                    return SplitViolation(f"no {kind} of {gf!r} at {z!r}")
+                if table.get((far, near) if op else (near, far)) != direct:
+                    return SplitViolation(
+                        f"{kind}s of ({g!r}, {f!r}) at {z!r} do not compose to the {kind} of {gf!r}"
+                    )
+        # Checked after the composition law, so that a broken law still
+        # reports that law.
+        if misplaced is not None:
+            return SplitViolation(f"no {kind} of {misplaced[0]!r} at {misplaced[1]!r}")
     # Then every lift is (op)cartesian,
     notion = "opcartesian" if op else "cartesian"
-    for u, y, f in chosen:
-        if not _verdict(p, f, op):
-            return SplitViolation(f"{kind} {f!r} of {u!r} at {y!r} is not {notion}")
+    for u in base.arrows:
+        for y in above[u.dom if op else u.cod]:
+            f = lift[(u.name, y)]
+            if not _verdict(p, f, op):
+                return SplitViolation(f"{kind} {f!r} of {u.name!r} at {y!r} is not {notion}")
     # and no lift is chosen at anything but such a pair.
     index, side = _lift_index(p, op)[0], "domain" if op else "codomain"
     for key in lift:
         if key not in index:
             return SplitViolation(f"{kind} at {key!r}, not a (base arrow, object above its {side}) pair")
+    return True
+
+
+def _misplaced(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -> tuple[str, str] | None:
+    """The first (base arrow u, object y above cod u) pair, in presentation
+    order, whose lift is missing, lies above another arrow or does not end
+    at y; above dom u, and start at y, when ``op``. None when every pair
+    has a lift so placed."""
+    over, end, above = p.proj.mor_map, p.total.dom if op else p.total.cod, p._above
+    for u in p.base.arrows:
+        for y in above[u.dom if op else u.cod]:
+            f = lift.get((u.name, y))
+            if over.get(f) != u.name or end(f) != y:
+                return u.name, y
+    return None
+
+
+def _split_on_generators(
+    p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool, other_end: Mapping[str, str]
+) -> bool:
+    """Whether lift(g∘f) = lift(g)∘lift(f), at every object above cod g,
+    for the composable non-identities whose outer factor g is a generator
+    of the base; for an opcleavage, lift(g∘f) = lift(g)∘lift(f) at every
+    object above dom f, for those whose inner factor f is one. The lifts
+    must be total and well placed (``_misplaced``).
+
+    That proves the law for every pair. For g = s∘w with s a generator and
+    the law holding for (w, f), at z above cod g:
+    lift(s∘w∘f) = lift(s)∘lift(w∘f) = lift(s)∘lift(w)∘lift(f)
+    = lift(g)∘lift(f), each lift read at the far end of the one after it,
+    by associativity of the total; dually f = w∘s when ``op``. A pair whose
+    composite is an identity holds by the identity law."""
+    base, table, above = p.base, p.total.compose, p._above
+    generating, is_identity = base._generating, base.is_identity
+    for (g, f), gf in base.compose.items():
+        first, second = (f, g) if op else (g, f)
+        if first not in generating or is_identity(second):
+            continue
+        for z in above[base.dom(f) if op else base.cod(g)]:
+            near = lift[(first, z)]
+            far = lift[(second, other_end[near])]
+            if table[(far, near) if op else (near, far)] != lift[(gf, z)]:
+                return False
     return True
 
 

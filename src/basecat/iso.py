@@ -23,14 +23,17 @@ colour multisets differ are therefore not isomorphic.
 Otherwise the search backtracks over object bijections within a colour
 class, then over morphism bijections hom-set by hom-set, trying only
 candidates of the morphism's power type, in hom-set order, and checking
-the composites of each new morphism with those assigned before it. A
-completed assignment is checked against the whole composition table, for
-the composites whose result was assigned after both of their factors;
-one that fails is a dead end and the search goes on. The search keeps
-its own stack, so its depth (one level per object and per arrow) is not
-bounded by the interpreter's recursion limit. The forward functor of a
-witness is validated, and its inverse is read off it (``core.invert``),
-before the witness is handed back.
+the composites of each new morphism with those assigned before it. Those
+composites are read off the new morphism's composition row and column
+(a column index built once per search), not off every assigned morphism.
+A completed assignment is accepted when its witness validates
+(``core.relabelling`` checks every composite, so the composites whose
+result was assigned after both of their factors are checked there, and a
+decided search reads the table once); one that fails is a dead end and the
+search goes on. The search keeps its own stack, so its depth (one level
+per object and per arrow) is not bounded by the interpreter's recursion
+limit. The inverse of the witness is read off its validated forward
+functor (``core.invert``).
 
 Compared with the search that tries every candidate, this one tries the
 same candidates in the same order less those of another colour, which
@@ -49,7 +52,7 @@ from math import gcd
 from typing import Iterator
 
 from .core import FinCat, IsoWitness, _rows, relabelling
-from .errors import Refutation
+from .errors import CompositionNotPreserved, Refutation
 
 DEFAULT_BUDGET = 100_000
 SIGNATURE_ROUNDS = 2
@@ -137,6 +140,11 @@ class _Search:
         self.d = d
         self.c_rows = c_rows
         self.d_rows = d_rows
+        # c's composition by inner factor: c_cols[f][g] is g∘f.
+        self.c_cols: dict[str, dict[str, str]] = {a.name: {} for a in c.arrows}
+        for g, row in c_rows.items():
+            for f, h in row.items():
+                self.c_cols[f][g] = h
         self.budget = budget
         self.power = c_power
         # d's morphisms by domain, codomain and power type, in hom-set order.
@@ -153,14 +161,16 @@ class _Search:
             return False
         return True
 
-    def run(self, buckets: dict[str, list[str]]) -> dict[str, str] | None:
+    def run(self, buckets: dict[str, list[str]]) -> IsoWitness | None:
         """Backtrack with one explicit stack of candidate iterators, so the
         depth of the search is not bounded by the interpreter's recursion
         limit. Level i < n places the i-th object of ``c`` within its colour
         bucket; once every object is placed, the identities follow and level
         n + j places the j-th non-identity arrow. Candidates are tried, and
         nodes counted, depth first in bucket and hom-set order, as a
-        recursive search would try them."""
+        recursive search would try them. A completed assignment is the
+        witness when it validates (``relabelling`` checks every composite);
+        one that breaks a composite is a dead end."""
         c, d = self.c, self.d
         objects = c.objects
         todo = [a for a in c.arrows if not c.is_identity(a.name)]
@@ -181,9 +191,12 @@ class _Search:
                     assign = {c.identity[x]: d.identity[objs[x]] for x in objects}
                     used = set(assign.values())
             if opened and level == depth:
-                if self.preserves_composition(assign):
-                    return dict(assign)
-                opened = False
+                try:
+                    return relabelling(
+                        f"{c.name}~{d.name}", c, d, objs, assign, back_name=f"{d.name}~{c.name}"
+                    )
+                except CompositionNotPreserved:
+                    opened = False
             if opened:
                 if level < n:
                     stack.append(iter(buckets[objects[level]]))
@@ -232,25 +245,18 @@ class _Search:
         )
 
     def consistent(self, new: str, assign: dict[str, str]) -> bool:
-        # Check every composite whose factors are both assigned already.
-        c_rows, d_rows = self.c_rows, self.d_rows
-        new_row, new_img = c_rows[new], assign[new]
+        # Check every composite of ``new`` with an assigned arrow, either
+        # way round, whose result is assigned: ``new``'s row holds the
+        # composites new∘f, its column those g∘new.
+        d_rows, new_img = self.d_rows, assign[new]
         d_new_row = d_rows[new_img]
-        for other, img in assign.items():
-            h = new_row.get(other)
-            if h is not None and h in assign and d_new_row[img] != assign[h]:
+        for f, h in self.c_rows[new].items():
+            if f in assign and h in assign and d_new_row[assign[f]] != assign[h]:
                 return False
-            h = c_rows[other].get(new)
-            if h is not None and h in assign and d_rows[img][new_img] != assign[h]:
+        for g, h in self.c_cols[new].items():
+            if g in assign and h in assign and d_rows[assign[g]][new_img] != assign[h]:
                 return False
         return True
-
-    def preserves_composition(self, assign: dict[str, str]) -> bool:
-        # ``consistent`` sees a composite when its later factor is assigned,
-        # if its result is assigned by then; one whose result comes after
-        # both of its factors is first checked here.
-        d_rows = self.d_rows
-        return all(d_rows[assign[g]][assign[f]] == assign[h] for (g, f), h in self.c.compose.items())
 
 
 def _anywhere(key: str, placed: dict[str, str]) -> bool:
@@ -287,13 +293,9 @@ def find_isomorphism(
     }
 
     search = _Search(c, d, rows_c, rows_d, budget, power_c, power_d)
-    assignment = search.run(buckets)
+    witness = search.run(buckets)
     if search.out_of_budget:
         return BudgetExhausted(search.nodes)
-    if assignment is None:
+    if witness is None:
         return NotIsomorphic("no structure-preserving bijection exists")
-
-    objs = {x: d.arrow(assignment[c.identity[x]]).dom for x in c.objects}
-    return relabelling(
-        f"{c.name}~{d.name}", c, d, objs, assignment, back_name=f"{d.name}~{c.name}"
-    )
+    return witness

@@ -25,6 +25,7 @@ from basecat.core import (
     RawArrow,
     _as_arrows,
     _rows,
+    identity_functor,
     identity_id,
     normalize,
     op_name,
@@ -43,6 +44,7 @@ from basecat.errors import (
     DuplicateId,
     MissingComposite,
     NotSplit,
+    NotStrict,
     ParseError,
     SourceSpan,
     SourceTargetMismatch,
@@ -992,3 +994,64 @@ def oracle_verify_pullback_universal(square: PullbackSquare, probe: int = 3):
                 if count != 1:
                     return ConeCounterexample(d, q1, q2, count)
     return True
+
+
+# The strictness check of ``basecat.family`` as it was before strictness
+# was proved on generator pairs: every pair of the base table is compared,
+# in table order.
+
+
+def oracle_validate_family(
+    base: FinCat,
+    fibre: Mapping[str, FinCat],
+    pull: Mapping[str, FinFunctor],
+) -> IndexedFamily:
+    fibre = dict(fibre)
+    pull = dict(pull)
+    for o in base.objects:
+        if o not in fibre:
+            raise UnknownObject(o)
+    for o in base.objects:
+        if base.identity[o] not in pull:
+            pull[base.identity[o]] = identity_functor(fibre[o])
+    for a in base.arrows:
+        if a.name not in pull:
+            raise UnknownMorphism(a.name)
+        fn = pull[a.name]
+        if fn.source != fibre[a.cod] or fn.target != fibre[a.dom]:
+            raise NotStrict(a.name, a.name)
+
+    for o in base.objects:
+        fn, cat = pull[base.identity[o]], fibre[o]
+        obj_map = {x: x for x in cat.objects}
+        mor_map = {a.name: a.name for a in cat.arrows}
+        if fn.obj_map != obj_map or fn.mor_map != mor_map:
+            raise NotStrict(base.identity[o], base.identity[o])
+
+    for (v, u), w in base.compose.items():
+        first, then, got = pull[v], pull[u], pull[w]
+        obj_map = {x: then.obj(first.obj(x)) for x in first.source.objects}
+        mor_map = {a.name: then.mor(first.mor(a.name)) for a in first.source.arrows}
+        if got.obj_map != obj_map or got.mor_map != mor_map:
+            raise NotStrict(v, u)
+
+    if len(fibre) > len(base.objects):
+        raise UnknownObject(next(o for o in fibre if o not in base.objects))
+    if len(pull) > len(base.arrows):
+        raise UnknownMorphism(next(m for m in pull if not base.has_arrow(m)))
+    return IndexedFamily(base, fibre, pull)
+
+
+# ``core.same_presentation`` as it was before equal raw presentations were
+# compared first: both sides are always normalized.
+
+
+def oracle_same_presentation(a: FinCat, b: FinCat) -> bool:
+    na = normalize(a, name="_")
+    nb = normalize(b, name="_")
+    return (
+        na.objects == nb.objects
+        and na.arrows == nb.arrows
+        and na.identity == nb.identity
+        and na.compose == nb.compose
+    )

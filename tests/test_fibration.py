@@ -577,7 +577,12 @@ def _split_edits(p: bc.FunctorOver, lift: dict, op: bool):
     dropped, with the first one that can be redirected to another arrow
     above the same base arrow redirected, and with the lift of the first
     base composite at the last object above its end replaced by the lift
-    of one of its factors there, which breaks the composite law."""
+    of one of its factors there, which breaks the composite law. Then the
+    two edits that generator pairs alone would not name: the first lift of
+    a base arrow that is no generator dropped, and the lift of the first
+    base composite whose outer factor (inner when ``op``) is no generator
+    replaced, at the last object above its end, by another arrow above the
+    composite there when one exists, which keeps every lift in place."""
     total, base, over = p.total, p.base, p.proj.mor_map
     yield "own", lift
     keys = [key for key in lift if not base.is_identity(key[0])]
@@ -595,6 +600,26 @@ def _split_edits(p: bc.FunctorOver, lift: dict, op: bool):
         z = next((y for y in reversed(total.objects) if p.obj_over(y) == end), None)
         if z is not None and lift[(gf, z)] != lift[(first, z)]:
             yield "composite", {**lift, (gf, z): lift[(first, z)]}
+            break
+    generating = base._generating
+    for key in keys:
+        if key[0] not in generating:
+            yield "dropped off generators", {k: v for k, v in lift.items() if k != key}
+            break
+    for (g, f), gf in base.compose.items():
+        if base.is_identity(g) or base.is_identity(f) or (f if op else g) in generating:
+            continue
+        first, end = (f, base.dom(f)) if op else (g, base.cod(g))
+        z = next((y for y in reversed(total.objects) if p.obj_over(y) == end), None)
+        if z is None:
+            continue
+        at_z = [
+            a.name for a in total.arrows
+            if over[a.name] == gf and (a.dom if op else a.cod) == z and a.name != lift[(gf, z)]
+        ]
+        swapped = at_z[0] if at_z else lift[(first, z)]
+        if swapped != lift[(gf, z)]:
+            yield "composite off generators", {**lift, (gf, z): swapped}
             break
 
 
@@ -622,6 +647,43 @@ def test_split_scans_match_the_oracle_on_corpus_projections(seed):
                 assert type(got) is type(expected) and got == expected, (built.cat.name, name, got, expected)
                 outcomes.add((name, got is True))
     assert {("own", True), ("dropped", False), ("redirected", False), ("composite", False)} <= outcomes
+
+
+def _split_differential(built) -> set[tuple[str, object]]:
+    """Both split scans of each cleavage ``built`` carries, or that the
+    lift scans find, and of its edits; the outcomes seen."""
+    p = built.over()
+    outcomes = set()
+    for op, own in ((False, built.cleavage or bc.check_fibration(p)), (True, built.opcleavage or bc.check_opfibration(p))):
+        kind, check = (OpCleavage, bc.check_split_op) if op else (Cleavage, bc.check_split)
+        if not isinstance(own, kind):
+            continue
+        for name, lift in _split_edits(p, dict(own.lift), op):
+            got = check(p, kind(lift))
+            try:
+                expected = oracle_split_scan(p, lift, op)
+            except KeyError:
+                assert isinstance(got, SplitViolation) and "do not compose" in got.detail, got
+                outcomes.add((name, "raised"))
+                continue
+            assert type(got) is type(expected) and got == expected, (built.cat.name, name, got, expected)
+            outcomes.add((name, got is True))
+    return outcomes
+
+
+def test_split_scans_match_the_oracle_on_chain_families_and_rotation_groupoids():
+    # Constant families over chains, whose lifts are not the only arrows
+    # above their base arrows, and groupoids over Z_n, whose base has one
+    # generator: the edits off the generators are named as the oracle names them.
+    outcomes = set()
+    for n in range(6, 11):
+        outcomes |= _split_differential(bc.grothendieck_strict(constant_family(_chain(f"base{n}", n), _chain("fibre2", 2))))
+    for n in (8, 12, 16):
+        outcomes |= _split_differential(_rotation_groupoid(n))
+    assert {
+        ("own", True), ("dropped", False), ("composite", False),
+        ("dropped off generators", False), ("composite off generators", False),
+    } <= outcomes
 
 
 @pytest.mark.parametrize("seed", range(10))

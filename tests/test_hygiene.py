@@ -151,6 +151,36 @@ def test_a_cartesian_scan_outside_the_memo_is_found():
     assert _callers(tree, "_cartesian_scan") == {"_verdict", "cartesian", "_lift_scan", "<module>"}
 
 
+def _generator_pickers(trees: dict[str, ast.Module]) -> set[str]:
+    """``module.function`` of each reference to ``_generators``."""
+    return {f"{module}.{owner}" for module, tree in trees.items() for owner in _callers(tree, "_generators")}
+
+
+def test_only_the_validator_and_the_index_pick_generators():
+    # A category's generators are picked once: ``validate_category`` stores
+    # the set it proves associativity on, and ``FinCat._generating`` builds
+    # it for any other category; every law decided on generators reads that.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in MODULES}
+    assert _generator_pickers(trees) == {"core.validate_category", "core._generating"}
+
+
+def test_a_generator_picker_elsewhere_is_found():
+    trees = {
+        "core": ast.parse(
+            "def validate_category(): return _generators(a, ids, rows)\n"
+            "class FinCat:\n"
+            "    def _generating(self): return _generators(self.arrows, ids, rows)\n"
+        ),
+        "family": ast.parse(
+            "from .core import _generators\n"
+            "def validate_family(base): return core._generators(base.arrows, ids, rows)\n"
+        ),
+    }
+    assert _generator_pickers(trees) == {
+        "core.validate_category", "core._generating", "family.validate_family"
+    }
+
+
 def _descriptor_classes(tree: ast.Module) -> set[str]:
     """Each class that defines ``__get__``, which makes it a descriptor."""
     return {

@@ -14,7 +14,7 @@ import pytest
 
 import basecat as bc
 from basecat import iso
-from basecat.errors import ValidationError
+from basecat.errors import BasecatError, ValidationError
 
 from conftest import (
     oracle_arrows_from,
@@ -146,6 +146,54 @@ def test_validator_reports_the_oracles_first_error(corpus_cats):
         for name, count in check_validator(cat, rng).items():
             seen[name] = seen.get(name, 0) + count
     for kind in ("FinCat", "MissingComposite", "DomCodMismatch", "UnitLawViolation", "AssociativityViolation"):
+        assert seen.get(kind, 0) > 0, seen
+
+
+def any_outcome(validate, cat: bc.FinCat, arrows, table):
+    """``outcome``, with an unknown id's error as the outcome too."""
+    try:
+        return validate(cat.name, cat.objects, arrows, table, cat.identity)
+    except BasecatError as exc:
+        return exc
+
+
+def paired_corruptions(cat: bc.FinCat, rng: random.Random):
+    """Tables with two faults of different kinds: a composite with the
+    wrong ends and a non-composable entry after it; a dropped composite and
+    a broken unit row; an unknown id and a redirected composite."""
+    names = [a.name for a in cat.arrows]
+    entries = list(cat.compose.items())
+    plain = [k for k, ((g, f), _) in enumerate(entries) if not (cat.is_identity(g) or cat.is_identity(f))]
+    if not plain:
+        return
+    k = rng.choice(plain)
+    (g, f), h = entries[k]
+    ends = (cat.dom(h), cat.cod(h))
+    wrong = [m for m in names if (cat.dom(m), cat.cod(m)) != ends]
+    apart = [(x, y) for x in names for y in names if cat.cod(y) != cat.dom(x)]
+    if wrong and apart:
+        yield {**cat.compose, (g, f): rng.choice(wrong), rng.choice(apart): rng.choice(names)}
+    a = rng.choice(cat.arrows)
+    others = [m for m in cat.hom(a.dom, a.cod) if m != a.name] or names
+    dropped = dict(entries[:k] + entries[k + 1:])
+    yield {**dropped, (cat.identity[a.cod], a.name): rng.choice(others)}
+    same_hom = [m for m in cat.hom(*ends) if m != h] or names
+    j = rng.choice([i for i in range(len(entries)) if i != k] or [k])
+    yield {**cat.compose, (g, f): rng.choice(same_hom), entries[j][0]: "ghost"}
+
+
+def test_validator_reports_the_oracles_first_error_with_two_faults(corpus_cats):
+    rng = random.Random(2)
+    seen: dict[str, int] = {}
+    for cat in corpus_cats[::3] + ladder_presentations():
+        forward = list(cat.arrows)
+        for table in paired_corruptions(cat, rng):
+            for arrows, tab in ((forward, table), (forward[::-1], dict(reversed(table.items())))):
+                got = any_outcome(bc.validate_category, cat, arrows, tab)
+                want = any_outcome(oracle_validate_category, cat, arrows, tab)
+                assert type(got) is type(want) and got == want, (cat.name, got, want)
+                seen[type(got).__name__] = seen.get(type(got).__name__, 0) + 1
+    for kind in ("DomCodMismatch", "MissingComposite", "UnknownMorphism"):
         assert seen.get(kind, 0) > 0, seen
 
 

@@ -13,17 +13,19 @@ compared printed declarations. The old paths are the oracles in
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import basecat as bc
 from basecat import constructions, iso
 from basecat.core import invert, relabelling
 from basecat.corpus import build_corpus, group_category
-from basecat.errors import NotMutuallyInverse, ValidationError
+from basecat.errors import DuplicateId, NotMutuallyInverse, ValidationError
 from basecat.report import PASS
 from basecat.suites import run_suite
 
-from conftest import oracle_base_leg, oracle_duality, oracle_relabelling
+from conftest import oracle_base_leg, oracle_duality, oracle_relabelling, oracle_same_presentation
 
 SEEDS = range(10)
 
@@ -176,3 +178,53 @@ def test_invert_reads_the_inverse_off_the_forward_maps():
     assert bc.validate_functor(
         "again", z3, z3, witness.backward.obj_map, witness.backward.mor_map
     ) == bc.validate_functor("again", z3, z3, {"*": "*"}, {"r1": "r2", "r2": "r1"})
+
+
+# On the nose: equal raw presentations are compared before normalizing.
+
+
+def _same_outcome(a: bc.FinCat, b: bc.FinCat, same) -> object:
+    try:
+        return same(a, b)
+    except DuplicateId as exc:
+        return ("DuplicateId", str(exc))
+
+
+def _rebuilt(cat: bc.FinCat, name: str, rng: random.Random | None = None) -> bc.FinCat:
+    """``cat`` validated again id for id, or with its objects, arrows and
+    table in a random order when ``rng`` is given."""
+    objects, arrows, table = list(cat.objects), list(cat.arrows), list(cat.compose.items())
+    if rng is not None:
+        rng.shuffle(objects), rng.shuffle(arrows), rng.shuffle(table)
+    return bc.validate_category(name, objects, arrows, dict(table), cat.identity)
+
+
+def _op_marked() -> list[bc.FinCat]:
+    """Presentations whose ids hold op markers: ids that erase to the same
+    id, and ids that keep their markers' place."""
+    collide = bc.validate_category("C", ["X"], [("f", "X", "X"), ("f_op", "X", "X")], {
+        (g, f): "f" for g in ("f", "f_op") for f in ("f", "f_op")
+    })
+    objects = bc.validate_category("D", ["X", "X_op"], [("g", "X", "X_op")])
+    kept = bc.validate_category("E", ["X"], [("h_op2", "X", "X")], {("h_op2", "h_op2"): "h_op2"})
+    return [collide, objects, kept]
+
+
+def test_same_presentation_matches_the_normalized_comparison(corpus_cats):
+    rng = random.Random(11)
+    cats = corpus_cats[::2] + _op_marked()
+    seen = set()
+    for cat in cats:
+        op = bc.opposite(cat)
+        for a, b in (
+            (cat, cat),
+            (cat, _rebuilt(cat, "copy")),
+            (cat, _rebuilt(cat, "shuffled", rng)),
+            (cat, op),
+            (op, _rebuilt(op, "op copy")),
+            (bc.opposite(op), cat),
+        ):
+            got = _same_outcome(a, b, bc.same_presentation)
+            assert got == _same_outcome(a, b, oracle_same_presentation), (a.name, b.name)
+            seen.add(got if isinstance(got, bool) else got[0])
+    assert seen == {True, False, "DuplicateId"}
