@@ -408,7 +408,10 @@ def grothendieck_strict(fam: IndexedFamily) -> ConstructedCategory:
         i2 = base.dom(u2)
         seconds.setdefault((i2, fam.fibre[i2].dom(v2)), []).append((u2, v2, y2, m2))
     base_rows = _rows(base.arrows, base.compose)
-    rows_of = {i: _rows(fib.arrows, fib.compose) for i, fib in fam.fibre.items()}
+    # one row table per fibre category, however many base objects share it
+    fibres = {id(fib): fib for fib in fam.fibre.values()}
+    rows_by_id = {key: _rows(fib.arrows, fib.compose) for key, fib in fibres.items()}
+    rows_of = {i: rows_by_id[id(fib)] for i, fib in fam.fibre.items()}
     for u1, v1, y1, m1 in nonidentity:
         fibre_rows, carry = rows_of[base.dom(u1)], fam.pull[u1].mor_map
         for u2, v2, y2, m2 in seconds.get((base.cod(u1), y1), ()):
@@ -558,13 +561,9 @@ def right_action_selfdual(
             lambda a: identity_id(fbar.obj(a.dom)),
         )
 
-    if concrete.over != fbar.target:
-        raise SourceTargetMismatch("concrete structure is not over the contravariant target")
-    fibre = {x: concrete.elements(fbar.obj(x)) for x in c.objects}
-    carried = []
-    for a in c.non_identity_arrows():
-        back = concrete.action[fbar.mor(op_name(a.name))].mapping
-        carried.extend((a, back[y], y, back[y], y) for y in fibre[a.cod])
+    # fbar's source is the opposite of c: c's objects and arrows, in c's order.
+    fibre, images = _acted_on(fbar, concrete)
+    carried = [(c.arrow(op_name(a.name)), x, y, x, y) for a, y, x in images]
     return _category_of_elements(
         f"sdcract_{fbar.name}", "selfdual-concrete-right-action", c, fibre, carried
     )

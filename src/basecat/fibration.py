@@ -14,13 +14,14 @@ for several w, each w is checked independently. Each dual check
 (opcartesian, opfibration, split opcleavage) is the forward one read in the
 opposite direction: one function per notion takes an ``op`` flag.
 
-The split laws of a cleavage are decided on generators of the base
+The split composition law of a cleavage is one scan of one base composite
+(``_composition_fault``). It decides the law on generators of the base
 (``FinCat._generating``): once the cleavage is total and well placed, the
-composition law holds for every pair when it holds for the pairs whose outer
-factor g is a generator (the inner factor, for an opcleavage). With
-g = s∘w, lift(s∘w∘f) = lift(s)∘lift(w∘f) = lift(s)∘lift(w)∘lift(f)
-= lift(g)∘lift(f), by associativity of the total. The ordered scan of every
-base composite runs only to name the first fault.
+law holds for every pair when it holds for the pairs whose outer factor g
+is a generator (the inner factor, for an opcleavage). The same scan runs
+over every base composite, in table order, only to name the first fault.
+A split cleavage proves the family ``recover_indexed`` reads off it, so
+that family is built, not validated again.
 
 "Vertical" means the projection sends the morphism to an identity, so
 fibres are computable sub-presentations.
@@ -33,9 +34,9 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
-from .core import Arrow, FinCat, FinFunctor, ReadOnly, validate_category, validate_functor
+from .core import Arrow, FinCat, FinFunctor, ReadOnly, assemble, identity_functor
 from .errors import NoLiftInCleavage, NotSplit, Refutation
-from .family import IndexedFamily, validate_family
+from .family import IndexedFamily
 
 
 @dataclass(frozen=True)
@@ -261,16 +262,18 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
     """Identity and composition laws of a cleavage, on the nose, and a
     cartesian lift of every base arrow at every object above its codomain;
     of an opcleavage when ``op``, where each pair is lifted from the domain
-    and every lift is opcartesian. Each composite law is checked at the
-    objects above the base object its lifts are chosen at, and each verdict
-    is read through ``_verdict``. The composition law is proved on
-    generators (``_split_on_generators``) when every lift is in place
-    (``_misplaced``); otherwise every base composite is scanned, in table
-    order, to name the first fault."""
-    total, base, above = p.total, p.base, p._above
-    lift, table, obj_over = lift.copy(), total.compose, p.proj.obj_map
-    # each arrow's end away from the object a lift of it is chosen at
-    other_end = {a.name: a.cod if op else a.dom for a in total.arrows}
+    and every lift is opcartesian. Each verdict is read through
+    ``_verdict``.
+
+    The composition law is one scan, ``_composition_fault``. When every lift
+    is in place (``_misplaced``), it runs on the composites whose outer
+    factor g is a generator of the base (``FinCat._generating``; the inner
+    factor, for an opcleavage), and that decides every pair: with g = s∘w,
+    lift(s∘w∘f) = lift(s)∘lift(w∘f) = lift(s)∘lift(w)∘lift(f)
+    = lift(g)∘lift(f), by associativity of the total. Otherwise it runs on
+    every base composite, in table order, to name the first fault."""
+    total, base = p.total, p.base
+    lift, obj_over, is_identity = lift.copy(), p.proj.obj_map, base.is_identity
     kind = "op-lift" if op else "lift"
     for y in total.objects:
         key = (base.identity[obj_over[y]], y)
@@ -278,29 +281,15 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
             return SplitViolation(f"no {kind} of the identity at {y!r}")
         if lift[key] != total.identity[y]:
             return SplitViolation(f"{kind} of the identity at {y!r} is {lift[key]!r}")
-    misplaced = _misplaced(p, lift, op)
-    if misplaced is not None or not _split_on_generators(p, lift, op, other_end):
-        for (g, f), gf in base.compose.items():
-            if base.is_identity(g) or base.is_identity(f):
-                continue
-            # lift ``first`` at z, then ``second`` at the far end of that
-            # lift; a lift that names no arrow of the total is no lift
-            first, second, end = (f, g, base.dom(f)) if op else (g, f, base.cod(g))
-            for z in above[end]:
-                near = lift.get((first, z))
-                if near not in other_end:
-                    return SplitViolation(f"no {kind} of {first!r} at {z!r}")
-                mid = other_end[near]
-                far = lift.get((second, mid))
-                if far not in other_end:
-                    return SplitViolation(f"no {kind} of {second!r} at {mid!r}")
-                direct = lift.get((gf, z))
-                if direct is None:
-                    return SplitViolation(f"no {kind} of {gf!r} at {z!r}")
-                if table.get((far, near) if op else (near, far)) != direct:
-                    return SplitViolation(
-                        f"{kind}s of ({g!r}, {f!r}) at {z!r} do not compose to the {kind} of {gf!r}"
-                    )
+    composites = [(g, f, gf) for (g, f), gf in base.compose.items() if not (is_identity(g) or is_identity(f))]
+    misplaced, generating = _misplaced(p, lift, op), base._generating
+    if misplaced is not None or any(
+        _composition_fault(p, lift, op, g, f, gf) for g, f, gf in composites if (f if op else g) in generating
+    ):
+        for g, f, gf in composites:
+            fault = _composition_fault(p, lift, op, g, f, gf)
+            if fault is not None:
+                return SplitViolation(fault)
         # Checked after the composition law, so that a broken law still
         # reports that law.
         if misplaced is not None:
@@ -308,7 +297,7 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
     # Then every lift is (op)cartesian,
     notion = "opcartesian" if op else "cartesian"
     for u in base.arrows:
-        for y in above[u.dom if op else u.cod]:
+        for y in p._above[u.dom if op else u.cod]:
             f = lift[(u.name, y)]
             if not _verdict(p, f, op):
                 return SplitViolation(f"{kind} {f!r} of {u.name!r} at {y!r} is not {notion}")
@@ -318,6 +307,33 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
         if key not in index:
             return SplitViolation(f"{kind} at {key!r}, not a (base arrow, object above its {side}) pair")
     return True
+
+
+def _composition_fault(
+    p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool, g: str, f: str, gf: str
+) -> str | None:
+    """Where lift(g∘f) = lift(g)∘lift(f) first fails, at the objects above
+    cod g in presentation order, or None; at those above dom f, lifting
+    from the domain, when ``op``. The first factor is lifted at z and the
+    second at the far end of that lift; a lift that names no arrow of the
+    total is no lift."""
+    base, arrow, table = p.base, p.total._by_name.get, p.total.compose
+    kind = "op-lift" if op else "lift"
+    first, second, end = (f, g, base.dom(f)) if op else (g, f, base.cod(g))
+    for z in p._above[end]:
+        near = arrow(lift.get((first, z)))
+        if near is None:
+            return f"no {kind} of {first!r} at {z!r}"
+        mid = near.cod if op else near.dom
+        far = arrow(lift.get((second, mid)))
+        if far is None:
+            return f"no {kind} of {second!r} at {mid!r}"
+        direct = lift.get((gf, z))
+        if direct is None:
+            return f"no {kind} of {gf!r} at {z!r}"
+        if table.get((far.name, near.name) if op else (near.name, far.name)) != direct:
+            return f"{kind}s of ({g!r}, {f!r}) at {z!r} do not compose to the {kind} of {gf!r}"
+    return None
 
 
 def _misplaced(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -> tuple[str, str] | None:
@@ -332,35 +348,6 @@ def _misplaced(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) ->
             if over.get(f) != u.name or end(f) != y:
                 return u.name, y
     return None
-
-
-def _split_on_generators(
-    p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool, other_end: Mapping[str, str]
-) -> bool:
-    """Whether lift(g∘f) = lift(g)∘lift(f), at every object above cod g,
-    for the composable non-identities whose outer factor g is a generator
-    of the base; for an opcleavage, lift(g∘f) = lift(g)∘lift(f) at every
-    object above dom f, for those whose inner factor f is one. The lifts
-    must be total and well placed (``_misplaced``).
-
-    That proves the law for every pair. For g = s∘w with s a generator and
-    the law holding for (w, f), at z above cod g:
-    lift(s∘w∘f) = lift(s)∘lift(w∘f) = lift(s)∘lift(w)∘lift(f)
-    = lift(g)∘lift(f), each lift read at the far end of the one after it,
-    by associativity of the total; dually f = w∘s when ``op``. A pair whose
-    composite is an identity holds by the identity law."""
-    base, table, above = p.base, p.total.compose, p._above
-    generating, is_identity = base._generating, base.is_identity
-    for (g, f), gf in base.compose.items():
-        first, second = (f, g) if op else (g, f)
-        if first not in generating or is_identity(second):
-            continue
-        for z in above[base.dom(f) if op else base.cod(g)]:
-            near = lift[(first, z)]
-            far = lift[(second, other_end[near])]
-            if table[(far, near) if op else (near, far)] != lift[(gf, z)]:
-                return False
-    return True
 
 
 def check_split(p: FunctorOver, c: Cleavage) -> bool | SplitViolation:
@@ -444,6 +431,13 @@ def recover_indexed(
     categories carry them), fibre ids are relabelled to their second
     component so that rebuilding the total category reproduces the
     original ids.
+
+    ``check_split`` proves what is built here, so nothing is validated
+    again: fibres are sub-presentations of the total (``assemble``), and
+    the pulls are functors, strict by the split laws. The vertical factor
+    is unique because every chosen lift is cartesian: for a vertical
+    a: y → y′ above cod u, a∘lift(u, y) lies over u∘id, so exactly one h
+    over the identity has lift(u, y′)∘h = a∘lift(u, y).
     """
     verdict = check_split(p, c)
     if not verdict:
@@ -478,12 +472,10 @@ def recover_indexed(
 
     fibre: dict[str, FinCat] = {}
     for i in base.objects:
-        arrows = [(rl_mor(a.name), rl_obj(a.dom), rl_obj(a.cod)) for a in verticals[i]]
+        arrows = [Arrow(rl_mor(a.name), rl_obj(a.dom), rl_obj(a.cod)) for a in verticals[i]]
         identity = {rl_obj(y): rl_mor(total.identity[y]) for y in objs[i]}
         table = {(rl_mor(g), rl_mor(f)): rl_mor(h) for g, f, h in composites[i]}
-        fibre[i] = validate_category(
-            f"{total.name}|{i}", [rl_obj(y) for y in objs[i]], arrows, table, identity
-        )
+        fibre[i] = assemble(f"{total.name}|{i}", [rl_obj(y) for y in objs[i]], arrows, table, identity)
 
     pull: dict[str, FinFunctor] = {}
     for u in base.arrows:
@@ -494,14 +486,8 @@ def recover_indexed(
         for a in verticals[u.cod]:
             top = c.lift[(u.name, a.cod)]
             bottom = c.lift[(u.name, a.dom)]
-            carried = _vertical_factors(p, top, total.compose[(a.name, bottom)])
-            if len(carried) != 1:
-                raise NotSplit(
-                    f"vertical transport of {a.name!r} along {u.name!r} is not unique"
-                )
-            mor_map[rl_mor(a.name)] = rl_mor(carried[0])
-        pull[u.name] = validate_functor(
-            f"pull_{u.name}", fibre[u.cod], fibre[u.dom], obj_map, mor_map
-        )
-
-    return validate_family(base, fibre, pull)
+            mor_map[rl_mor(a.name)] = rl_mor(_vertical_factors(p, top, total.compose[(a.name, bottom)])[0])
+        pull[u.name] = FinFunctor(f"pull_{u.name}", fibre[u.cod], fibre[u.dom], obj_map, mor_map)
+    for i in base.objects:
+        pull[base.identity[i]] = identity_functor(fibre[i])
+    return IndexedFamily(base, fibre, pull)

@@ -8,8 +8,8 @@ from dataclasses import replace
 import pytest
 
 import basecat as bc
-from basecat import errors
-from basecat.corpus import build_corpus, group_category
+from basecat import constructions, errors
+from basecat.corpus import build_corpus, constant_family, group_category
 from basecat.dot import export_dot
 from basecat.dsl import decl_of_category, format_declaration
 from basecat.core import identity_id, invert
@@ -18,6 +18,7 @@ from basecat.sets import FinFn, FinSetObj
 
 from conftest import built_form, oracle_transformation_groupoid
 from test_assembly import regular_action
+from test_indexes import chain
 
 
 @pytest.fixture
@@ -326,6 +327,12 @@ class TestSelfDual:
                 forward, bc.IsoWitness(forward, forward)
             )
 
+    def test_a_concrete_structure_over_another_category_is_rejected(self, z3, z2_swap_concrete):
+        witness = bc.inverse_witness(z3)
+        fbar = bc.contravariant_via_witness(bc.identity_functor(z3), witness)
+        with pytest.raises(errors.SourceTargetMismatch, match="not over the functor's target"):
+            bc.right_action_selfdual(fbar, witness, concrete=z2_swap_concrete)
+
     def test_nongroupoid_selfdual_base_builds_but_differs_from_left(self):
         # The idempotent commutative monoid {1, a} is self-dual without
         # being a groupoid. With a non-injective action the element-level
@@ -416,6 +423,23 @@ class TestTransformationGroupoid:
             assert dict(built.opcleavage.lift) == dict(bc.check_opfibration(p).lift)
             assert bc.check_split(p, built.cleavage) is True
             assert bc.check_split_op(p, built.opcleavage) is True
+
+
+def test_grothendieck_builds_one_row_table_per_fibre_category(monkeypatch):
+    # Constant families over the ladder's chains: each total builds the
+    # rows of its base and of its one fibre category, not one per object.
+    calls = [0]
+    rows = constructions._rows
+
+    def counting(arrows, table):
+        calls[0] += 1
+        return rows(arrows, table)
+
+    families = [constant_family(chain(n), chain(m)) for n, m in ((6, 3), (8, 4), (10, 4))]
+    monkeypatch.setattr(constructions, "_rows", counting)
+    for fam in families:
+        bc.grothendieck_strict(fam)
+    assert calls[0] == 6
 
 
 class TestProp4:

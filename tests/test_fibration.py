@@ -21,12 +21,14 @@ from basecat.report import PASS
 
 from conftest import (
     all_functors,
+    built_form,
     oracle_cartesian_over_iso,
     oracle_cartesian_scan,
     oracle_lift_scan,
     oracle_recover_indexed,
     oracle_split_scan,
 )
+from test_indexes import chain
 
 
 @pytest.fixture
@@ -423,6 +425,39 @@ def test_recover_indexed_matches_the_oracle(seed):
         got, expected = bc.recover_indexed(*args), oracle_recover_indexed(*args)
         assert got == expected
         assert _family_items(got) == _family_items(expected)
+
+
+def _family_form(fam) -> tuple:
+    """``built_form`` of each fibre and pull functor of a family, in order."""
+    return (
+        [(i, built_form(cat)) for i, cat in fam.fibre.items()],
+        [(u, built_form(fn)) for u, fn in fam.pull.items()],
+    )
+
+
+@pytest.mark.parametrize(
+    "built",
+    [
+        lambda: bc.grothendieck_strict(constant_family(chain(6), chain(3))),
+        lambda: bc.grothendieck_strict(constant_family(chain(8), chain(4))),
+        lambda: bc.grothendieck_strict(constant_family(chain(10), chain(4))),
+        lambda: _rotation_groupoid(8),
+        lambda: _rotation_groupoid(12),
+        lambda: _rotation_groupoid(16),
+    ],
+    ids=["chain6x3", "chain8x4", "chain10x4", "TG8", "TG12", "TG16"],
+)
+def test_the_recovered_family_is_the_one_validation_would_build(built):
+    # The family is built, not validated: it equals the oracle's validated
+    # one field for field, and validating it again changes nothing.
+    built = built()
+    args = (built.over(), built.cleavage, built.object_labels, built.arrow_labels)
+    fam = bc.recover_indexed(*args)
+    assert _family_form(fam) == _family_form(oracle_recover_indexed(*args))
+    assert bc.validate_family(fam.base, fam.fibre, fam.pull) == fam
+    for cat in fam.fibre.values():
+        again = bc.validate_category(cat.name, cat.objects, cat.arrows, cat.compose, cat.identity)
+        assert built_form(again) == built_form(cat)
 
 
 def _corpus_projections(seed: int):

@@ -151,6 +151,35 @@ def test_a_cartesian_scan_outside_the_memo_is_found():
     assert _callers(tree, "_cartesian_scan") == {"_verdict", "cartesian", "_lift_scan", "<module>"}
 
 
+_VALIDATORS = ("validate_category", "validate_functor", "validate_family")
+
+
+def _validating_functions(tree: ast.Module) -> set[str]:
+    """``function: validator`` for each function that refers to a validator."""
+    return {
+        f"{owner}: {name}" for name in _VALIDATORS for owner in _callers(tree, name) if owner != "<module>"
+    }
+
+
+def test_fibration_validates_nothing():
+    # A split cleavage proves the family read off it, and every value a
+    # check reads is validated already, so ``fibration`` builds and checks
+    # but never validates.
+    path = Path(basecat.__file__).parent / "fibration.py"
+    assert not _validating_functions(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+
+
+def test_a_validator_called_from_a_function_is_found():
+    tree = ast.parse(
+        "from .core import validate_category\n"
+        "def recover(p): return validate_family(p.base, {}, {})\n"
+        "class Over:\n"
+        "    def fibre(self): return core.validate_functor('f', a, b, {}, {})\n"
+        "def build(p): return assemble(p.name, (), (), {})\n"
+    )
+    assert _validating_functions(tree) == {"recover: validate_family", "fibre: validate_functor"}
+
+
 def _generator_pickers(trees: dict[str, ast.Module]) -> set[str]:
     """``module.function`` of each reference to ``_generators``."""
     return {f"{module}.{owner}" for module, tree in trees.items() for owner in _callers(tree, "_generators")}
