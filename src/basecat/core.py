@@ -595,12 +595,19 @@ def validate_functor(
         if table[(mor_map[g], mor_map[f])] != mor_map[h]:
             raise CompositionNotPreserved(g, f)
 
-    # Checked last, so that input breaking a law still reports that law.
-    if len(obj_map) > len(source.objects):
-        raise UnknownObject(next(x for x in obj_map if x not in source.objects))
-    if len(mor_map) > len(source.arrows):
-        raise UnknownMorphism(next(m for m in mor_map if not source.has_arrow(m)))
+    _reject_unknown_keys(source, obj_map, mor_map)
     return FinFunctor(name, source, target, obj_map, mor_map)
+
+
+def _reject_unknown_keys(cat: FinCat, objects: Mapping[str, object], arrows: Mapping[str, object]) -> None:
+    """Reject a key of ``objects`` or ``arrows`` that names no object or
+    arrow of ``cat``. A validator calls it last, once every object and
+    arrow is known to be a key, so that input breaking a law still reports
+    that law."""
+    if len(objects) > len(cat.objects):
+        raise UnknownObject(next(o for o in objects if o not in cat.objects))
+    if len(arrows) > len(cat.arrows):
+        raise UnknownMorphism(next(m for m in arrows if not cat.has_arrow(m)))
 
 
 def identity_functor(cat: FinCat) -> FinFunctor:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import FinCat, FinFunctor, ReadOnly, dict_of, identity_functor
+from .core import FinCat, FinFunctor, ReadOnly, _reject_unknown_keys, dict_of, identity_functor
 from .errors import NotStrict, UnknownMorphism, UnknownObject
 
 
@@ -79,11 +79,7 @@ def validate_family(
             if not _strict_at(pull, v, u, w):
                 raise NotStrict(v, u)
 
-    # Checked last, so that input breaking a law still reports that law.
-    if len(fibre) > len(base.objects):
-        raise UnknownObject(next(o for o in fibre if o not in base.objects))
-    if len(pull) > len(base.arrows):
-        raise UnknownMorphism(next(m for m in pull if not base.has_arrow(m)))
+    _reject_unknown_keys(base, fibre, pull)
     return IndexedFamily(base, fibre, pull)
 
 

@@ -12,14 +12,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import FinCat, ReadOnly, dict_of, pair_id
+from .core import FinCat, ReadOnly, _reject_unknown_keys, dict_of, pair_id
 from .errors import (
     CodomainMismatch,
     NotFaithful,
     NotFunctorial,
     PartialFunction,
     Refutation,
-    UnknownMorphism,
     UnknownObject,
     ValidationError,
 )
@@ -145,11 +144,7 @@ def validate_concrete(
                         else:
                             raise NotFaithful(f1, f2)
 
-    # Checked last, so that input breaking a law still reports that law.
-    if len(carrier) > len(over.objects):
-        raise UnknownObject(next(o for o in carrier if o not in over.objects))
-    if len(action) > len(over.arrows):
-        raise UnknownMorphism(next(m for m in action if not over.has_arrow(m)))
+    _reject_unknown_keys(over, carrier, action)
     return ConcreteStructure(over, carrier, action, tuple(warnings))
 
 

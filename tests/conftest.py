@@ -509,13 +509,13 @@ def oracle_relabelling(
 def oracle_projection_witness(c: FinCat, built, name: str) -> IsoWitness:
     """The base ``c`` relabelled as the one-element-fibre construction
     ``built``: each object to the first object labelled with it, each arrow
-    to the arrow keyed by it."""
-    by_key = {k: ident for ident, k in built.arrow_keys.items()}
+    to the arrow over it."""
+    by_over = {over: ident for ident, over in built.projection.mor_map.items()}
     obj_map = {
         x: next(o for o, lbl in built.object_labels.items() if lbl[0] == x)
         for x in c.objects
     }
-    mor_map = {a.name: by_key[(a.name,)] for a in c.arrows if (a.name,) in by_key}
+    mor_map = {a.name: by_over[a.name] for a in c.arrows if a.name in by_over}
     for x in c.objects:
         mor_map[c.identity[x]] = built.cat.identity[obj_map[x]]
     return oracle_relabelling(name, c, built.cat, obj_map, mor_map)
@@ -821,7 +821,7 @@ def oracle_build(builder, cleavage=None, opcleavage=None) -> ConstructedCategory
     projection = validate_functor(
         f"proj_{builder.name}", cat, builder.base, builder.proj_obj, builder.proj_mor
     )
-    labels = (builder.object_labels, builder.arrow_labels, builder.arrow_keys)
+    labels = (builder.object_labels, builder.arrow_labels)
     return ConstructedCategory(cat, projection, builder.provenance, *labels, cleavage, opcleavage)
 
 
@@ -837,7 +837,7 @@ def built_form(value) -> tuple:
         ends = (built_form(value.source), built_form(value.target))
         return (value.name, ends, [*value.obj_map.items()], [*value.mor_map.items()])
     lifts = [None if c is None else [*c.lift.items()] for c in (value.cleavage, value.opcleavage)]
-    labels = [[*m.items()] for m in (value.object_labels, value.arrow_labels, value.arrow_keys)]
+    labels = [[*m.items()] for m in (value.object_labels, value.arrow_labels)]
     return (built_form(value.cat), built_form(value.projection), value.provenance, labels, lifts)
 
 
@@ -856,7 +856,7 @@ def oracle_transformation_groupoid(act: GroupAction) -> ConstructedCategory:
     grp = act.group
     b = _Builder(f"tg_{grp.name}", grp, "transformation-groupoid")
     for x in act.carrier.elements:
-        b.add_object(x, (x,), act.star, (grp.identity[act.star], x))
+        b.add_object(x, (x,), act.star)
     name_of = {}
     for g in grp.arrows:
         if grp.is_identity(g.name):
@@ -866,9 +866,7 @@ def oracle_transformation_groupoid(act: GroupAction) -> ConstructedCategory:
         for x in act.carrier.elements:
             ident = pair_id(g.name, x)
             name_of[(g.name, x)] = ident
-            b.add_arrow(
-                ident, (g.name, x), x, act.phi[g.name].mapping[x], g.name, key=(g.name, x)
-            )
+            b.add_arrow(ident, (g.name, x), x, act.phi[g.name].mapping[x], g.name)
     for (g2, g1), g3 in grp.compose.items():
         if grp.is_identity(g2) or grp.is_identity(g1):
             continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from basecat.dsl import decl_of_category, format_declaration
 from basecat.core import identity_id, invert
 from basecat.report import FAIL, PASS, SKIP
 from basecat.sets import FinFn, FinSetObj
+from basecat.suites import suite_main, suite_prop4
 
 from conftest import built_form, oracle_transformation_groupoid
 from test_assembly import regular_action
@@ -39,6 +41,13 @@ def walking_concrete(two):
     cy = FinSetObj("cy", ("y1",))
     const = FinFn(cx, cy, {"x1": "y1", "x2": "y1"})
     return bc.validate_concrete(two, {"X": cx, "Y": cy}, {"f": const})
+
+
+@pytest.fixture
+def point_concrete(two):
+    """``walking_concrete`` without the element x2."""
+    cx, cy = FinSetObj("cx", ("x1",)), FinSetObj("cy", ("y1",))
+    return bc.validate_concrete(two, {"X": cx, "Y": cy}, {"f": FinFn(cx, cy, {"x1": "y1"})})
 
 
 @pytest.fixture
@@ -398,8 +407,8 @@ class TestTransformationGroupoid:
             )
 
     def test_matches_its_own_builder_but_for_labels_and_lifts(self, one, z2):
-        # As a category of elements the groupoid keeps the ids, orders,
-        # projection and keys of the builder it replaced; its provenance
+        # As a category of elements the groupoid keeps the ids, orders and
+        # projection of the builder it replaced; its provenance
         # labels gain the group's object, and it carries the cleavages
         # that the lift scans find.
         acts = [act for seed in range(10) for act in build_corpus(seed=seed).actions]
@@ -409,9 +418,9 @@ class TestTransformationGroupoid:
         acts.append(bc.validate_group_action(z2, bits, {"s": FinFn(bits, bits, {"0": "0", "1": "1"})}))
         for act in acts:
             built, old = bc.transformation_groupoid(act), oracle_transformation_groupoid(act)
-            cat, proj, provenance, (objects, arrows, keys), _ = built_form(built)
-            *same, (old_objects, old_arrows, old_keys), old_lifts = built_form(old)
-            assert [cat, proj, provenance] == same and keys == old_keys
+            cat, proj, provenance, (objects, arrows), _ = built_form(built)
+            *same, (old_objects, old_arrows), old_lifts = built_form(old)
+            assert [cat, proj, provenance] == same
             assert objects == [(x, (act.star, *label)) for x, label in old_objects]
             identities, id_star = set(built.cat.identity.values()), identity_id(act.star)
             assert arrows == [
@@ -520,6 +529,48 @@ class TestMainProp:
         assert len(built.cat.objects) == 3
         assert len(built.cat.arrows) == 5
 
+    def test_constructions_over_different_carriers_have_no_witness(self, id_two, walking_concrete, point_concrete):
+        left = bc.concrete_left_action(id_two, walking_concrete)
+        small = bc.concrete_left_action(id_two, point_concrete)
+        with pytest.raises(KeyError) as raised:  # (X,x2) has no match
+            constructions._witness_by_projection(left, small, "w")
+        assert raised.value.args == (("id_X", "(X,x2)"),)
+        with pytest.raises(errors.ValidationError):  # (X,x2) is no image
+            constructions._witness_by_projection(small, left, "w")
+
+    def test_a_trio_leg_without_a_witness_fails(self, monkeypatch, id_two, walking_concrete, point_concrete):
+        left_action = constructions.concrete_left_action
+        monkeypatch.setattr(constructions, "concrete_left_action", lambda fun, _: left_action(fun, point_concrete))
+        claims = {c.claim_id: c for c in bc.verify_main_prop(id_two, concrete=walking_concrete).claims}
+        assert (claims["cgraph~cleft"].status, claims["cgraph~cleft"].detail) == (
+            FAIL,
+            "no witness: ('id_X', '(X,x2)')",
+        )
+
+
+def test_trio_and_prop4_witnesses_are_pinned(monkeypatch):
+    # The forward maps of every witness the concrete legs of the main
+    # proposition and prop4 build over corpus seeds 0-9, hashed. They are
+    # the ones the constructions' (base arrow, fibre element) keys gave
+    # before arrows were matched by their projections.
+    match, seen = constructions._witness_by_projection, []
+
+    def recorded(*args):
+        witness = match(*args)
+        forward = witness.forward
+        seen.append(repr((forward.name, [*forward.obj_map.items()], [*forward.mor_map.items()])))
+        return witness
+
+    monkeypatch.setattr(constructions, "_witness_by_projection", recorded)
+    for seed in range(10):
+        corpus = build_corpus(seed=seed)
+        suite_main(corpus)
+        suite_prop4(corpus)
+    assert (len(seen), hashlib.sha256("\n".join(seen).encode()).hexdigest()) == (
+        472,
+        "92e4198bbd54794097125a9ebbd3f9db16e787525f5b3c77c4fee73daefbc00d",
+    )
+
 
 def _every_construction(corpus):
     """Each construction the package offers, over one corpus."""
@@ -562,7 +613,6 @@ def _fingerprint(built) -> str:
             built.provenance,
             list(built.object_labels.items()),
             list(built.arrow_labels.items()),
-            list(built.arrow_keys.items()),
             lifts,
             export_dot(built, True, True),
             format_declaration(decl_of_category(cat)),
@@ -571,19 +621,30 @@ def _fingerprint(built) -> str:
 
 
 def test_constructions_are_pinned_byte_for_byte():
-    # Ids, arrow order, labels, keys, cleavages and printed forms of every
-    # construction over corpus seeds 0-9, hashed; any change to a builder's
-    # output changes the digest.
-    digest = hashlib.sha256()
-    builds = tiebroken = selfdual_concrete = 0
+    # Ids, arrow order, labels, cleavages and printed forms of every
+    # construction over corpus seeds 0-9, hashed once per provenance; any
+    # change to a builder's output changes the digest of the construction
+    # it moved.
+    builds, digests = Counter(), defaultdict(hashlib.sha256)
+    tiebroken = 0
     for seed in range(10):
         for built in _every_construction(build_corpus(seed=seed)):
-            digest.update(_fingerprint(built).encode())
-            builds += 1
+            digests[built.provenance].update(_fingerprint(built).encode())
+            builds[built.provenance] += 1
             tiebroken += sum("@" in a.name for a in built.cat.arrows)
-            selfdual_concrete += built.provenance == "selfdual-concrete-right-action"
-    assert tiebroken > 0 and selfdual_concrete > 0
-    assert (builds, digest.hexdigest()) == (
-        2013,
-        "630afdb0afdd4bb81f21a305a727468c4969276373e1962488a17259f83a65cc",
-    )
+    assert tiebroken > 0
+    assert {p: (builds[p], d.hexdigest()) for p, d in digests.items()} == {
+        "graph": (310, "7fbb0657705f170757c710522457b0403e1cea12449f22b0db899e40f2aac651"),
+        "left-action": (310, "82152c32b2d22b44dcfabba5e4a427d20fd4d11e63d090c91f69968ddc5cf260"),
+        "right-action": (310, "db5ce5f9972e5ab44cf482ea3dda17edc4659cab8340d67781a3ebccdc0eda31"),
+        "selfdual-right-action": (187, "4896f461d3aa86dcecb1684363f172837e5c7ec4813a37c1bdb89c36ce5b74d5"),
+        "concrete-graph": (190, "a7ffee6417ebe996dcfc5e543e8087dcee197150d6165a4bfad6d25793d290ad"),
+        "concrete-left-action": (190, "7d1504d78471dd9197203f4a8280d76f85ddf81709cabff66ba2ae67d2dfeff5"),
+        "concrete-right-action": (190, "c32ce85fa9279fffa69067a75ed5f6f3691898b6153530ca90ebcb7ea56ace6d"),
+        "selfdual-concrete-right-action": (
+            96,
+            "fd23670e428f8ff49feff7d4ae598d60acbc81550a71c5d548ca23fee4c4a9ac",
+        ),
+        "transformation-groupoid": (90, "a6f14d0daff64845e2ea6394c024af50aaa84298d487d31de9a963c28d53b22b"),
+        "grothendieck": (140, "74c60468890eb052ae614e06c33dfcddac9a6804388824f0d70155dab6b172ad"),
+    }

@@ -40,7 +40,7 @@ def _mappings(value) -> dict[str, object]:
         bc.ConcreteStructure: ("carrier", "action"),
         bc.IndexedFamily: ("fibre", "pull"),
         bc.GroupAction: ("phi",),
-        bc.ConstructedCategory: ("object_labels", "arrow_labels", "arrow_keys"),
+        bc.ConstructedCategory: ("object_labels", "arrow_labels"),
         bc.Cleavage: ("lift",),
         bc.OpCleavage: ("lift",),
     }[type(value)]
