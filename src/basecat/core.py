@@ -95,24 +95,34 @@ class ReadOnly:
     """Base of the frozen dataclasses whose mapping fields hold read-only
     views (``types.MappingProxyType``).
 
-    A subclass names those fields in ``read_only``, and ``__post_init__``
-    wraps each. A plain mapping is wrapped, not copied, so a builder hands
-    over a dict it created and keeps no other reference to; validators copy
-    their caller's input once before building, so nothing outside can
-    change a validated value afterwards. A view is kept as it is. Scans
-    read the views themselves; no value keeps a plain copy beside one, so
-    none holds a writable alias into what it validated. The repr
-    shows each view as the dict it wraps, so reprs read as they did with
-    plain dicts.
+    A subclass names those fields in ``read_only``. Its constructor,
+    generated from its fields (``__init_subclass__``), sets the instance
+    dict to every field and wraps each of those in a view. A plain mapping
+    is wrapped, not copied, so a builder hands over a dict it created and
+    keeps no other reference to; validators copy their caller's input once
+    before building, so nothing outside can change a validated value
+    afterwards. A view is kept as it is. Scans read the views themselves;
+    no value keeps a plain copy beside one. The repr shows each view as
+    the dict it wraps, so reprs read as they did with plain dicts.
     """
 
     read_only: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        for name in self.read_only:
-            mapping = getattr(self, name)
-            if type(mapping) is not MappingProxyType:
-                object.__setattr__(self, name, MappingProxyType(mapping))
+    def __init_subclass__(cls) -> None:
+        # One constructor per subclass, from the fields it declares (its
+        # annotations in order, class attributes as defaults); the dataclass
+        # decorator keeps it. It sets the instance dict in one call: writes
+        # into the dict ``self.__dict__`` makes would slow attribute reads.
+        names = list(vars(cls)["__annotations__"])
+        items = ", ".join(
+            f"{n!r}: {n} if type({n}) is View else View({n})" if n in cls.read_only
+            else f"{n!r}: {n}" for n in names
+        )
+        scope = {"View": MappingProxyType, "set_dict": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(names)}): set_dict(self, '__dict__', {{{items}}})", scope)
+        cls.__init__ = init = scope["__init__"]
+        init.__defaults__ = tuple(vars(cls)[n] for n in names if n in vars(cls))
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __repr__(self) -> str:
         shown = ", ".join(

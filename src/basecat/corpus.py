@@ -91,15 +91,20 @@ def fixture_paths(directory: Path) -> list[Path]:
     ]
 
 
+_elaborated: dict[Path, tuple[str, Env]] = {}  # the last text read at a path, elaborated
+
+
 def load_fixture_env(directory: Path | None = None) -> Env:
+    """A fresh ``Env`` of the directory's fixtures. Every file is read, but
+    elaborated only when its text changed: calls share read-only values."""
     env = Env()
     for path in fixture_paths(directory or fixtures_dir()):
-        sub = elaborate(parse(read_source(path), str(path)))
-        env.categories.update(sub.categories)
-        env.functors.update(sub.functors)
-        env.concretes.update(sub.concretes)
-        env.actions.update(sub.actions)
-        env.families.update(sub.families)
+        text = read_source(path)
+        seen = _elaborated.get(path)
+        if seen is None or seen[0] != text:
+            seen = _elaborated[path] = (text, elaborate(parse(text, str(path))))
+        for mine, elaborated in zip(vars(env).values(), vars(seen[1]).values()):
+            mine.update(elaborated)
     return env
 
 

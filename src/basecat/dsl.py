@@ -242,8 +242,8 @@ class _Parser:
 
     def error(self, expected: str) -> ParseError:
         if self.kinds[self.pos] == _END:
-            lines = self.text.splitlines() or [""]
-            eof_span = SourceSpan(self.filename, len(lines), max(1, len(lines[-1])), 1)
+            body = self.text.removesuffix("\n")  # a final newline starts no line
+            eof_span = _span(self.filename, body, max(len(body) - 1, body.rfind("\n") + 1), 1)
             return ParseError(eof_span, expected, "end of input")
         return ParseError(self.span(self.pos), expected, repr(self.texts[self.pos]))
 

@@ -113,11 +113,11 @@ class _Factorization(Refutation):
 
 
 class CounterexampleCartesian(_Factorization):
-    """Why ``f`` is not cartesian."""
+    template = "{f!r} is not cartesian: {mediating_count} morphisms over {w!r} factor {g!r} through it"
 
 
 class CounterexampleOpCartesian(_Factorization):
-    """Why ``f`` is not opcartesian."""
+    template = "{f!r} is not opcartesian: {mediating_count} morphisms over {w!r} factor {g!r} through it"
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,11 @@ class _Unlifted(Refutation):
 
 
 class MissingLift(_Unlifted):
-    """No cartesian lift of ``u`` at ``obj``."""
+    template = "no cartesian lift of {u!r} ends at {obj!r}"
 
 
 class MissingOpLift(_Unlifted):
-    """No opcartesian lift of ``u`` at ``obj``."""
+    template = "no opcartesian lift of {u!r} starts at {obj!r}"
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,11 @@ class _Detailed(Refutation):
 class SplitViolation(_Detailed):
     """A broken identity or composition law of a cleavage, a lift it lacks,
     or a lift it chose that is not (op)cartesian."""
+    template = "cleavage is not split: {detail}"
 
 
 class Counterexample(_Detailed):
-    """A broken closure property of cartesian morphisms."""
+    template = "a closure property of cartesian morphisms fails: {detail}"
 
 
 def _composable(cat: FinCat, m: str, op: bool) -> list[tuple[str, str, str]]:

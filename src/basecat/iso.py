@@ -60,11 +60,13 @@ SIGNATURE_ROUNDS = 2
 
 @dataclass(frozen=True)
 class NotIsomorphic(Refutation):
+    template = "not isomorphic: {reason}"
     reason: str
 
 
 @dataclass(frozen=True)
 class BudgetExhausted(Refutation):
+    template = "undecided: the search gave up after {nodes} nodes"
     nodes: int
 
 

@@ -161,6 +161,7 @@ class PullbackSquare:
 
 @dataclass(frozen=True)
 class ConeCounterexample(Refutation):
+    template = "not a pullback: the cone from {probe.name!r} has {mediating_count} mediating maps"
     probe: FinSetObj
     q1: FinFn
     q2: FinFn

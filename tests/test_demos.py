@@ -17,8 +17,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # sha256 of each demo's stdout. A change that alters what a demo prints
 # must say why and record the new digest here.
 STDOUT_SHA256 = {
-    "01_categories_and_functors.py": "112452915bebf7a3ebd0bc9b637d1b66328a1973dde2aaf5cf728c5f2010f99a",
-    "02_graph_of_a_functor.py": "311edc1a0c39867095905b6fae2d66bdbe0bed4821e21a1891f86618a722b7aa",
+    "01_categories_and_functors.py": "830f1654ec7a555236994f1757514f40a54b3d5c8c58ccdad7587482c271a01a",
+    "02_graph_of_a_functor.py": "581fb562609f2620602cdcdefa02cd0bbe2b30ce3117d0d616c6d78321c0c8d9",
     "03_actions_and_groupoids.py": "a7857c5dab284e1553f00d3d2682e21ca960eb2864c5c0180cf3bfe6e4cb011d",
     "04_grothendieck_round_trip.py": "6b5f060c57c9ab4377dc076501cc6140de09d687ed391e6f87967193a870ed7c",
     "05_dsl_and_cli.py": "5a3399d59622796f355a157ce7bec6efcfc5dcc20642d449c2d7bc92553d59ad",

@@ -239,6 +239,55 @@ def test_a_descriptor_class_is_found():
     assert _descriptor_classes(tree) == {"Lazy", "Inner"}
 
 
+def _read_only_constructors(trees: list[ast.Module]) -> set[str]:
+    """``Class.method`` for each ``__init__`` or ``__post_init__`` defined
+    by ``ReadOnly`` or by a class deriving from it, a base named plainly or
+    as an attribute."""
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    read_only = {"ReadOnly"}
+    grown = True
+    while grown:
+        grown = False
+        for node in classes:
+            bases = {getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases}
+            if node.name not in read_only and bases & read_only:
+                read_only.add(node.name)
+                grown = True
+    return {
+        f"{node.name}.{f.name}"
+        for node in classes if node.name in read_only
+        for f in node.body
+        if isinstance(f, ast.FunctionDef) and f.name in ("__init__", "__post_init__")
+    }
+
+
+def test_no_read_only_value_writes_its_own_constructor():
+    # ``ReadOnly`` generates each subclass's one constructor from its fields.
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in MODULES]
+    assert not _read_only_constructors(trees)
+
+
+def test_a_read_only_constructor_is_found():
+    tree = ast.parse(
+        "class ReadOnly:\n"
+        "    def __post_init__(self): pass\n"
+        "class Cat(ReadOnly):\n"
+        "    def __init__(self, name): pass\n"
+        "class Fun(core.ReadOnly):\n"
+        "    def __post_init__(self): pass\n"
+        "class Sub(Cat):\n"
+        "    def __init__(self, name): pass\n"
+        "class Plain:\n"
+        "    def __init__(self): pass\n"
+        "    def __post_init__(self): pass\n"
+        "class Quiet(ReadOnly):\n"
+        "    def __repr__(self): return ''\n"
+    )
+    assert _read_only_constructors([tree]) == {
+        "ReadOnly.__post_init__", "Cat.__init__", "Fun.__post_init__", "Sub.__init__"
+    }
+
+
 # Possessive quantifiers and atomic groups, which need Python 3.11; the
 # package supports 3.10.
 _NEWER_REGEX_SYNTAX = re.compile(r"[*+?}]\+|\(\?>")

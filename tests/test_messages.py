@@ -9,10 +9,13 @@ recorded table, and every refutation must be falsy.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
 
+import basecat
 from basecat import dsl, errors
 from basecat.corpus import fixtures_dir
 from basecat.fibration import (
@@ -216,43 +219,43 @@ PINNED: dict[str, tuple[str, str]] = {
         'UnmappedObject(ident="ident\'s")',
     ),
     'CounterexampleCartesian': (
-        'CounterexampleCartesian(f="f\'s", g="g\'s", w="w\'s", mediating_count=2)',
+        '"f\'s" is not cartesian: 2 morphisms over "w\'s" factor "g\'s" through it',
         'CounterexampleCartesian(f="f\'s", g="g\'s", w="w\'s", mediating_count=2)',
     ),
     'CounterexampleOpCartesian': (
-        'CounterexampleOpCartesian(f="f\'s", g="g\'s", w="w\'s", mediating_count=2)',
+        '"f\'s" is not opcartesian: 2 morphisms over "w\'s" factor "g\'s" through it',
         'CounterexampleOpCartesian(f="f\'s", g="g\'s", w="w\'s", mediating_count=2)',
     ),
     'MissingLift': (
-        'MissingLift(u="u\'s", obj="obj\'s")',
+        'no cartesian lift of "u\'s" ends at "obj\'s"',
         'MissingLift(u="u\'s", obj="obj\'s")',
     ),
     'MissingOpLift': (
-        'MissingOpLift(u="u\'s", obj="obj\'s")',
+        'no opcartesian lift of "u\'s" starts at "obj\'s"',
         'MissingOpLift(u="u\'s", obj="obj\'s")',
     ),
     'SplitViolation': (
-        'SplitViolation(detail="detail\'s")',
+        "cleavage is not split: detail's",
         'SplitViolation(detail="detail\'s")',
     ),
     'Counterexample': (
-        'Counterexample(detail="detail\'s")',
+        "a closure property of cartesian morphisms fails: detail's",
         'Counterexample(detail="detail\'s")',
     ),
     'ConeCounterexample': (
-        "ConeCounterexample(probe=FinSetObj(name='probe1', elements=('d0',)), q1=FinFn(dom=FinSetObj(name='probe1', elements=('d0',)), cod=FinSetObj(name='A', elements=('a0', 'a1')), mapping={'d0': 'a1'}), q2=FinFn(dom=FinSetObj(name='probe1', elements=('d0',)), cod=FinSetObj(name='B', elements=('b0',)), mapping={'d0': 'b0'}), mediating_count=2)",
+        "not a pullback: the cone from 'probe1' has 2 mediating maps",
         "ConeCounterexample(probe=FinSetObj(name='probe1', elements=('d0',)), q1=FinFn(dom=FinSetObj(name='probe1', elements=('d0',)), cod=FinSetObj(name='A', elements=('a0', 'a1')), mapping={'d0': 'a1'}), q2=FinFn(dom=FinSetObj(name='probe1', elements=('d0',)), cod=FinSetObj(name='B', elements=('b0',)), mapping={'d0': 'b0'}), mediating_count=2)",
     ),
     'NotIsomorphic': (
-        'NotIsomorphic(reason="reason\'s")',
+        "not isomorphic: reason's",
         'NotIsomorphic(reason="reason\'s")',
     ),
     'BudgetExhausted': (
-        'BudgetExhausted(nodes=2)',
+        'undecided: the search gave up after 2 nodes',
         'BudgetExhausted(nodes=2)',
     ),
     'SplitViolation[lift not cartesian]': (
-        'SplitViolation(detail="lift \'f1\' of \'f\' at \'Y0\' is not cartesian")',
+        "cleavage is not split: lift 'f1' of 'f' at 'Y0' is not cartesian",
         'SplitViolation(detail="lift \'f1\' of \'f\' at \'Y0\' is not cartesian")',
     ),
 }
@@ -276,3 +279,18 @@ def test_the_table_names_no_other_case():
                          ids=[label for label, _ in REFUTATION_CASES])
 def test_every_refutation_is_falsy(label, value):
     assert bool(value) is False
+
+
+def _leaves(cls: type) -> list[type]:
+    subclasses = cls.__subclasses__()
+    return [leaf for sub in subclasses for leaf in _leaves(sub)] if subclasses else [cls]
+
+
+def test_every_refutation_in_the_package_reads_as_a_sentence():
+    for module in pkgutil.iter_modules(basecat.__path__):
+        importlib.import_module(f"basecat.{module.name}")
+    found = [cls for cls in _leaves(errors.Refutation) if cls.__module__.startswith("basecat.")]
+    assert set(REFUTATION_CLASSES) < set(found)
+    for cls in found:
+        for label, value in _cases(cls):
+            assert str(value) != repr(value), label

@@ -130,7 +130,9 @@ def _outcome_line(label: str, name: str, outcome) -> bytes:
 
 
 def _eof_span(text: str) -> tuple[int, int, int]:
-    lines = text.splitlines() or [""]
+    """The span of the last character; lines end at newlines only, and a
+    final newline starts none."""
+    lines = text.removesuffix("\n").split("\n")
     return (len(lines), max(1, len(lines[-1])), 1)
 
 
@@ -257,3 +259,37 @@ def test_parser_spans_match_the_line_start_table_in_any_order():
         for i in [*range(count), *reversed(range(count)), *range(0, count, 7)]:
             expected = oracle_span("s.bcat", text, parser.offsets[i], len(parser.texts[i]))
             assert parser.span(i) == expected
+
+
+# Characters ``str.splitlines`` also breaks lines at; only a newline does.
+LINE_BREAKS_BUT_NEWLINE = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _error_of(text: str) -> ParseError:
+    try:
+        dsl.parse(text, "x.bcat")
+    except ParseError as exc:
+        return exc
+    raise AssertionError(f"{text!r} parsed")
+
+
+def _end_of_input(text: str) -> tuple[int, int, int]:
+    """The span of the parse error of ``text``, found at the end of input."""
+    exc = _error_of(text)
+    assert exc.found == "end of input", exc
+    return (exc.span.line, exc.span.column, exc.span.length)
+
+
+def test_end_of_input_counts_lines_at_newlines_only():
+    text = "category A {\r  objects: a"
+    assert _end_of_input(text) == _eof_span(text) == (1, 25, 1)
+    # One token more, the error names that token on the same line.
+    assert str(_error_of(text + " :")) == "x.bcat:1:27: expected '}', found ':'"
+    text = "category A {\n  objects: a # form\ffeed\n  arrows: f"
+    assert _end_of_input(text) == _eof_span(text) == (3, 11, 1)
+    for char in LINE_BREAKS_BUT_NEWLINE:
+        text = f"category A {{ objects: a # x{char}y\n"
+        assert _end_of_input(text) == _eof_span(text) == (1, len(text) - 1, 1), repr(char)
+    # A carriage return before a newline is one more column.
+    text = "category A {\r\n  objects: a\r\n"
+    assert _end_of_input(text) == _eof_span(text) == (2, 13, 1)
