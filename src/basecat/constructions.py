@@ -100,13 +100,18 @@ def _disambiguate(proposals: list[tuple[str, str]]) -> list[str]:
 
 class _Builder:
     """Accumulates a constructed presentation and its projection, then
-    assembles them; the caller's construction is what proves the laws."""
+    assembles them; the caller's construction is what proves the laws.
+    Each object brings its identity arrow, so every object is added before
+    any other arrow. The caller's table holds composites of two
+    non-identities only, so each unit row ``build`` writes is new and lands
+    where ``validate_category`` would put it: ``assemble`` adds nothing."""
 
     def __init__(self, name: str, base: FinCat, provenance: str):
         self.name = name
         self.base = base
         self.provenance = provenance
         self.objects: list[str] = []
+        self.identity: dict[str, str] = {}
         self.object_labels: dict[str, tuple[str, ...]] = {}
         self.proj_obj: dict[str, str] = {}
         self.arrows: list[Arrow] = []
@@ -115,13 +120,15 @@ class _Builder:
         self.table: dict[tuple[str, str], str] = {}
 
     def add_object(self, ident: str, label: tuple[str, ...], over: str, identity_label: tuple = ()) -> str:
+        """Add an object and its identity arrow; return the identity's id."""
         self.objects.append(ident)
         self.object_labels[ident] = label
         self.proj_obj[ident] = over
-        ident_arrow = identity_id(ident)
-        self.arrow_labels[ident_arrow] = identity_label or tuple(map(identity_id, label))
-        self.proj_mor[ident_arrow] = self.base.identity[over]
-        return ident
+        unit = self.identity[ident] = identity_id(ident)
+        self.arrows.append(Arrow(unit, ident, ident))
+        self.arrow_labels[unit] = identity_label or tuple(map(identity_id, label))
+        self.proj_mor[unit] = self.base.identity[over]
+        return unit
 
     def add_arrow(self, ident: str, label: tuple[str, ...], dom: str, cod: str, over: str) -> None:
         self.arrows.append(Arrow(ident, dom, cod))
@@ -131,7 +138,10 @@ class _Builder:
     def build(
         self, cleavage: Cleavage | None = None, opcleavage: OpCleavage | None = None
     ) -> ConstructedCategory:
-        cat = assemble(self.name, self.objects, self.arrows, self.table)
+        table, identity = self.table, self.identity
+        for a in self.arrows:
+            table[identity[a.cod], a.name] = table[a.name, identity[a.dom]] = a.name
+        cat = assemble(self.name, self.objects, self.arrows, table, identity)
         projection = FinFunctor(f"proj_{self.name}", cat, self.base, self.proj_obj, self.proj_mor)
         labels = (self.object_labels, self.arrow_labels)
         return ConstructedCategory(cat, projection, self.provenance, *labels, cleavage, opcleavage)
@@ -170,11 +180,10 @@ def _category_of_elements(
     # element morphisms above each arrow of c, as (x, y, id)
     ms: dict[str, list[tuple[str, str, str]]] = {}
     for X in c.objects:
-        ident = c.identity[X]
-        ms[ident] = []
+        units = ms[c.identity[X]] = []
         for x in fibre[X]:
-            obj[X, x] = b.add_object(object_id(X, x), (X, x), X)
-            ms[ident].append((x, x, identity_id(obj[X, x])))
+            o = obj[X, x] = object_id(X, x)
+            units.append((x, x, b.add_object(o, (X, x), X)))
 
     tags = [op_name(a.name) if over_opposite else a.name for a, *_ in above]
     names = _disambiguate(
@@ -190,8 +199,9 @@ def _category_of_elements(
         starting.setdefault(f, {}).setdefault(x, []).append((y, ident))
 
     at = {f: {(x, y): m for x, y, m in lst} for f, lst in ms.items()}
+    ids = c._identity_names
     for (g, f), h in c.compose.items():
-        if c.is_identity(g) or c.is_identity(f):
+        if g in ids or f in ids:
             continue
         from_f, at_g = starting.get(f, {}), at.get(g, {})
         for x, z, gf in ms.get(h, ()):
@@ -206,10 +216,7 @@ def _category_of_elements(
             for x, y, m in ms.get(u.name, ()):
                 lifts[u.name, obj[u.cod, y]] = m
                 oplifts[u.name, obj[u.dom, x]] = m
-    return b.build(
-        Cleavage(lifts) if cleavage else None,
-        OpCleavage(oplifts) if opcleavage else None,
-    )
+    return b.build(Cleavage(lifts) if cleavage else None, OpCleavage(oplifts) if opcleavage else None)
 
 
 def _one_element_fibres(
@@ -362,61 +369,52 @@ def grothendieck_strict(fam: IndexedFamily) -> ConstructedCategory:
     at (J, Y) is (u, identity of pull(u)(Y)).
     """
     fam = validate_family(fam.base, fam.fibre, fam.pull)  # re-check strictness
-    base = fam.base
+    base, fibre, pull = fam.base, fam.fibre, fam.pull
     b = _Builder(f"total_{base.name}", base, "grothendieck")
-    obj = {}
+    obj: dict[tuple[str, str], str] = {}
+    id_of: dict[tuple[str, str, str], str] = {}
     for i in base.objects:
-        for x in fam.fibre[i].objects:
-            label = (base.identity[i], fam.fibre[i].identity[x])
-            obj[(i, x)] = b.add_object(pair_id(i, x), (i, x), i, label)
+        for x in fibre[i].objects:
+            label = (base.identity[i], fibre[i].identity[x])
+            o = obj[(i, x)] = pair_id(i, x)
+            id_of[(*label, x)] = b.add_object(o, (i, x), i, label)
 
-    proposals = []
-    entries = []
+    proposals, entries = [], []
+    base_ids = base._identity_names
     for u in base.arrows:
-        fib_i = fam.fibre[u.dom]
-        fib_j = fam.fibre[u.cod]
-        pull_u = fam.pull[u.name]
-        for y in fib_j.objects:
-            for v in fib_i.arrows_into(pull_u.obj(y)):
-                if base.is_identity(u.name) and fib_i.is_identity(v.name) and y == v.dom:
+        fib_i, obj_map = fibre[u.dom], pull[u.name].obj_map
+        into, fibre_ids = fib_i._into, fib_i._identity_names
+        for y in fibre[u.cod].objects:
+            for v in into.get(obj_map[y], ()):
+                if u.name in base_ids and v.name in fibre_ids and y == v.dom:
                     continue  # the identity pair is the identity morphism
                 proposals.append((pair_id(u.name, v.name), y))
-                entries.append((u.name, v.name, y, v.dom))
+                entries.append((u, v.name, y, v.dom))
     names = _disambiguate(proposals)
-    id_of: dict[tuple[str, str, str], str] = {}
-    nonidentity = []
-    for ident, (u, v, y, x) in zip(names, entries):
-        id_of[(u, v, y)] = ident
-        nonidentity.append((u, v, y, ident))
-        b.add_arrow(ident, (u, v), obj[(base.dom(u), x)], obj[(base.cod(u), y)], u)
-    for i in base.objects:
-        for x in fam.fibre[i].objects:
-            id_of[(base.identity[i], fam.fibre[i].identity[x], x)] = identity_id(obj[(i, x)])
-
     # second factors by (base domain, fibre domain), in presentation order
     seconds: dict[tuple[str, str], list[tuple[str, str, str, str]]] = {}
-    for u2, v2, y2, m2 in nonidentity:
-        i2 = base.dom(u2)
-        seconds.setdefault((i2, fam.fibre[i2].dom(v2)), []).append((u2, v2, y2, m2))
+    for ident, (u, v, y, x) in zip(names, entries):
+        id_of[(u.name, v, y)] = ident
+        b.add_arrow(ident, (u.name, v), obj[(u.dom, x)], obj[(u.cod, y)], u.name)
+        seconds.setdefault((u.dom, x), []).append((u.name, v, y, ident))
+
     base_rows = _rows(base.arrows, base.compose)
     # one row table per fibre category, however many base objects share it
-    fibres = {id(fib): fib for fib in fam.fibre.values()}
+    fibres = {id(fib): fib for fib in fibre.values()}
     rows_by_id = {key: _rows(fib.arrows, fib.compose) for key, fib in fibres.items()}
-    rows_of = {i: rows_by_id[id(fib)] for i, fib in fam.fibre.items()}
-    for u1, v1, y1, m1 in nonidentity:
-        fibre_rows, carry = rows_of[base.dom(u1)], fam.pull[u1].mor_map
-        for u2, v2, y2, m2 in seconds.get((base.cod(u1), y1), ()):
-            u3 = base_rows[u2][u1]
+    rows_of = {i: rows_by_id[id(fib)] for i, fib in fibre.items()}
+    for ident, (u1, v1, y1, _) in zip(names, entries):
+        fibre_rows, carry = rows_of[u1.dom], pull[u1.name].mor_map
+        for u2, v2, y2, m2 in seconds.get((u1.cod, y1), ()):
+            u3 = base_rows[u2][u1.name]
             v3 = fibre_rows[carry[v2]][v1]
-            b.table[(m2, m1)] = id_of[(u3, v3, y2)]
+            b.table[(m2, ident)] = id_of[(u3, v3, y2)]
 
     lifts = {}
     for u in base.arrows:
-        for y in fam.fibre[u.cod].objects:
-            tgt = fam.pull[u.name].obj(y)
-            lifts[(u.name, obj[(u.cod, y)])] = id_of[
-                (u.name, fam.fibre[u.dom].identity[tgt], y)
-            ]
+        obj_map, units = pull[u.name].obj_map, fibre[u.dom].identity
+        for y in fibre[u.cod].objects:
+            lifts[(u.name, obj[(u.cod, y)])] = id_of[(u.name, units[obj_map[y]], y)]
     return b.build(cleavage=Cleavage(lifts))
 
 

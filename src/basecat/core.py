@@ -206,17 +206,18 @@ class FinCat(ReadOnly):
     def has_arrow(self, name: str) -> bool:
         return name in self._by_name
 
-    def dom(self, name: str) -> str:
-        return self.arrow(name).dom
+    def dom(self, name: str) -> str:  # ``arrow`` runs only to raise UnknownMorphism
+        return (self._by_name.get(name) or self.arrow(name)).dom
 
     def cod(self, name: str) -> str:
-        return self.arrow(name).cod
+        return (self._by_name.get(name) or self.arrow(name)).cod
 
     def is_identity(self, name: str) -> bool:
         return name in self._identity_names
 
     def non_identity_arrows(self) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if not self.is_identity(a.name))
+        ids = self._identity_names
+        return tuple(a for a in self.arrows if a.name not in ids)
 
     # Indexes are built on first use, each in presentation order, so every
     # tuple they return equals the filter over ``arrows`` it replaces.
@@ -525,19 +526,22 @@ def assemble(
     name: str, objects: Sequence[str], arrows: Sequence[Arrow], table: dict, identity: dict | None = None
 ) -> FinCat:
     """A category whose laws its builder proves from validated inputs, so
-    none is checked. It is completed as ``validate_category`` completes raw
-    input (identities missing from ``identity`` synthesised before
-    ``arrows``, unit-law rows after the entries of ``table``), a repeated
-    object or arrow id raises ``DuplicateId``, and the builder's own
-    ``table`` and ``identity`` dicts become the value's."""
-    objects = tuple(objects)
-    _distinct(objects)
-    identity = {} if identity is None else identity
-    arrows = _with_identities(objects, arrows, identity)
+    none is checked. A builder that passes ``identity`` has put every
+    identity in ``arrows`` and every unit-law row in ``table``; without it,
+    both are completed as ``validate_category`` completes raw input
+    (identities before ``arrows``, unit rows after the entries of
+    ``table``). A repeated object or arrow id raises ``DuplicateId``, and
+    the builder's own ``table`` and ``identity`` dicts become the value's."""
+    objects, arrows = tuple(objects), tuple(arrows)
+    if len(set(objects)) < len(objects):
+        _distinct(objects)
+    if identity is None:
+        identity = {}
+        arrows = _with_identities(objects, arrows, identity)
+        _fill_unit_rows(table, arrows, identity)
     by_name = {a.name: a for a in arrows}
     if len(by_name) < len(arrows):
         _distinct(a.name for a in arrows)
-    _fill_unit_rows(table, arrows, identity)
     cat = FinCat(name, objects, arrows, identity, table)
     vars(cat)["_by_name"] = by_name
     return cat
@@ -714,13 +718,12 @@ def opposite(cat: FinCat) -> FinCat:
 
 
 def _reversed(cat: FinCat) -> FinCat:
-    names = {a.name: op_tag(cat, a.name) for a in cat.arrows}
-    arrows = [Arrow(names[a.name], a.cod, a.dom) for a in cat.arrows]
-    identity = {o: names[m] for o, m in cat.identity.items()}
-    table = {
-        (names[f], names[g]): names[h] for (g, f), h in cat.compose.items()
-    }
-    return assemble(op_name(cat.name), cat.objects, arrows, table, identity)
+    ids, names, arrows = cat._identity_names, {}, []  # identities keep their ids
+    for a in cat.arrows:
+        m = names[a.name] = a.name if a.name in ids else op_name(a.name)
+        arrows.append(Arrow(m, a.cod, a.dom))
+    table = {(names[f], names[g]): names[h] for (g, f), h in cat.compose.items()}
+    return assemble(op_name(cat.name), cat.objects, arrows, table, cat.identity.copy())
 
 
 def op_functor(fun: FinFunctor) -> FinFunctor:

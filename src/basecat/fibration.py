@@ -35,7 +35,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .core import Arrow, FinCat, FinFunctor, ReadOnly, assemble, identity_functor
-from .errors import NoLiftInCleavage, NotSplit, Refutation
+from .errors import NoLiftInCleavage, NotSplit, Refutation, UnknownMorphism
 from .family import IndexedFamily
 
 
@@ -342,11 +342,11 @@ def _misplaced(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) ->
     order, whose lift is missing, lies above another arrow or does not end
     at y; above dom u, and start at y, when ``op``. None when every pair
     has a lift so placed."""
-    over, end, above = p.proj.mor_map, p.total.dom if op else p.total.cod, p._above
+    over, arrow, above = p.proj.mor_map, p.total._by_name.get, p._above
     for u in p.base.arrows:
         for y in above[u.dom if op else u.cod]:
-            f = lift.get((u.name, y))
-            if over.get(f) != u.name or end(f) != y:
+            f = arrow(lift.get((u.name, y)))
+            if f is None or over[f.name] != u.name or (f.dom if op else f.cod) != y:
                 return u.name, y
     return None
 
@@ -366,31 +366,31 @@ def check_split_op(p: FunctorOver, k: OpCleavage) -> bool | SplitViolation:
 
 
 def _vertical_factors(p: FunctorOver, top: str, outer: str) -> list[str]:
-    """Every vertical h with top∘h = outer."""
-    total, base, over = p.total, p.base, p.proj.mor_map
-    table = total.compose
-    return [
-        h
-        for h in total.hom(total.dom(outer), total.dom(top))
-        if base.is_identity(over[h]) and table[(top, h)] == outer
-    ]
+    """Every vertical h with top∘h = outer, both arrows of the total."""
+    total, over, base_ids = p.total, p.proj.mor_map, p.base._identity_names
+    by_name, table, found = total._by_name, total.compose, []
+    for h in total._homs.get((by_name[outer].dom, by_name[top].dom), ()):
+        if over[h] in base_ids and table[top, h] == outer:
+            found.append(h)
+    return found
 
 
 def factor_vertical_cartesian(
     p: FunctorOver, c: Cleavage, g: str
 ) -> tuple[str, str]:
     """Split a total morphism as (vertical h, cartesian f) with f∘h = g."""
-    total = p.total
-    ga = total.arrow(g)
-    u = p.over(g)
-    f = c.lift.get((u, ga.cod))
+    by_name = p.total._by_name
+    if g not in by_name:
+        raise UnknownMorphism(g)
+    u, cod = p.proj.mor_map[g], by_name[g].cod
+    f = c.lift.get((u, cod))
     if f is None:
-        raise NoLiftInCleavage(u, ga.cod)
+        raise NoLiftInCleavage(u, cod)
+    if f not in by_name:
+        raise UnknownMorphism(f)
     candidates = _vertical_factors(p, f, g)
     if len(candidates) != 1:
-        raise NotSplit(
-            f"{len(candidates)} vertical factorizations of {g!r} through {f!r}"
-        )
+        raise NotSplit(f"{len(candidates)} vertical factorizations of {g!r} through {f!r}")
     return candidates[0], f
 
 
@@ -445,16 +445,10 @@ def recover_indexed(
         raise NotSplit(verdict.detail)
 
     total, base = p.total, p.base
-
-    def rl_obj(o: str) -> str:
-        if object_labels and o in object_labels:
-            return object_labels[o][-1]
-        return o
-
-    def rl_mor(m: str) -> str:
-        if arrow_labels and m in arrow_labels:
-            return arrow_labels[m][-1]
-        return m
+    # Each total id's fibre id: the last component of its label, if any.
+    obj_labels, mor_labels = object_labels or {}, arrow_labels or {}
+    rl_obj = {o: obj_labels[o][-1] if o in obj_labels else o for o in total.objects}
+    rl_mor = {m: mor_labels[m][-1] if m in mor_labels else m for m in total._by_name}
 
     # Grouped once, each group in presentation (table) order: the vertical
     # arrows above each base identity, and the composites of two such
@@ -462,9 +456,10 @@ def recover_indexed(
     objs = p._above
     verticals: dict[str, list[Arrow]] = {i: [] for i in base.objects}
     fibre_of: dict[str, str] = {}  # vertical arrow -> base object under it
+    over, obj_over, base_ids = p.proj.mor_map, p.proj.obj_map, base._identity_names
     for a in total.arrows:
-        if p.is_vertical(a.name):
-            fibre_of[a.name] = p.obj_over(a.dom)
+        if over[a.name] in base_ids:
+            fibre_of[a.name] = obj_over[a.dom]
             verticals[fibre_of[a.name]].append(a)
     composites: dict[str, list[tuple[str, str, str]]] = {i: [] for i in base.objects}
     for (g, f), h in total.compose.items():
@@ -473,21 +468,22 @@ def recover_indexed(
 
     fibre: dict[str, FinCat] = {}
     for i in base.objects:
-        arrows = [Arrow(rl_mor(a.name), rl_obj(a.dom), rl_obj(a.cod)) for a in verticals[i]]
-        identity = {rl_obj(y): rl_mor(total.identity[y]) for y in objs[i]}
-        table = {(rl_mor(g), rl_mor(f)): rl_mor(h) for g, f, h in composites[i]}
-        fibre[i] = assemble(f"{total.name}|{i}", [rl_obj(y) for y in objs[i]], arrows, table, identity)
+        arrows = [Arrow(rl_mor[a.name], rl_obj[a.dom], rl_obj[a.cod]) for a in verticals[i]]
+        identity = {rl_obj[y]: rl_mor[total.identity[y]] for y in objs[i]}
+        table = {(rl_mor[g], rl_mor[f]): rl_mor[h] for g, f, h in composites[i]}
+        fibre[i] = assemble(f"{total.name}|{i}", [rl_obj[y] for y in objs[i]], arrows, table, identity)
 
     pull: dict[str, FinFunctor] = {}
+    by_name = total._by_name
     for u in base.arrows:
-        if base.is_identity(u.name):
+        if u.name in base_ids:
             continue
-        obj_map = {rl_obj(y): rl_obj(total.dom(c.lift[(u.name, y)])) for y in objs[u.cod]}
+        obj_map = {rl_obj[y]: rl_obj[by_name[c.lift[(u.name, y)]].dom] for y in objs[u.cod]}
         mor_map = {}
         for a in verticals[u.cod]:
             top = c.lift[(u.name, a.cod)]
             bottom = c.lift[(u.name, a.dom)]
-            mor_map[rl_mor(a.name)] = rl_mor(_vertical_factors(p, top, total.compose[(a.name, bottom)])[0])
+            mor_map[rl_mor[a.name]] = rl_mor[_vertical_factors(p, top, total.compose[(a.name, bottom)])[0]]
         pull[u.name] = FinFunctor(f"pull_{u.name}", fibre[u.cod], fibre[u.dom], obj_map, mor_map)
     for i in base.objects:
         pull[base.identity[i]] = identity_functor(fibre[i])

@@ -25,10 +25,12 @@ from basecat.core import (
     RawArrow,
     _as_arrows,
     _rows,
+    assemble,
     identity_functor,
     identity_id,
     normalize,
     op_name,
+    op_tag,
     opposite,
     pair_id,
     validate_category,
@@ -810,6 +812,36 @@ def oracle_compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
         {x: g.obj(f.obj(x)) for x in f.source.objects},
         {a.name: g.mor(f.mor(a.name)) for a in f.source.arrows},
     )
+
+
+# ``core._reversed`` as it was before it read the identity names and the
+# identity map straight off the category: one ``op_tag`` call per arrow,
+# and the identity map re-read through the tags.
+
+
+def oracle_reversed(cat: FinCat) -> FinCat:
+    names = {a.name: op_tag(cat, a.name) for a in cat.arrows}
+    arrows = [Arrow(names[a.name], a.cod, a.dom) for a in cat.arrows]
+    identity = {o: names[m] for o, m in cat.identity.items()}
+    table = {
+        (names[f], names[g]): names[h] for (g, f), h in cat.compose.items()
+    }
+    return assemble(op_name(cat.name), cat.objects, arrows, table, identity)
+
+
+# ``fibration._vertical_factors`` as it was before it read the total's
+# indexes directly: the hom-set and both domains through the accessors,
+# and each candidate's verticality through ``is_identity``.
+
+
+def oracle_vertical_factors(p: FunctorOver, top: str, outer: str) -> list[str]:
+    total, base, over = p.total, p.base, p.proj.mor_map
+    table = total.compose
+    return [
+        h
+        for h in total.hom(total.dom(outer), total.dom(top))
+        if base.is_identity(over[h]) and table[(top, h)] == outer
+    ]
 
 
 # ``constructions._Builder.build`` as it was before derived presentations

@@ -328,3 +328,79 @@ def test_no_regex_needs_a_newer_python(path):
 def test_newer_regex_syntax_is_found():
     assert _newer_regex_syntax(r"a*+b++c?+d{2}+(?>e)") == ["*+", "++", "?+", "}+", "(?>"]
     assert _newer_regex_syntax(r"\++[*+?]+[^\]+]+(?:x)+(?=y)") == []
+
+
+# The loops that run once per arrow or per pair read ``FinCat``'s and the
+# projection's indexes directly (``_by_name``, ``_homs``, ``_into``,
+# ``_identity_names``, ``mor_map``, ``obj_map``), not one accessor call
+# per element.
+_PER_ARROW_LOOPS = {
+    "constructions": {"_category_of_elements", "grothendieck_strict"},
+    "fibration": {"recover_indexed", "_misplaced", "_vertical_factors"},
+}
+_ACCESSORS = {
+    "arrow", "dom", "cod", "is_identity", "hom", "arrows_into", "arrows_from", "over", "obj_over", "is_vertical"
+}
+
+
+def _repeated_parts(loop: ast.AST) -> list[ast.AST]:
+    """What a loop or comprehension evaluates once per element: all of it
+    but the iterable of a ``for`` and of its first generator."""
+    if isinstance(loop, ast.For | ast.AsyncFor):
+        return [*loop.body, *loop.orelse]
+    if isinstance(loop, ast.While):
+        return [loop.test, *loop.body, *loop.orelse]
+    first, *rest = loop.generators
+    exprs = [loop.key, loop.value] if isinstance(loop, ast.DictComp) else [loop.elt]
+    return [*exprs, *first.ifs, *rest]
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _accessor_calls_in_loops(tree: ast.Module, functions: set[str]) -> set[str]:
+    """``function: accessor`` for each call of an accessor method inside a
+    loop or comprehension of one of the module-level ``functions``; each
+    function named must be found."""
+    found, seen = set(), set()
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name not in functions:
+            continue
+        seen.add(node.name)
+        for loop in ast.walk(node):
+            if not isinstance(loop, _LOOPS):
+                continue
+            for part in _repeated_parts(loop):
+                for call in ast.walk(part):
+                    if isinstance(call, ast.Call) and getattr(call.func, "attr", None) in _ACCESSORS:
+                        found.add(f"{node.name}: {call.func.attr}")
+    assert seen == functions, f"not found: {functions - seen}"
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(_PER_ARROW_LOOPS))
+def test_per_arrow_loops_read_indexes_not_accessors(module):
+    path = Path(basecat.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert not _accessor_calls_in_loops(tree, _PER_ARROW_LOOPS[module])
+
+
+def test_an_accessor_call_in_a_per_arrow_loop_is_found():
+    tree = ast.parse(
+        "def _misplaced(p, lift):\n"
+        "    end = p.total.dom\n"
+        "    for u in p.base.arrows_from(x):\n"
+        "        for y in p.total.arrows_into(u.cod):\n"
+        "            if p.is_vertical(y) or end(y):\n"
+        "                return u\n"
+        "    while p.over(x):\n"
+        "        pass\n"
+        "    return [p.total.dom(a) for a in p.total.hom(x, y)], {a: 1 for a in b if cat.is_identity(a)}\n"
+        "def elsewhere(p):\n"
+        "    for a in p.arrows:\n"
+        "        p.dom(a)\n"
+    )
+    assert _accessor_calls_in_loops(tree, {"_misplaced"}) == {
+        "_misplaced: arrows_into", "_misplaced: is_vertical", "_misplaced: over",
+        "_misplaced: dom", "_misplaced: is_identity",
+    }
