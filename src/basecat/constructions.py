@@ -179,11 +179,11 @@ def _category_of_elements(
     obj: dict[tuple[str, str], str] = {}
     # element morphisms above each arrow of c, as (x, y, id)
     ms: dict[str, list[tuple[str, str, str]]] = {}
-    for X in c.objects:
+    for X, unit in zip(c.objects, map(identity_id, c.objects)):
         units = ms[c.identity[X]] = []
         for x in fibre[X]:
             o = obj[X, x] = object_id(X, x)
-            units.append((x, x, b.add_object(o, (X, x), X)))
+            units.append((x, x, b.add_object(o, (X, x), X, (unit, identity_id(x)))))
 
     tags = [op_name(a.name) if over_opposite else a.name for a, *_ in above]
     names = _disambiguate(

@@ -12,19 +12,18 @@ parenthesised pair labels as emitted by the constructions.
 The whole text is tokenized before parsing, so a lexical error anywhere
 wins over a parse error. Tokens come in bulk: one ``findall`` of a
 compiled pattern per window of about 8 KB cut at a newline, kinds from one
-dict lookup each, offsets as running sums of lengths. A pair id nested
-deeper than the pattern takes is measured by bracket counting, and the
-window's matches after it are read on, not rescanned. Tokens carry only an
-offset; a line and column are counted from the text only for an error or a
-declaration's name.
+dict lookup each, and the text skipped before each token kept. A pair id
+nested deeper than the pattern takes is measured by bracket counting, and
+the window's matches after it are read on, not rescanned. A token's offset
+is counted from the lengths before it, and its line and column from the
+text, only for an error or a declaration's name.
 """
 
 from __future__ import annotations
 
 import re
-from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -51,7 +50,7 @@ for _ in range(_PAIR_DEPTH - 1):
 # ordinary token starts, the token is the "(" or "id_(" of a pair the
 # pattern cannot take, another character a pair may hold, or empty: at any
 # other character and at the end. Matches stay contiguous up to the first
-# empty token, so each offset is the running sum of the lengths before it.
+# empty token, so a token's offset is the sum of the lengths before it.
 _TOKEN = re.compile(
     rf"""([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
     ((?!id_\()[A-Za-z0-9_*']+|\|->|->|[{{}}:,.=]|(?:id_)?{_PAIR}|(?:id_)?\(|[)|@]|)""",
@@ -110,31 +109,51 @@ def _pair_end(text: str, filename: str, start: int, opening: int) -> int:
     raise _error_at(text, filename, start, len(text) - start, "a closing ')'", "end of input")
 
 
-def _tokenize(text: str, filename: str) -> tuple[list[str], list[str], array]:
+class _Offsets:
+    """Where each token starts, counted when read: on from the last token
+    read, or from the start, by the lengths of the texts and skips between."""
+
+    def __init__(self, texts: list[str], skips: list[str]):
+        self.texts, self.skips = texts, skips
+        self.counted = (0, 0)  # a token, and where the text skipped before it starts
+
+    def __len__(self) -> int:
+        return len(self.skips)
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < len(self.skips):
+            i = range(len(self.skips))[i]  # counted from the end, or IndexError
+        j, start = self.counted if i >= self.counted[0] else (0, 0)
+        start += len("".join(self.texts[j:i])) + len("".join(self.skips[j:i]))
+        self.counted = (i, start)
+        return start + len(self.skips[i])
+
+
+def _tokenize(text: str, filename: str) -> tuple[list[str], list[str], _Offsets]:
     """The kind, text and offset of every token, as three parallel
     sequences: kind is 'id', 'kw' or the punctuation itself, and offset is
-    where the text starts."""
+    where the text starts, counted only when read."""
     kinds: list[str] = []
     texts: list[str] = []
-    offsets = array("q")
+    skips: list[str] = []
+    run = 0  # where the text skipped before a window's first token starts
     findall, size, pos = _TOKEN.findall, len(text), 0
     while pos < size:
         cut = text.find("\n", pos + _WINDOW) + 1 or size
         found = findall(text, pos, cut)
+        gaps = list(map(itemgetter(0), found))
         words = list(map(itemgetter(1), found))
         window = list(map(_KINDS.get, words, repeat("id")))
-        # Match j starts at bounds[2 * j] and its token at bounds[2 * j + 1].
-        bounds = list(accumulate(map(len, chain.from_iterable(found)), initial=pos))
-        starts = array("q", bounds[1::2])
-        i = 0
+        first, i, at = len(skips), 0, pos  # match i starts at ``at``
         while True:
             k = window.index(None, i)
             kinds += window[i:k]
             texts += words[i:k]
-            offsets += starts[i:k]
-            start = starts[k]
-            if start == cut:
+            skips += gaps[i:k]
+            # Skipped text alone ends a window; findall adds an empty match after a non-empty one.
+            if not words[k] and len(found) - k == (2 if gaps[k] else 1):
                 break
+            start = at + len("".join(words[i:k])) + len("".join(gaps[i : k + 1]))
             if words[k] not in ("(", "id_("):
                 raise _error_at(text, filename, start, 1, "a token", repr(text[start]))
             # Identity ids of pair-named objects look like id_(X,x): a
@@ -142,12 +161,13 @@ def _tokenize(text: str, filename: str) -> tuple[list[str], list[str], array]:
             end = _pair_end(text, filename, start, start + len(words[k]) - 1)
             kinds.append("id")
             texts.append(text[start:end])
-            offsets.append(start)
-            # No match inside the pair reaches past its end or skips any text,
-            # so the first place in bounds that holds the end starts a match.
-            i = bounds.index(end, 2 * k + 2) // 2
+            skips.append(gaps[k])
+            # The pair's text alone holds its matches here, plus one empty match.
+            i, at = k + len(findall(text, start + len(words[k]), end)), end
+        if len(skips) > first:
+            skips[first], run = text[run : pos + len(gaps[0])], cut - len(gaps[k])
         pos = cut
-    return kinds, texts, offsets
+    return kinds, texts, _Offsets(texts, skips)
 
 
 # The parser reads past the last token only onto a token of this kind.

@@ -404,3 +404,53 @@ def test_an_accessor_call_in_a_per_arrow_loop_is_found():
         "_misplaced: arrows_into", "_misplaced: is_vertical", "_misplaced: over",
         "_misplaced: dom", "_misplaced: is_identity",
     }
+
+
+# The tokenizer keeps the text each token skips and counts an offset only
+# when one is read, so it computes no running sums of match lengths.
+_RUNNING_SUMS = {"accumulate", "array"}
+
+
+def _running_sums(tree: ast.Module, function: str = "_tokenize") -> set[str]:
+    """Each call of ``accumulate`` or ``array``, and each ``map(len, ...)``,
+    in the module-level ``function``, which must be found."""
+    found, seen = set(), False
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name != function:
+            continue
+        seen = True
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name in _RUNNING_SUMS:
+                found.add(name)
+            elif name == "map" and call.args and getattr(call.args[0], "id", None) == "len":
+                found.add("map(len)")
+    assert seen, f"not found: {function}"
+    return found
+
+
+def test_the_tokenizer_sums_no_lengths():
+    path = Path(basecat.__file__).parent / "dsl.py"
+    assert not _running_sums(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+
+
+def test_running_sums_in_the_tokenizer_are_found():
+    # The window loop of ``_tokenize`` when every token's offset was the
+    # running sum of the lengths before it.
+    tree = ast.parse(
+        "def _tokenize(text, filename):\n"
+        "    offsets = array('q')\n"
+        "    while pos < size:\n"
+        "        found = findall(text, pos, cut)\n"
+        "        bounds = list(accumulate(map(len, chain.from_iterable(found)), initial=pos))\n"
+        "        starts = array.array('q', bounds[1::2])\n"
+        "        offsets += starts[i:k]\n"
+        "def elsewhere(found):\n"
+        "    return list(itertools.accumulate(map(len, found)))\n"
+    )
+    assert _running_sums(tree) == {"accumulate", "array", "map(len)"}
+    assert _running_sums(tree, "elsewhere") == {"accumulate", "map(len)"}
+    with pytest.raises(AssertionError, match="not found"):
+        _running_sums(tree, "missing")
