@@ -35,8 +35,8 @@ doubt their input stay: ``grothendieck_strict`` re-checks strictness and
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import replace
 
 from .core import (
     Arrow,
@@ -61,11 +61,11 @@ from .core import (
 from .errors import DuplicateId, NoSelfDualWitness, Refutation, SourceTargetMismatch, ValidationError
 from .family import IndexedFamily, validate_family
 from .fibration import Cleavage, FunctorOver, OpCleavage
+from .records import Frozen
 from .report import Report
 from .sets import ConcreteStructure, FinFn, FinSetObj, validate_concrete
 
 
-@dataclass(frozen=True, repr=False)
 class ConstructedCategory(ReadOnly):
     """A category together with its projection and its provenance labels.
 
@@ -291,7 +291,6 @@ def concrete_graph_category(
     )
 
 
-@dataclass(frozen=True, repr=False)
 class TrivialCategorification(ReadOnly):
     """One-object categories for objects, functors for morphisms."""
 
@@ -558,7 +557,6 @@ def right_action_selfdual(
     )
 
 
-@dataclass(frozen=True, repr=False)
 class GroupAction(ReadOnly):
     """A one-object groupoid acting on a finite set through functions."""
 
@@ -654,8 +652,7 @@ def _witness_by_projection(
     return relabelling(name, a.cat, b.cat, objects, mor_map, back_name)
 
 
-@dataclass(frozen=True)
-class NotOnTheNose(Refutation):
+class NotOnTheNose(Frozen, Refutation):
     """Why the opposite of a right action is not its left action."""
 
     template = "{reason}"

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, fields
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AssociativityViolation,
@@ -58,6 +57,7 @@ from .errors import (
     UnmappedMorphism,
     UnmappedObject,
 )
+from .records import Frozen
 
 OP_MARK = "_op"
 ID_PREFIX = "id_"
@@ -91,14 +91,14 @@ def identity_id(obj: str) -> str:
     return ID_PREFIX + obj
 
 
-class ReadOnly:
-    """Base of the frozen dataclasses whose mapping fields hold read-only
+class ReadOnly(Frozen):
+    """Base of the frozen value classes whose mapping fields hold read-only
     views (``types.MappingProxyType``).
 
     A subclass names those fields in ``read_only``. Its constructor,
-    generated from its fields (``__init_subclass__``), sets the instance
-    dict to every field and wraps each of those in a view. A plain mapping
-    is wrapped, not copied, so a builder hands over a dict it created and
+    generated from its fields (``records.Record``), sets the instance dict
+    to every field and wraps each of those in a view. A plain mapping is
+    wrapped, not copied, so a builder hands over a dict it created and
     keeps no other reference to; validators copy their caller's input once
     before building, so nothing outside can change a validated value
     afterwards. A view is kept as it is. Scans read the views themselves;
@@ -106,33 +106,7 @@ class ReadOnly:
     the dict it wraps, so reprs read as they did with plain dicts.
     """
 
-    read_only: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        # One constructor per subclass, from the fields it declares (its
-        # annotations in order, class attributes as defaults); the dataclass
-        # decorator keeps it. It sets the instance dict in one call: writes
-        # into the dict ``self.__dict__`` makes would slow attribute reads.
-        names = list(vars(cls)["__annotations__"])
-        items = ", ".join(
-            f"{n!r}: {n} if type({n}) is View else View({n})" if n in cls.read_only
-            else f"{n!r}: {n}" for n in names
-        )
-        scope = {"View": MappingProxyType, "set_dict": object.__setattr__}
-        exec(f"def __init__(self, {', '.join(names)}): set_dict(self, '__dict__', {{{items}}})", scope)
-        cls.__init__ = init = scope["__init__"]
-        init.__defaults__ = tuple(vars(cls)[n] for n in names if n in vars(cls))
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-
-    def __repr__(self) -> str:
-        shown = ", ".join(
-            f"{f.name}={_unwrapped(getattr(self, f.name))!r}" for f in fields(self) if f.repr
-        )
-        return f"{type(self).__qualname__}({shown})"
-
-
-def _unwrapped(value: object) -> object:
-    return dict(value) if type(value) is MappingProxyType else value
+    read_only = ()  # not annotated: an annotation would make it a field
 
 
 def dict_of(mapping: Mapping) -> dict:
@@ -141,26 +115,42 @@ def dict_of(mapping: Mapping) -> dict:
     return mapping.copy() if type(mapping) is MappingProxyType else dict(mapping)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Arrow:
+class Arrow(Frozen):
+    """A morphism ``name``: ``dom`` -> ``cod``, held in slots."""
+
+    __slots__ = ("name", "dom", "cod")
     name: str
     dom: str
     cod: str
 
     def __init__(self, name: str, dom: str, cod: str) -> None:
         # The slots are written through their descriptors, which takes
-        # half the time of the ``object.__setattr__`` calls a frozen
-        # dataclass's generated ``__init__`` makes; presentations hold
-        # thousands of arrows.
+        # half the time of ``object.__setattr__`` calls; presentations
+        # hold thousands of arrows.
         _set_name(self, name)
         _set_dom(self, dom)
         _set_cod(self, cod)
+
+    # Written out, as the constructor is: ``Record.__eq__`` reads slots
+    # through ``attrgetter``, which takes twice as long, and
+    # ``same_presentation`` compares thousands of arrows. Defining
+    # ``__eq__`` drops the inherited hash, so it is named again.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Arrow:
+            return (self.name, self.dom, self.cod) == (other.name, other.dom, other.cod)
+        return NotImplemented
+
+    __hash__ = Frozen.__hash__
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through the constructor, since
+        # the slots refuse assignment.
+        return Arrow, (self.name, self.dom, self.cod)
 
 
 _set_name, _set_dom, _set_cod = Arrow.name.__set__, Arrow.dom.__set__, Arrow.cod.__set__
 
 
-@dataclass(frozen=True, repr=False)
 class FinCat(ReadOnly):
     """An explicit finite category presentation.
 
@@ -547,7 +537,6 @@ def assemble(
     return cat
 
 
-@dataclass(frozen=True, repr=False)
 class FinFunctor(ReadOnly):
     """Object and morphism maps between two categories, both read-only."""
 
@@ -647,8 +636,7 @@ def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
     )
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(Frozen):
     forward: FinFunctor
     backward: FinFunctor
 

@@ -14,9 +14,9 @@ morphisms and four-element carriers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import field
 from pathlib import Path
-from typing import Callable
 
 from .constructions import GroupAction, discrete_family, family_from_functor, inverse_witness
 from .constructions import validate_group_action
@@ -32,6 +32,7 @@ from .core import (
 )
 from .dsl import Env, elaborate, parse, read_source
 from .family import IndexedFamily, validate_family
+from .records import Record
 from .sets import ConcreteStructure, FinFn, FinSetObj, validate_concrete
 
 MAX_OBJECTS = 4
@@ -46,8 +47,7 @@ def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
 
-@dataclass
-class Corpus:
+class Corpus(Record):
     """The instances the suites check, and what has been built from them.
 
     Validated values are read-only, so a construction made from them can

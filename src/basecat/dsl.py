@@ -22,7 +22,7 @@ text, only for an error or a declaration's name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -31,6 +31,7 @@ from .constructions import GroupAction, validate_group_action
 from .core import FinCat, FinFunctor, identity_id, validate_category, validate_functor
 from .errors import ParseError, SourceSpan, UnknownObject, UnresolvedReference, UsageError
 from .family import IndexedFamily, validate_family
+from .records import Frozen, Record
 from .sets import ConcreteStructure, FinFn, FinSetObj, validate_concrete
 
 KEYWORDS = {
@@ -177,8 +178,7 @@ _END = "end of input"
 # Declarations. Spans do not take part in structural equality.
 
 
-@dataclass(frozen=True)
-class CategoryDecl:
+class CategoryDecl(Frozen):
     name: str
     objects: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]
@@ -186,8 +186,7 @@ class CategoryDecl:
     span: SourceSpan = field(compare=False)
 
 
-@dataclass(frozen=True)
-class FunctorDecl:
+class FunctorDecl(Frozen):
     name: str
     source: str
     target: str
@@ -196,8 +195,7 @@ class FunctorDecl:
     span: SourceSpan = field(compare=False)
 
 
-@dataclass(frozen=True)
-class ConcreteDecl:
+class ConcreteDecl(Frozen):
     name: str
     over: str
     carriers: tuple[tuple[str, tuple[str, ...]], ...]
@@ -205,8 +203,7 @@ class ConcreteDecl:
     span: SourceSpan = field(compare=False)
 
 
-@dataclass(frozen=True)
-class ActionDecl:
+class ActionDecl(Frozen):
     name: str
     group: str
     elements: tuple[str, ...]
@@ -214,8 +211,7 @@ class ActionDecl:
     span: SourceSpan = field(compare=False)
 
 
-@dataclass(frozen=True)
-class IndexedDecl:
+class IndexedDecl(Frozen):
     name: str
     base: str
     fibres: tuple[tuple[str, str], ...]
@@ -226,8 +222,7 @@ class IndexedDecl:
 Declaration = CategoryDecl | FunctorDecl | ConcreteDecl | ActionDecl | IndexedDecl
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Frozen):
     declarations: tuple[Declaration, ...]
 
 
@@ -556,8 +551,7 @@ def decl_of_category(cat: FinCat, name: str | None = None) -> CategoryDecl:
 # Elaboration: declarations to validated values.
 
 
-@dataclass
-class Env:
+class Env(Record):
     categories: dict[str, FinCat] = field(default_factory=dict)
     functors: dict[str, FinFunctor] = field(default_factory=dict)
     concretes: dict[str, ConcreteStructure] = field(default_factory=dict)

@@ -8,8 +8,7 @@ saying why when it does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
+from .records import Frozen, Record
 
 
 class Explained:
@@ -18,7 +17,7 @@ class Explained:
     template keeps the ``str`` of its next base (an exception's message, a
     dataclass's repr)."""
 
-    template: ClassVar[str | None] = None
+    template: str | None = None
 
     def __str__(self) -> str:
         if self.template is None:
@@ -46,21 +45,18 @@ class ValidationError(BasecatError):
     """A presentation violates one of its structural laws."""
 
 
-@dataclass
-class DuplicateId(ValidationError):
+class DuplicateId(Record, ValidationError):
     template = "duplicate id {ident!r}"
     ident: str
 
 
-@dataclass
-class MissingComposite(ValidationError):
+class MissingComposite(Record, ValidationError):
     template = "composite of ({g!r} after {f!r}) is not in the table"
     g: str
     f: str
 
 
-@dataclass
-class DomCodMismatch(ValidationError):
+class DomCodMismatch(Record, ValidationError):
     g: str
     f: str
     detail: str = ""
@@ -70,71 +66,60 @@ class DomCodMismatch(ValidationError):
         return f"dom/cod mismatch on pair ({self.g!r}, {self.f!r}){extra}"
 
 
-@dataclass
-class UnitLawViolation(ValidationError):
+class UnitLawViolation(Record, ValidationError):
     template = "unit law fails at {f!r}"
     f: str
 
 
-@dataclass
-class AssociativityViolation(ValidationError):
+class AssociativityViolation(Record, ValidationError):
     template = "associativity fails on triple ({h!r}, {g!r}, {f!r})"
     h: str
     g: str
     f: str
 
 
-@dataclass
-class UnmappedObject(ValidationError):
+class UnmappedObject(Record, ValidationError):
     template = "object {ident!r} has no image"
     ident: str
 
 
-@dataclass
-class UnmappedMorphism(ValidationError):
+class UnmappedMorphism(Record, ValidationError):
     template = "morphism {ident!r} has no image"
     ident: str
 
 
-@dataclass
-class DomCodNotPreserved(ValidationError):
+class DomCodNotPreserved(Record, ValidationError):
     template = "image of {f!r} has the wrong dom/cod"
     f: str
 
 
-@dataclass
-class IdentityNotPreserved(ValidationError):
+class IdentityNotPreserved(Record, ValidationError):
     template = "identity of {obj!r} is not sent to an identity"
     obj: str
 
 
-@dataclass
-class CompositionNotPreserved(ValidationError):
+class CompositionNotPreserved(Record, ValidationError):
     template = "composite of ({g!r} after {f!r}) is not preserved"
     g: str
     f: str
 
 
-@dataclass
-class SourceTargetMismatch(ValidationError):
+class SourceTargetMismatch(Record, ValidationError):
     template = "source/target categories do not line up: {detail}"
     detail: str = ""
 
 
-@dataclass
-class NotMutuallyInverse(ValidationError):
+class NotMutuallyInverse(Record, ValidationError):
     template = "functor pair is not mutually inverse: {detail}"
     detail: str
 
 
-@dataclass
-class UnknownMorphism(BasecatError):
+class UnknownMorphism(Record, BasecatError):
     template = "no morphism named {ident!r}"
     ident: str
 
 
-@dataclass
-class UnknownObject(BasecatError):
+class UnknownObject(Record, BasecatError):
     template = "no object named {ident!r}"
     ident: str
 
@@ -142,8 +127,7 @@ class UnknownObject(BasecatError):
 # Finite-set layer.
 
 
-@dataclass
-class PartialFunction(ValidationError):
+class PartialFunction(Record, ValidationError):
     f: str
     element: str | None
 
@@ -153,22 +137,19 @@ class PartialFunction(ValidationError):
         return f"function for {self.f!r} is undefined at {self.element!r}"
 
 
-@dataclass
-class NotFunctorial(ValidationError):
+class NotFunctorial(Record, ValidationError):
     template = "assigned functions break composition on ({g!r}, {f!r})"
     g: str
     f: str
 
 
-@dataclass
-class NotFaithful(ValidationError):
+class NotFaithful(Record, ValidationError):
     template = "parallel morphisms {f1!r} and {f2!r} share one function"
     f1: str
     f2: str
 
 
-@dataclass
-class CodomainMismatch(ValidationError):
+class CodomainMismatch(Record, ValidationError):
     template = "functions do not share a codomain: {detail}"
     detail: str = ""
 
@@ -176,15 +157,13 @@ class CodomainMismatch(ValidationError):
 # Constructions.
 
 
-@dataclass
-class NotStrict(ValidationError):
+class NotStrict(Record, ValidationError):
     template = "indexed family is not strict on base pair ({v!r}, {u!r})"
     v: str
     u: str
 
 
-@dataclass
-class NoSelfDualWitness(ValidationError):
+class NoSelfDualWitness(Record, ValidationError):
     template = "self-duality witness rejected: {detail}"
     detail: str
 
@@ -192,15 +171,13 @@ class NoSelfDualWitness(ValidationError):
 # Fibrations.
 
 
-@dataclass
-class NoLiftInCleavage(BasecatError):
+class NoLiftInCleavage(Record, BasecatError):
     template = "cleavage has no lift for base morphism {u!r} at {obj!r}"
     u: str
     obj: str
 
 
-@dataclass
-class NotSplit(BasecatError):
+class NotSplit(Record, BasecatError):
     template = "cleavage is not split: {detail}"
     detail: str
 
@@ -208,8 +185,7 @@ class NotSplit(BasecatError):
 # DSL front-end.
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Frozen):
     file: str
     line: int
     column: int

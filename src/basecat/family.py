@@ -11,14 +11,12 @@ runs only to name the first pair that breaks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .core import FinCat, FinFunctor, ReadOnly, _reject_unknown_keys, dict_of, identity_functor
 from .errors import NotStrict, UnknownMorphism, UnknownObject
 
 
-@dataclass(frozen=True, repr=False)
 class IndexedFamily(ReadOnly):
     """Assignment ``fibre`` on objects and ``pull`` on morphisms of ``base``.
 

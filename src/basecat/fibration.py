@@ -29,18 +29,17 @@ fibres are computable sub-presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
 
 from .core import Arrow, FinCat, FinFunctor, ReadOnly, assemble, identity_functor
 from .errors import NoLiftInCleavage, NotSplit, Refutation, UnknownMorphism
 from .family import IndexedFamily
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class FunctorOver:
+class FunctorOver(Frozen):
     """A functor regarded as a projection from a total to a base category.
 
     Besides ``proj`` it holds the two categories, the total objects above
@@ -52,11 +51,14 @@ class FunctorOver:
 
     proj: FinFunctor
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "total", self.proj.source)
-        object.__setattr__(self, "base", self.proj.target)
-        object.__setattr__(self, "_verdicts", ({}, {}))
-        object.__setattr__(self, "_lifts", {})
+    def __init__(self, proj: FinFunctor) -> None:
+        # Set one by one, which keeps the scans' reads of them fastest.
+        set_attr = object.__setattr__
+        set_attr(self, "proj", proj)
+        set_attr(self, "total", proj.source)
+        set_attr(self, "base", proj.target)
+        set_attr(self, "_verdicts", ({}, {}))
+        set_attr(self, "_lifts", {})
 
     def over(self, morphism: str) -> str:
         return self.proj.mor(morphism)
@@ -85,7 +87,6 @@ class FunctorOver:
         return MappingProxyType(memo)
 
 
-@dataclass(frozen=True, repr=False)
 class Cleavage(ReadOnly):
     """Chosen cartesian lift for every (base morphism, object above cod)."""
 
@@ -93,7 +94,6 @@ class Cleavage(ReadOnly):
     read_only = ("lift",)
 
 
-@dataclass(frozen=True, repr=False)
 class OpCleavage(ReadOnly):
     """Chosen opcartesian lift for every (base morphism, object above dom)."""
 
@@ -101,8 +101,7 @@ class OpCleavage(ReadOnly):
     read_only = ("lift",)
 
 
-@dataclass(frozen=True)
-class _Factorization(Refutation):
+class _Factorization(Frozen, Refutation):
     """A factorization of ``g`` through ``f`` over ``w`` whose mediating
     morphisms number ``mediating_count`` instead of one."""
 
@@ -120,8 +119,7 @@ class CounterexampleOpCartesian(_Factorization):
     template = "{f!r} is not opcartesian: {mediating_count} morphisms over {w!r} factor {g!r} through it"
 
 
-@dataclass(frozen=True)
-class _Unlifted(Refutation):
+class _Unlifted(Frozen, Refutation):
     """No (op)cartesian morphism above ``u`` ends (starts) at ``obj``."""
 
     u: str
@@ -136,8 +134,7 @@ class MissingOpLift(_Unlifted):
     template = "no opcartesian lift of {u!r} starts at {obj!r}"
 
 
-@dataclass(frozen=True)
-class _Detailed(Refutation):
+class _Detailed(Frozen, Refutation):
     detail: str
 
 

@@ -47,25 +47,23 @@ a witness or a definite rejection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from math import gcd
-from typing import Iterator
 
 from .core import FinCat, IsoWitness, _rows, relabelling
 from .errors import CompositionNotPreserved, Refutation
+from .records import Frozen
 
 DEFAULT_BUDGET = 100_000
 SIGNATURE_ROUNDS = 2
 
 
-@dataclass(frozen=True)
-class NotIsomorphic(Refutation):
+class NotIsomorphic(Frozen, Refutation):
     template = "not isomorphic: {reason}"
     reason: str
 
 
-@dataclass(frozen=True)
-class BudgetExhausted(Refutation):
+class BudgetExhausted(Frozen, Refutation):
     template = "undecided: the search gave up after {nodes} nodes"
     nodes: int
 
@@ -80,23 +78,26 @@ def _signatures(cat: FinCat, palette: dict) -> dict[str, int]:
     Round 0 is (|hom(x, x)|, sorted out-sizes, sorted in-sizes); each later
     round adds the sorted (signature, |hom(x, y)|, |hom(y, x)|) over every y.
     A round's key holds the previous round's numbers, so keys stay flat and
-    equal numbers mean equal nested signatures.
+    equal numbers mean equal nested signatures. The hom-set sizes are read
+    once into rows (out of each object) and columns (into it), in object
+    order.
     """
     objs = cat.objects
-    hom = {(x, y): len(cat.hom(x, y)) for x in objs for y in objs}
-    sig = {
-        x: _intern(palette, ("sig", 0, hom[(x, x)],
-                             tuple(sorted(hom[(x, y)] for y in objs)),
-                             tuple(sorted(hom[(y, x)] for y in objs))))
-        for x in objs
-    }
+    index = {x: i for i, x in enumerate(objs)}
+    out = [[0] * len(objs) for _ in objs]
+    for (x, y), names in cat._homs.items():
+        out[index[x]][index[y]] = len(names)
+    into = list(zip(*out))
+    sig = [
+        _intern(palette, ("sig", 0, row[i], tuple(sorted(row)), tuple(sorted(col))))
+        for i, (row, col) in enumerate(zip(out, into))
+    ]
     for k in range(1, SIGNATURE_ROUNDS + 1):
-        sig = {
-            x: _intern(palette, ("sig", k, sig[x],
-                                 tuple(sorted((sig[y], hom[(x, y)], hom[(y, x)]) for y in objs))))
-            for x in objs
-        }
-    return sig
+        sig = [
+            _intern(palette, ("sig", k, sig[i], tuple(sorted(zip(sig, row, col)))))
+            for i, (row, col) in enumerate(zip(out, into))
+        ]
+    return dict(zip(objs, sig))
 
 
 def _power_types(rows: dict[str, dict[str, str]], endos: tuple[str, ...]) -> dict[str, tuple[int, int]]:

@@ -6,22 +6,22 @@ and usage problems are signalled before a report exists (exit 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
+
+from .records import Frozen, Record
 
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Frozen):
     claim_id: str
     status: str
     detail: str = ""
 
 
-@dataclass
-class Report:
+class Report(Record):
     command: str
     claims: list[Claim] = field(default_factory=list)
 

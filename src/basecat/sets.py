@@ -9,8 +9,7 @@ cones are counted point by point, not enumerated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .core import FinCat, ReadOnly, _reject_unknown_keys, dict_of, pair_id
 from .errors import (
@@ -22,10 +21,10 @@ from .errors import (
     UnknownObject,
     ValidationError,
 )
+from .records import Frozen
 
 
-@dataclass(frozen=True)
-class FinSetObj:
+class FinSetObj(Frozen):
     name: str
     elements: tuple[str, ...]
 
@@ -37,7 +36,6 @@ class FinSetObj:
         return len(self.elements)
 
 
-@dataclass(frozen=True, repr=False)
 class FinFn(ReadOnly):
     dom: FinSetObj
     cod: FinSetObj
@@ -69,7 +67,6 @@ def compose_fn(g: FinFn, f: FinFn) -> FinFn:
     return FinFn(f.dom, g.cod, {x: g.mapping[f.mapping[x]] for x in f.dom.elements})
 
 
-@dataclass(frozen=True, repr=False)
 class ConcreteStructure(ReadOnly):
     """Sets and functions assigned to a category, the underlying functor.
 
@@ -148,8 +145,7 @@ def validate_concrete(
     return ConcreteStructure(over, carrier, action, tuple(warnings))
 
 
-@dataclass(frozen=True)
-class PullbackSquare:
+class PullbackSquare(Frozen):
     """A commuting square over two functions with a shared codomain."""
 
     f: FinFn
@@ -159,8 +155,7 @@ class PullbackSquare:
     p2: FinFn
 
 
-@dataclass(frozen=True)
-class ConeCounterexample(Refutation):
+class ConeCounterexample(Frozen, Refutation):
     template = "not a pullback: the cone from {probe.name!r} has {mediating_count} mediating maps"
     probe: FinSetObj
     q1: FinFn

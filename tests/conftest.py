@@ -69,7 +69,7 @@ from basecat.fibration import (
     _vertical_factors,
     check_split,
 )
-from basecat.iso import DEFAULT_BUDGET, BudgetExhausted, NotIsomorphic
+from basecat.iso import DEFAULT_BUDGET, SIGNATURE_ROUNDS, BudgetExhausted, NotIsomorphic, _intern
 from basecat.sets import ConeCounterexample, FinFn, FinSetObj, PullbackSquare
 
 
@@ -361,6 +361,29 @@ def _oracle_signatures(cat: FinCat) -> dict[str, tuple]:
         sig = {
             x: (sig[x], tuple(sorted((sig[y], hom[(x, y)], hom[(y, x)]) for y in cat.objects)))
             for x in cat.objects
+        }
+    return sig
+
+
+# ``iso._signatures`` as it was before it read the hom-set sizes into
+# rows and columns once: one ``hom`` call per ordered pair of objects,
+# and sorted generator expressions in every round.
+
+
+def oracle_signatures(cat: FinCat, palette: dict) -> dict[str, int]:
+    objs = cat.objects
+    hom = {(x, y): len(cat.hom(x, y)) for x in objs for y in objs}
+    sig = {
+        x: _intern(palette, ("sig", 0, hom[(x, x)],
+                             tuple(sorted(hom[(x, y)] for y in objs)),
+                             tuple(sorted(hom[(y, x)] for y in objs))))
+        for x in objs
+    }
+    for k in range(1, SIGNATURE_ROUNDS + 1):
+        sig = {
+            x: _intern(palette, ("sig", k, sig[x],
+                                 tuple(sorted((sig[y], hom[(x, y)], hom[(y, x)]) for y in objs))))
+            for x in objs
         }
     return sig
 
