@@ -131,17 +131,6 @@ class Arrow(Frozen):
         _set_dom(self, dom)
         _set_cod(self, cod)
 
-    # Written out, as the constructor is: ``Record.__eq__`` reads slots
-    # through ``attrgetter``, which takes twice as long, and
-    # ``same_presentation`` compares thousands of arrows. Defining
-    # ``__eq__`` drops the inherited hash, so it is named again.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Arrow:
-            return (self.name, self.dom, self.cod) == (other.name, other.dom, other.cod)
-        return NotImplemented
-
-    __hash__ = Frozen.__hash__
-
     def __reduce__(self):
         # Copies and pickles are rebuilt through the constructor, since
         # the slots refuse assignment.

@@ -3,7 +3,8 @@
 A subclass of ``Record`` (mutable) or ``Frozen`` that annotates fields is
 made a ``dataclass`` that generates no method (``init=False, repr=False,
 eq=False``): compiling those methods took most of the import time. Its
-constructor is generated from its fields when its first value is made.
+constructor and its ``__eq__`` are generated from its fields when each is
+first called; ``__hash__`` and ``__repr__`` are shared.
 """
 
 from __future__ import annotations
@@ -19,27 +20,20 @@ class Record:
     as the dict it wraps."""
 
     __slots__ = ()
+    __hash__ = None  # as ``dataclass`` leaves a mutable class that compares
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if "__annotations__" not in vars(cls):
             return  # it adds no field, so its base's methods do
-        # A docstring naming the fields, so that ``dataclass`` builds none
-        # from a signature where the class has none.
+        # Else ``dataclass`` would build a docstring from a signature.
         cls.__doc__ = cls.__doc__ or f"{cls.__qualname__}({', '.join(vars(cls)['__annotations__'])})"
         dataclass(init=False, repr=False, eq=False)(cls)
         cls._compared = attrgetter(*(f.name for f in fields(cls) if f.compare))
         cls._shown = tuple(f.name for f in fields(cls) if f.repr)
-        if "__init__" not in vars(cls):
-            cls.__init__ = _built_on_first_call(cls)
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:  # as the tuples of its fields would compare
-            return True
-        if other.__class__ is self.__class__:
-            key = self._compared
-            return key(self) == key(other)
-        return NotImplemented
+        for name, make in (("__init__", _constructor), ("__eq__", _comparison)):
+            if name not in vars(cls):
+                setattr(cls, name, _built_on_first_call(cls, name, make))
 
     def __repr__(self) -> str:
         values = ((name, getattr(self, name)) for name in self._shown)
@@ -63,12 +57,32 @@ class Frozen(Record):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _built_on_first_call(cls: type):
-    def __init__(self, *args, **kwargs) -> None:
-        cls.__init__ = _constructor(cls)
-        cls.__init__(self, *args, **kwargs)
+def _built_on_first_call(cls: type, name: str, make):
+    def first_call(self, *args, **kwargs):
+        setattr(cls, name, make(cls))
+        return getattr(cls, name)(self, *args, **kwargs)
 
-    return __init__
+    return first_call
+
+
+def _compiled(cls: type, name: str, source: str, scope: dict):
+    exec(source, scope)
+    scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    return scope[name]
+
+
+def _comparison(cls: type):
+    """The ``__eq__`` that ``dataclass`` would generate, which answers at
+    once for a value compared with itself (as Python 3.13's does). Shared
+    code would read the fields through ``attrgetter``, which takes up to
+    twice as long as the attribute reads compiled into a class's own."""
+    compared = [f.name for f in fields(cls) if f.compare]
+    mine, theirs = ("".join(f"{who}.{name}, " for name in compared) for who in ("self", "other"))
+    return _compiled(cls, "__eq__", (
+        "def __eq__(self, other):\n"
+        " if other is self: return True\n"
+        f" if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"
+        " return NotImplemented"), {})
 
 
 def _constructor(cls: type):
@@ -97,6 +111,4 @@ def _constructor(cls: type):
         body = [f"self.{n} = {v}" for n, v in items]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}): {'; '.join(body)}", scope)
-    scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-    return scope["__init__"]
+    return _compiled(cls, "__init__", f"def __init__(self, {', '.join(params)}): {'; '.join(body)}", scope)

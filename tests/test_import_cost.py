@@ -6,7 +6,8 @@ their methods from ``records`` instead. A fresh interpreter, started with
 ``-S`` so that only the package's own imports run, counts every method
 ``dataclasses._create_fn`` makes and every source that the package or
 ``dataclasses`` compiles from a string while the body runs.
-The self-test counts a class declared the old way.
+The self-test counts a class declared the old way, and a class's
+constructor and ``__eq__`` are each compiled once, on first use.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ def counted_create(name, *args, **kwargs):
     return create(name, *args, **kwargs)
 
 def hook(event, args):
-    # Sources compiled from a string by the package (named by the class
-    # whose constructor ``records`` generates) or by ``dataclasses``.
+    # Sources compiled from a string by the package (named by the method
+    # ``records`` generates) or by ``dataclasses``.
     if event == "compile" and args[1] == "<string>":
         caller = sys._getframe(1)
         if caller.f_code.co_filename.startswith({package!r}):
-            compiled.append(caller.f_locals["cls"].__qualname__)
+            compiled.append(f"{{caller.f_locals['cls'].__qualname__}}.{{caller.f_locals['name']}}")
         elif caller.f_code.co_filename == dataclasses.__file__:
             compiled.append("dataclasses")
 
@@ -59,7 +60,7 @@ def test_importing_the_package_generates_only_the_constructor_it_uses():
     # ``dsl._NOWHERE`` is built at import, so its class's constructor is
     # the only one generated; every other waits for its first instance.
     got = _probe("import basecat")
-    assert got == {"made": [], "compiled": ["SourceSpan"], "typing": False}
+    assert got == {"made": [], "compiled": ["SourceSpan.__init__"], "typing": False}
 
 
 def test_a_class_declared_the_old_way_is_counted():
@@ -70,12 +71,14 @@ def test_a_class_declared_the_old_way_is_counted():
         "    a: int\n"
     )
     assert sorted(got["made"]) == ["__delattr__", "__eq__", "__hash__", "__init__", "__repr__", "__setattr__"]
-    assert got["compiled"] == ["SourceSpan"] + ["dataclasses"] * 6
+    assert got["compiled"] == ["SourceSpan.__init__"] + ["dataclasses"] * 6
 
 
-def test_a_constructor_is_generated_once_on_first_use():
+def test_a_constructor_and_an_eq_are_generated_once_on_first_use():
     got = _probe(
         "from basecat.report import Claim\n"
         "Claim('a', 'pass'); Claim('b', 'fail', 'why'); Claim(claim_id='c', status='skip')\n"
+        "assert Claim('a', 'pass') == Claim('a', 'pass') != Claim('a', 'fail')\n"
     )
-    assert got == {"made": [], "compiled": ["SourceSpan", "Claim"], "typing": False}
+    compiled = ["SourceSpan.__init__", "Claim.__init__", "Claim.__eq__"]
+    assert got == {"made": [], "compiled": compiled, "typing": False}
