@@ -90,6 +90,13 @@ class TestValidateCategory:
                 "Dup", ["X"], [("f", "X", "X"), ("f", "X", "X")]
             )
 
+    def test_a_repeated_id_is_named_before_the_unknown_end_of_its_arrow(self):
+        # The second f both repeats an id and ends at no object; each arrow
+        # is checked for a repeated id before its ends.
+        with pytest.raises(errors.DuplicateId) as exc:
+            bc.validate_category("Dup", ["X"], [("f", "X", "X"), ("f", "X", "Nowhere")])
+        assert exc.value.ident == "f"
+
     def test_composite_with_wrong_endpoints(self):
         with pytest.raises(errors.DomCodMismatch) as exc:
             bc.validate_category(

@@ -198,6 +198,32 @@ class TestCheckSplit:
         edited = {**found_op.lift, ("f", "X1"): "f0"}
         assert bc.check_split_op(over, OpCleavage(edited)) == SplitViolation("no op-lift of 'f' at 'X1'")
 
+    @pytest.mark.parametrize("op", [False, True], ids=["lift", "op-lift"])
+    def test_of_two_misplaced_lifts_the_first_pair_is_named(self, op):
+        # Above two parallel arrows f, g: X -> Y, a total with two objects
+        # over each of X and Y. Lifts of f at Y1 and of g at Y0 that end at
+        # the other object are both misplaced; pairs are walked base arrow
+        # first, then object, so (f, Y1) is named, not (g, Y0). Dually for
+        # op-lifts at X1 and X0.
+        base = bc.validate_category("Par", ["X", "Y"], [("f", "X", "Y"), ("g", "X", "Y")])
+        total = bc.validate_category(
+            "E", ["X0", "X1", "Y0", "Y1"],
+            [("f0", "X0", "Y0"), ("f1", "X1", "Y1"), ("g0", "X0", "Y0"), ("g1", "X1", "Y1")],
+        )
+        over = bc.FunctorOver(bc.validate_functor(
+            "p", total, base, {"X0": "X", "X1": "X", "Y0": "Y", "Y1": "Y"},
+            {"f0": "f", "f1": "f", "g0": "g", "g1": "g"},
+        ))
+        find, check, kind, (first, second) = (
+            (bc.check_opfibration, bc.check_split_op, OpCleavage, ("X1", "X0")) if op
+            else (bc.check_fibration, bc.check_split, Cleavage, ("Y1", "Y0"))
+        )
+        found = find(over)
+        assert check(over, found) is True
+        edited = kind({**found.lift, ("f", first): "f0", ("g", second): "g1"})
+        name = "op-lift" if op else "lift"
+        assert check(over, edited) == SplitViolation(f"no {name} of 'f' at {first!r}")
+
     def test_a_lift_at_no_pair_is_rejected(self, graph_two):
         # Two's only arrow f ends at Y, so a lift of f at (X,X) answers no
         # pair, and nor does a lift of an arrow Two does not have. The
