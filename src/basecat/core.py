@@ -333,30 +333,28 @@ def validate_category(
     identity = dict_of(identity) if identity else {}
     all_arrows = _with_identities(objects, declared, identity)
 
-    seen_mor: set[str] = set()
+    by_name: dict[str, Arrow] = {}
+    into: dict[str, list[str]] = {o: [] for o in objects}
+    outof: dict[str, list[str]] = {o: [] for o in objects}
     for a in all_arrows:
-        if a.name in seen_mor:
+        if a.name in by_name:
             raise DuplicateId(a.name)
-        seen_mor.add(a.name)
         if a.dom not in seen_obj:
             raise UnknownObject(a.dom)
         if a.cod not in seen_obj:
             raise UnknownObject(a.cod)
+        by_name[a.name] = a
+        into[a.cod].append(a.name)
+        outof[a.dom].append(a.name)
 
-    by_name = {a.name: a for a in all_arrows}
     for o in objects:
-        ident = identity.get(o)
-        if ident is None or ident not in by_name:
-            raise UnknownMorphism(ident or identity_id(o))
+        ident = identity[o]
+        if ident not in by_name:
+            raise UnknownMorphism(ident)
         ia = by_name[ident]
         if ia.dom != o or ia.cod != o:
             raise UnitLawViolation(ident)
 
-    into: dict[str, list[str]] = {o: [] for o in objects}
-    outof: dict[str, list[str]] = {o: [] for o in objects}
-    for a in all_arrows:
-        into[a.cod].append(a.name)
-        outof[a.dom].append(a.name)
     table, rows = _checked_table(compose, by_name, all_arrows, identity, into, outof)
 
     for a in all_arrows:
@@ -558,14 +556,12 @@ def validate_functor(
     obj_map = dict_of(obj_map)
     mor_map = dict_of(mor_map)
 
+    source_ids, target_ids, target_arrows = source.identity, target.identity, target._by_name
     for x in source.objects:
         if x not in obj_map:
             raise UnmappedObject(x)
         if obj_map[x] not in target.objects:
             raise UnknownObject(obj_map[x])
-
-    source_ids, target_ids, target_arrows = source.identity, target.identity, target._by_name
-    for x in source.objects:
         mor_map.setdefault(source_ids[x], target_ids[obj_map[x]])
 
     for a in source.arrows:
@@ -822,11 +818,4 @@ def same_presentation(a: FinCat, b: FinCat) -> bool:
         and not any(OP_MARK in m for m in a._by_name)
     ):
         return True
-    na = normalize(a, name="_")
-    nb = normalize(b, name="_")
-    return (
-        na.objects == nb.objects
-        and na.arrows == nb.arrows
-        and na.identity == nb.identity
-        and na.compose == nb.compose
-    )
+    return normalize(a, name="_") == normalize(b, name="_")

@@ -42,7 +42,6 @@ def validate_family(
     for o in base.objects:
         if o not in fibre:
             raise UnknownObject(o)
-    for o in base.objects:
         if base.identity[o] not in pull:
             pull[base.identity[o]] = identity_functor(fibre[o])
     for a in base.arrows:

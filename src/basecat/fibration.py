@@ -263,8 +263,13 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
     and every lift is opcartesian. Each verdict is read through
     ``_verdict``.
 
+    One walk of the (base arrow u, object y above cod u) pairs, u first,
+    finds the first whose lift is missing, lies above another arrow or
+    does not end at y (above dom u, and start at y, when ``op``), and the
+    first lift before it that is not (op)cartesian.
+
     The composition law is one scan, ``_composition_fault``. When every lift
-    is in place (``_misplaced``), it runs on the composites whose outer
+    is in place, it runs on the composites whose outer
     factor g is a generator of the base (``FinCat._generating``; the inner
     factor, for an opcleavage), and that decides every pair: with g = s∘w,
     lift(s∘w∘f) = lift(s)∘lift(w∘f) = lift(s)∘lift(w)∘lift(f)
@@ -279,8 +284,17 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
             return SplitViolation(f"no {kind} of the identity at {y!r}")
         if lift[key] != total.identity[y]:
             return SplitViolation(f"{kind} of the identity at {y!r} is {lift[key]!r}")
+    over, arrow, above = p.proj.mor_map, total._by_name.get, p._above
+    misplaced = not_cartesian = None
+    for u in base.arrows:
+        for y in above[u.dom if op else u.cod]:
+            f = arrow(lift.get((u.name, y)))
+            if f is None or over[f.name] != u.name or (f.dom if op else f.cod) != y:
+                misplaced = misplaced or (u.name, y)
+            elif not (misplaced or not_cartesian or _verdict(p, f.name, op)):
+                not_cartesian = f"{kind} {f.name!r} of {u.name!r} at {y!r} is not {'opcartesian' if op else 'cartesian'}"
     composites = [(g, f, gf) for (g, f), gf in base.compose.items() if not (is_identity(g) or is_identity(f))]
-    misplaced, generating = _misplaced(p, lift, op), base._generating
+    generating = base._generating
     if misplaced is not None or any(
         _composition_fault(p, lift, op, g, f, gf) for g, f, gf in composites if (f if op else g) in generating
     ):
@@ -293,12 +307,8 @@ def _split_scan(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -
         if misplaced is not None:
             return SplitViolation(f"no {kind} of {misplaced[0]!r} at {misplaced[1]!r}")
     # Then every lift is (op)cartesian,
-    notion = "opcartesian" if op else "cartesian"
-    for u in base.arrows:
-        for y in p._above[u.dom if op else u.cod]:
-            f = lift[(u.name, y)]
-            if not _verdict(p, f, op):
-                return SplitViolation(f"{kind} {f!r} of {u.name!r} at {y!r} is not {notion}")
+    if not_cartesian is not None:
+        return SplitViolation(not_cartesian)
     # and no lift is chosen at anything but such a pair.
     index, side = _lift_index(p, op)[0], "domain" if op else "codomain"
     for key in lift:
@@ -331,20 +341,6 @@ def _composition_fault(
             return f"no {kind} of {gf!r} at {z!r}"
         if table.get((far.name, near.name) if op else (near.name, far.name)) != direct:
             return f"{kind}s of ({g!r}, {f!r}) at {z!r} do not compose to the {kind} of {gf!r}"
-    return None
-
-
-def _misplaced(p: FunctorOver, lift: Mapping[tuple[str, str], str], op: bool) -> tuple[str, str] | None:
-    """The first (base arrow u, object y above cod u) pair, in presentation
-    order, whose lift is missing, lies above another arrow or does not end
-    at y; above dom u, and start at y, when ``op``. None when every pair
-    has a lift so placed."""
-    over, arrow, above = p.proj.mor_map, p.total._by_name.get, p._above
-    for u in p.base.arrows:
-        for y in above[u.dom if op else u.cod]:
-            f = arrow(lift.get((u.name, y)))
-            if f is None or over[f.name] != u.name or (f.dom if op else f.cod) != y:
-                return u.name, y
     return None
 
 

@@ -6,6 +6,7 @@ and usage problems are signalled before a report exists (exit 2).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import field
 
 from .records import Frozen, Record
@@ -45,10 +46,8 @@ class Report(Record):
         return 0 if self.ok else 1
 
     def counts(self) -> tuple[int, int, int]:
-        passed = sum(1 for c in self.claims if c.status == PASS)
-        failed = sum(1 for c in self.claims if c.status == FAIL)
-        skipped = sum(1 for c in self.claims if c.status == SKIP)
-        return passed, failed, skipped
+        counts = Counter(c.status for c in self.claims)
+        return counts[PASS], counts[FAIL], counts[SKIP]
 
     def render(self, fmt: str = "machine") -> str:
         if fmt == "machine":

@@ -103,7 +103,6 @@ def validate_concrete(
     for o in over.objects:
         if o not in carrier:
             raise UnknownObject(o)
-    for o in over.objects:
         ident = over.identity[o]
         if ident not in action:
             action[ident] = identity_fn(carrier[o])
@@ -217,9 +216,6 @@ def verify_pullback_universal(
 
 def fiberwise_count(f: FinFn, g: FinFn) -> int:
     """Predicted pullback size: sum over the base of |fiber| * |fiber|."""
-    total = 0
-    for c in f.cod.elements:
-        na = sum(1 for a in f.dom.elements if f.mapping[a] == c)
-        nb = sum(1 for b in g.dom.elements if g.mapping[b] == c)
-        total += na * nb
-    return total
+    na = Counter(f.mapping[a] for a in f.dom.elements)
+    nb = Counter(g.mapping[b] for b in g.dom.elements)
+    return sum(na[c] * nb[c] for c in f.cod.elements)

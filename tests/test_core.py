@@ -97,6 +97,12 @@ class TestValidateCategory:
             bc.validate_category("Dup", ["X"], [("f", "X", "X"), ("f", "X", "Nowhere")])
         assert exc.value.ident == "f"
 
+    def test_a_missing_identity_is_named_by_the_id_given(self):
+        # An empty id is no arrow; it is named as given, not as id_a.
+        with pytest.raises(errors.UnknownMorphism, match="^no morphism named ''$") as exc:
+            bc.validate_category("C", ["a"], [], identity={"a": ""})
+        assert exc.value.ident == ""
+
     def test_composite_with_wrong_endpoints(self):
         with pytest.raises(errors.DomCodMismatch) as exc:
             bc.validate_category(

@@ -336,7 +336,7 @@ def test_newer_regex_syntax_is_found():
 # per element.
 _PER_ARROW_LOOPS = {
     "constructions": {"_category_of_elements", "grothendieck_strict"},
-    "fibration": {"recover_indexed", "_misplaced", "_vertical_factors"},
+    "fibration": {"recover_indexed", "_split_scan", "_vertical_factors"},
 }
 _ACCESSORS = {
     "arrow", "dom", "cod", "is_identity", "hom", "arrows_into", "arrows_from", "over", "obj_over", "is_vertical"
